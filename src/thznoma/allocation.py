@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .noma import LinkBudget, PowerAllocation
 
 FIXED = "fixed"
@@ -55,21 +57,28 @@ def fixed_pa(alpha_far: float) -> PaResult:
                     feasible_far=True, scheme=FIXED)
 
 
-def _fair_alpha(req: PaRequest) -> tuple:
-    """Un-clipped far coefficient from the rate equation, plus feasibility.
+def fair_alpha(far_gain, tx_power_w: float, noise_power_w: float,
+               target_rate: float):
+    """Un-clipped far coefficient from the rate equation, elementwise.
 
     Solving log2(1 + p a g / (p (1-a) g + s2)) = R_m for a gives
-    a = xi (p g + s2) / (p (1 + xi) g). Values above 1 mean even full
-    power cannot reach R_m.
+    a = xi (p g + s2) / (p (1 + xi) g). Values above 1 (inf at zero gain
+    or power) mean even full power cannot reach R_m; xi = 0 gives 0.
     """
-    xi = target_sinr(req.target_rate_far)
+    g = np.asarray(far_gain, dtype=float)
+    xi = target_sinr(target_rate)
     if xi == 0.0:
-        return 0.0, True
-    p, s2, g = req.lb.tx_power_w, req.lb.noise_power_w, req.far_gain
-    denom = p * (1.0 + xi) * g
-    if denom == 0.0:
-        return math.inf, False
-    alpha = xi * (p * g + s2) / denom
+        return np.zeros_like(g)
+    denom = tx_power_w * (1.0 + xi) * g
+    with np.errstate(divide="ignore"):
+        alpha = xi * (tx_power_w * g + noise_power_w) / denom
+    return np.where(denom == 0.0, np.inf, alpha)
+
+
+def _fair_alpha(req: PaRequest) -> tuple:
+    """fair_alpha of one request, plus feasibility."""
+    alpha = float(fair_alpha(req.far_gain, req.lb.tx_power_w,
+                             req.lb.noise_power_w, req.target_rate_far))
     return alpha, alpha <= 1.0
 
 

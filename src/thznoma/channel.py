@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .config import (FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig,
                      user_geometry)
@@ -284,8 +283,12 @@ def ris_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
 
 
 def combine_channels(direct: np.ndarray, ris: np.ndarray) -> np.ndarray:
-    """Overall channel H = H_D + G, entrywise."""
-    if direct.shape != ris.shape:
+    """Overall channel H = H_D + G, entrywise.
+
+    The direct part may stack trials ahead of its (M, N) axes; the surface
+    part is the same for all of them.
+    """
+    if direct.shape[direct.ndim - ris.ndim:] != ris.shape:
         raise ValueError(f"channel shape mismatch: {direct.shape} vs {ris.shape}")
     h = direct + ris
     h.setflags(write=False)

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 
 import numpy as np
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: worker pool failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,9 +3,24 @@
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the master seed by (domain, grid-point, chunk) key,
 so results are identical for any worker count and workers only decide
-which chunks run where. Within a trial the far user's envelopes are
-drawn before the near user's. All schemes replay the same streams, so
-scheme comparisons are paired (common random numbers).
+which chunks run where.
+
+One chunk is evaluated as arrays. Its channels are formed in blocks of
+BLOCK trials, and every requested scheme is evaluated on the same gains,
+so scheme comparisons are paired (common random numbers) and one chunk
+task returns the sums of all schemes. The baseline scheme has its own
+scenario and draws its gains from a fresh stream with the same key.
+The outputs equal those of a per-trial loop bit for bit, which rests on:
+
+- stream order: one draw of shape (b, 2, M, N) consumes the stream as b
+  trials each drawing the far user's (M, N) envelopes, then the near
+  user's, would;
+- gains: the row sum over a trial's M*N entries equals np.sum over that
+  matrix alone (``noma.channel_gain``);
+- rate sums: a chunk's rate sum and sum of squares accumulate in trial
+  order (np.add.accumulate, not pairwise np.sum), and chunk sums are
+  added in chunk order;
+- capacities: math.log2 is applied per element (``noma.capacity``).
 """
 
 from __future__ import annotations
@@ -18,13 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import allocation
-from .allocation import PaRequest, allocate
 from .channel import (FadingModel, combine_channels, direct_channel_matrix,
                       ris_channel_matrix, sample_nakagami)
 from .config import FAR, NEAR, ScenarioConfig
-from .noma import LinkBudget, capacity, channel_gain, sinr_cross, sinr_own
+from .noma import LinkBudget, capacity, channel_gain, outage_indicators
 
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
+BLOCK = 128   # trials whose channels are formed at once; bounds temporaries
 
 _DOMAIN_OUTAGE = 1
 _DOMAIN_SUMRATE = 2
@@ -94,52 +109,6 @@ def _deterministic_parts(cfg: ScenarioConfig):
     return direct, ris, FadingModel(cfg.shape_m)
 
 
-def run_trial(cfg: ScenarioConfig, scheme: str, targets: tuple,
-              rng: np.random.Generator) -> tuple:
-    """One fading realization: (near_outage, far_outage, sum_rate).
-
-    Draws the two users' envelopes (far first), assembles the channels,
-    assigns SIC roles by ascending squared Frobenius gain, allocates power
-    per the scheme using the far user's instantaneous gain, and evaluates
-    capacities and outage.
-
-    On the feasible fair branch the far capacity is R_m identically (the
-    coefficient is the exact solution of the rate equation), so that value
-    is used directly rather than re-rounded through the SINR chain; the
-    far outage event is then exactly the infeasibility event.
-
-    The near user's SIC clause applies only when the far message carries
-    power: with alpha_m = 0 there is nothing to decode and the clause is
-    vacuous.
-    """
-    target_far, target_near = targets
-    direct, ris, fading = _deterministic_parts(cfg)
-    gains = []
-    for user in (FAR, NEAR):
-        h = direct[user]
-        if cfg.fading_enabled:
-            env = sample_nakagami(fading, rng, h.shape)
-            h = env * h
-        gains.append(channel_gain(combine_channels(h, ris[user])))
-    far_role = 0 if gains[0] <= gains[1] else 1
-    g_far, g_near = gains[far_role], gains[1 - far_role]
-
-    lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
-    pa = allocate(scheme if scheme != "baseline" else allocation.FAIR,
-                  PaRequest(g_far, lb, target_far), cfg.fixed_alpha_far)
-    alpha_far = pa.allocation.coefficients[0]
-
-    exact_fair_branch = (pa.scheme != allocation.FIXED and pa.feasible_far)
-    c_far = target_far if exact_fair_branch else capacity(sinr_own(g_far, pa.allocation, 0, lb))
-    c_cross = capacity(sinr_cross(g_near, pa.allocation, 0, lb))
-    c_near = capacity(sinr_own(g_near, pa.allocation, 1, lb))
-
-    sic_fail = alpha_far > 0.0 and c_cross < target_far
-    near_out = sic_fail or (c_near < target_near)
-    far_out = c_far < target_far
-    return near_out, far_out, c_far + c_near
-
-
 def _chunk_sizes(trials: int):
     full, rest = divmod(trials, CHUNK)
     sizes = [CHUNK] * full
@@ -154,32 +123,101 @@ def _chunk_rng(master_seed: int, domain: int, point: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _run_chunk(cfg: ScenarioConfig, scheme: str, targets: tuple,
-               master_seed: int, domain: int, point: int, chunk: int,
-               n: int) -> tuple:
-    """(near_count, far_count, rate_sum, rate_sumsq) over one chunk."""
-    rng = _chunk_rng(master_seed, domain, point, chunk)
-    near = far = 0
-    rsum = rsumsq = 0.0
-    for _ in range(n):
-        n_out, f_out, rate = run_trial(cfg, scheme, targets, rng)
-        near += n_out
-        far += f_out
-        rsum += rate
-        rsumsq += rate * rate
-    return near, far, rsum, rsumsq
+def _chunk_gains(cfg: ScenarioConfig, rng: np.random.Generator,
+                 n: int) -> np.ndarray:
+    """(2, n) squared Frobenius gains of n trials, rows in user order.
+
+    Each trial draws the far user's envelopes, then the near user's; a
+    block of trials takes its draws with one call.
+    """
+    direct, ris, fading = _deterministic_parts(cfg)
+    gains = np.empty((2, n))
+    if not cfg.fading_enabled:
+        for user in (FAR, NEAR):
+            gains[user] = channel_gain(combine_channels(direct[user], ris[user]))
+        return gains
+    for start in range(0, n, BLOCK):
+        b = min(BLOCK, n - start)
+        env = sample_nakagami(fading, rng, (b, 2) + direct[FAR].shape)
+        for user in (FAR, NEAR):
+            h = combine_channels(env[:, user] * direct[user], ris[user])
+            gains[user, start:start + b] = channel_gain(h)
+    return gains
 
 
-def _accumulate_point(cfg: ScenarioConfig, scheme: str, targets: tuple,
-                      spec: SweepSpec, domain: int, point: int,
-                      executor=None) -> dict:
-    sizes = _chunk_sizes(spec.trials)
-    args = [(cfg, scheme, targets, spec.master_seed, domain, point, ci, n)
-            for ci, n in enumerate(sizes)]
-    if executor is None:
-        parts = [_run_chunk(*a) for a in args]
+def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
+                 targets: tuple, cfg: ScenarioConfig) -> tuple:
+    """(near_count, far_count, rate_sum, rate_sumsq) of one scheme.
+
+    Power is allocated per the scheme from the far user's instantaneous
+    gain. On the feasible fair branch the far capacity is R_m identically
+    (the coefficient is the exact solution of the rate equation), so that
+    value is used directly rather than re-rounded through the SINR chain;
+    the far outage event is then exactly the infeasibility event.
+    """
+    target_far, target_near = targets
+    p, s2 = cfg.tx_power_w, cfg.noise_power_w
+    if scheme == allocation.FIXED:
+        a_far, exact = cfg.fixed_alpha_far, False
     else:
-        parts = list(executor.map(_run_chunk, *zip(*args), chunksize=4))
+        alpha = allocation.fair_alpha(g_far, p, s2, target_far)
+        exact = alpha <= 1.0
+        # infeasible: fair (and baseline) give the far user everything,
+        # improved-fair gives the near user everything
+        a_far = np.where(exact, alpha, 0.0 if scheme == allocation.IMPROVED else 1.0)
+    a_near = 1.0 - a_far
+    c_far = np.where(exact, target_far,
+                     capacity(p * a_far * g_far / (p * g_far * a_near + s2)))
+    c_cross = capacity(p * a_far * g_near / (p * g_near * a_near + s2))
+    c_near = capacity(p * a_near * g_near / s2)
+    near, far = outage_indicators(c_cross, c_near, c_far, target_far,
+                                  target_near, a_far)
+    rate = c_far + c_near
+    return (int(np.count_nonzero(near)), int(np.count_nonzero(far)),
+            float(np.add.accumulate(rate)[-1]),
+            float(np.add.accumulate(rate * rate)[-1]))
+
+
+def _run_chunk(groups: tuple, targets: tuple, master_seed: int, domain: int,
+               point: int, chunk: int, n: int) -> dict:
+    """{scheme: (near_count, far_count, rate_sum, rate_sumsq)} over one chunk.
+
+    ``groups`` pairs each scenario with the schemes evaluated on its gains;
+    every scenario draws from its own stream with the chunk's key. SIC
+    roles go by ascending gain, ties to the nominal far user.
+    """
+    sums = {}
+    for cfg, schemes in groups:
+        g = _chunk_gains(cfg, _chunk_rng(master_seed, domain, point, chunk), n)
+        swap = g[FAR] > g[NEAR]
+        g_far = np.where(swap, g[NEAR], g[FAR])
+        g_near = np.where(swap, g[FAR], g[NEAR])
+        if not np.all(np.isfinite(g_far)):
+            raise ValueError("far_gain must be finite")
+        for scheme in schemes:
+            sums[scheme] = _scheme_sums(scheme, g_far, g_near, targets, cfg)
+    return sums
+
+
+def _point_groups(cfg: ScenarioConfig, schemes: tuple, targets: tuple) -> tuple:
+    """Check one grid point and pair its scenarios with their schemes.
+
+    The link budget and target checks run here, once per point, instead
+    of inside the trial arrays.
+    """
+    LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
+    for t in targets:
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"target rates must be finite and >= 0, got {t!r}")
+    thz = tuple(s for s in schemes if s != "baseline")
+    groups = ((cfg, thz),) if thz else ()
+    if "baseline" in schemes:
+        groups += ((non_ris_non_thz_baseline(cfg), ("baseline",)),)
+    return groups
+
+
+def _point_stats(parts: list, t: int) -> dict:
+    """Outage and sum-rate estimates of one point from its t trials."""
     # reduce in chunk order so float sums never depend on scheduling
     near = far = 0
     rsum = rsumsq = 0.0
@@ -188,7 +226,6 @@ def _accumulate_point(cfg: ScenarioConfig, scheme: str, targets: tuple,
         far += pf
         rsum += ps
         rsumsq += pq
-    t = spec.trials
     p_near, p_far = near / t, far / t
     mean = rsum / t
     var = max(rsumsq / t - mean * mean, 0.0)
@@ -203,31 +240,38 @@ def _accumulate_point(cfg: ScenarioConfig, scheme: str, targets: tuple,
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult:
-    executor = None
+    sizes = _chunk_sizes(spec.trials)
+    tasks = []
+    for point, value in enumerate(spec.grid):
+        if spec.variable == "target_rate":
+            point_cfg = cfg
+            targets = (float(value), float(value))
+        else:
+            point_cfg = cfg.replace(tx_power_dbm=float(value))
+            targets = (cfg.target_rate, cfg.target_rate)
+        groups = _point_groups(point_cfg, spec.schemes, targets)
+        tasks += [(groups, targets, spec.master_seed, domain, point, ci, n)
+                  for ci, n in enumerate(sizes)]
+    if cfg.workers > 1:
+        executor = ProcessPoolExecutor(max_workers=cfg.workers)
+        try:
+            parts = list(executor.map(_run_chunk, *zip(*tasks), chunksize=4))
+        finally:
+            # also on KeyboardInterrupt: drop the queued chunks
+            executor.shutdown(cancel_futures=True)
+    else:
+        parts = [_run_chunk(*t) for t in tasks]
+    per_point = len(sizes)
     series = {s: {k: [] for k in ("near_outage", "near_outage_stderr",
                                   "far_outage", "far_outage_stderr",
                                   "sum_rate", "sum_rate_stderr")}
               for s in spec.schemes}
-    try:
-        if cfg.workers > 1:
-            executor = ProcessPoolExecutor(max_workers=cfg.workers)
-        for point, value in enumerate(spec.grid):
-            if spec.variable == "target_rate":
-                point_cfg = cfg
-                targets = (float(value), float(value))
-            else:
-                point_cfg = cfg.replace(tx_power_dbm=float(value))
-                targets = (cfg.target_rate, cfg.target_rate)
-            for scheme in spec.schemes:
-                scheme_cfg = (non_ris_non_thz_baseline(point_cfg)
-                              if scheme == "baseline" else point_cfg)
-                stats = _accumulate_point(scheme_cfg, scheme, targets, spec,
-                                          domain, point, executor)
-                for key, val in stats.items():
-                    series[scheme][key].append(val)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for point in range(len(spec.grid)):
+        chunks = parts[point * per_point:(point + 1) * per_point]
+        for scheme in spec.schemes:
+            stats = _point_stats([c[scheme] for c in chunks], spec.trials)
+            for key, val in stats.items():
+                series[scheme][key].append(val)
     series = {s: {k: np.asarray(v) for k, v in d.items()} for s, d in series.items()}
     return SweepResult(variable=spec.variable, grid=tuple(spec.grid),
                        schemes=tuple(spec.schemes), series=series,

@@ -47,10 +47,17 @@ class SinrReport:
     cross: tuple          # ((k, j), zeta_{k->j}) pairs, j < k
 
 
-def channel_gain(h: np.ndarray) -> float:
-    """Squared Frobenius norm ||H||^2 = trace(H H^H)."""
+def channel_gain(h: np.ndarray):
+    """Squared Frobenius norm ||H||^2 = trace(H H^H) over the last two axes.
+
+    A stack of matrices (..., M, N) gives one gain per matrix. Each gain is
+    the sum over the M*N entries of one row, which equals np.sum over that
+    matrix alone bit for bit. A single matrix gives a float.
+    """
     h = np.asarray(h)
-    return float(np.sum(h.real ** 2) + np.sum(h.imag ** 2))
+    flat = h.reshape(h.shape[:-2] + (-1,))
+    gain = np.sum(flat.real ** 2, axis=-1) + np.sum(flat.imag ** 2, axis=-1)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def _interference(gain: float, pa: PowerAllocation, upto: int, lb: LinkBudget) -> float:
@@ -93,25 +100,35 @@ def build_sinr_report(gains, pa: PowerAllocation, lb: LinkBudget) -> SinrReport:
     return SinrReport(own=own, cross=cross)
 
 
-def capacity(sinr: float) -> float:
-    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz."""
-    if sinr < 0:
-        raise ValueError(f"sinr must be >= 0, got {sinr!r}")
-    return math.log2(1.0 + sinr)
+def capacity(sinr):
+    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz, elementwise.
+
+    math.log2 is applied to each element: np.log2 differs from it in the
+    last ulp on a small share of inputs, and sweep outputs are pinned to
+    the per-element value.
+    """
+    s = np.asarray(sinr, dtype=float)
+    if np.any(s < 0):
+        raise ValueError(f"sinr must be >= 0, got {float(s.min())!r}")
+    out = np.fromiter(map(math.log2, (1.0 + s).ravel().tolist()), float, s.size)
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-def outage_indicators(c_cross: float, c_near: float, c_far: float,
-                      target_far: float, target_near: float) -> tuple:
-    """(near_outage, far_outage) for one realization.
+def outage_indicators(c_cross, c_near, c_far, target_far: float,
+                      target_near: float, alpha_far):
+    """(near_outage, far_outage), elementwise over the capacity arrays.
 
     Near user fails if it cannot decode the far message at the far target
     (SIC stage) or its own message at its own target:
-        near = (C_{n->m} < R_m) or (C_n < R_n)
-    Far user fails on its own message alone:
+        near = (alpha_m > 0 and C_{n->m} < R_m) or (C_n < R_n)
+    The SIC clause is vacuous when the far message carries no power
+    (alpha_m = 0): there is nothing to decode. Far user fails on its own
+    message alone:
         far = C_m < R_m
     """
     if target_far < 0 or target_near < 0:
         raise ValueError("target rates must be >= 0")
-    near = (c_cross < target_far) or (c_near < target_near)
-    far = c_far < target_far
+    sic_fail = (np.asarray(alpha_far) > 0.0) & (np.asarray(c_cross) < target_far)
+    near = sic_fail | (np.asarray(c_near) < target_near)
+    far = np.asarray(c_far) < target_far
     return near, far

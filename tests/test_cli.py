@@ -1,10 +1,13 @@
 """CLI subcommands: grids, CSV layout, manifests, exit codes, determinism."""
 
+import functools
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from thznoma import montecarlo
 from thznoma.cli import _parse_grid, _parse_schemes, main
 from thznoma.config import ConfigError, ScenarioConfig, parse_config
 
@@ -153,6 +156,27 @@ def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):
     rc = main(["outage", "--config", small_config, "--grid", "1",
                "--out", str(blocker)])
     assert rc == 2
+
+
+def test_exit_code_noise_underflow(tmp_path, capsys):
+    # -5000 dBm underflows the noise power to 0, which no link budget allows
+    ini = tmp_path / "quiet.ini"
+    ini.write_text(SMALL_INI + "noise_power_dbm = -5000\n", encoding="utf-8")
+    for command in ("outage", "sumrate"):
+        rc = main([command, "--config", str(ini), "--grid", "1",
+                   "--out", str(tmp_path / command)])
+        assert rc == 2
+        assert "noise_power_w must be > 0" in capsys.readouterr().err
+
+
+def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):
+    # every pool worker exits as it starts, which breaks the pool
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
+    rc = main(["outage", "--config", small_config, "--grid", "1",
+               "--workers", "2", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "worker pool failed" in capsys.readouterr().err
 
 
 def test_validate_passes_and_reports(tmp_path, small_config, capsys):

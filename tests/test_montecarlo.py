@@ -12,10 +12,12 @@ from thznoma.channel import (FadingModel, combine_channels,
                              direct_channel_matrix, ris_channel_matrix,
                              sample_nakagami)
 from thznoma.config import FAR, NEAR, ScenarioConfig
-from thznoma.montecarlo import (CHUNK, SweepSpec, _chunk_rng, _chunk_sizes,
+from thznoma.montecarlo import (BLOCK, CHUNK, SweepSpec, _chunk_gains,
+                                _chunk_rng, _chunk_sizes, _point_groups,
                                 _run_chunk, non_ris_non_thz_baseline,
-                                run_outage_sweep, run_sumrate_sweep, run_trial)
-from thznoma.noma import LinkBudget, capacity, channel_gain, sinr_cross, sinr_own
+                                run_outage_sweep, run_sumrate_sweep)
+from thznoma.noma import (LinkBudget, capacity, channel_gain,
+                          outage_indicators, sinr_cross, sinr_own)
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
 
@@ -54,23 +56,65 @@ def test_sweep_spec_validation():
         run_sumrate_sweep(SweepSpec(**good), SMALL)
 
 
+def _reference_gains(cfg, rng):
+    """(far, near) gains of one trial: far envelopes drawn first, then near."""
+    gains = []
+    for user in (FAR, NEAR):
+        h = direct_channel_matrix(cfg, user)
+        if cfg.fading_enabled:
+            h = sample_nakagami(FadingModel(cfg.shape_m), rng, h.shape) * h
+        gains.append(channel_gain(combine_channels(h, ris_channel_matrix(cfg, user))))
+    return gains
+
+
+def _reference_trial(cfg, scheme, targets, rng):
+    """One trial through the scalar noma and allocation functions:
+    (near_outage, far_outage, sum_rate, alpha_far, feasible_far)."""
+    target_far, target_near = targets
+    gains = _reference_gains(cfg, rng)
+    g_far, g_near = gains if gains[0] <= gains[1] else gains[::-1]
+    lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
+    pa = allocate(allocation.FAIR if scheme == "baseline" else scheme,
+                  PaRequest(g_far, lb, target_far), cfg.fixed_alpha_far)
+    alpha_far = pa.allocation.coefficients[0]
+    if pa.scheme != allocation.FIXED and pa.feasible_far:
+        c_far = target_far
+    else:
+        c_far = capacity(sinr_own(g_far, pa.allocation, 0, lb))
+    c_cross = capacity(sinr_cross(g_near, pa.allocation, 0, lb))
+    c_near = capacity(sinr_own(g_near, pa.allocation, 1, lb))
+    near, far = outage_indicators(c_cross, c_near, c_far, target_far,
+                                  target_near, alpha_far)
+    return bool(near), bool(far), c_far + c_near, alpha_far, pa.feasible_far
+
+
+def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8):
+    return _run_chunk(_point_groups(cfg, schemes, targets), targets, seed, 1,
+                      0, chunk, n)
+
+
 def test_trial_without_fading_is_deterministic():
     cfg = SMALL.replace(fading_enabled=False)
-    t1 = run_trial(cfg, "fixed", (0.5, 0.5), np.random.default_rng(1))
-    t2 = run_trial(cfg, "fixed", (0.5, 0.5), np.random.default_rng(999))
+    schemes = ("fixed", "fair", "improved-fair")
+    t1 = _chunk(cfg, schemes, (0.5, 0.5), seed=1)
+    t2 = _chunk(cfg, schemes, (0.5, 0.5), seed=999)
     assert t1 == t2
+    for near, far, _, _ in t1.values():
+        assert near in (0, 8) and far in (0, 8)
 
 
 def test_trial_matches_manual_noma_chain():
     # fading off: rebuild the same trial from the channel and noma layers
     cfg = SMALL.replace(fading_enabled=False)
     targets = (0.75, 0.75)
+    n = 5
     gains = sorted(
         channel_gain(combine_channels(direct_channel_matrix(cfg, u),
                                       ris_channel_matrix(cfg, u)))
         for u in (FAR, NEAR))
     g_far, g_near = gains
     lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
+    got = _chunk(cfg, ("fixed", "fair", "improved-fair"), targets, n=n)
     for scheme in ("fixed", "fair", "improved-fair"):
         pa = allocate(scheme, PaRequest(g_far, lb, targets[0]), cfg.fixed_alpha_far)
         if scheme == "fixed":
@@ -81,77 +125,59 @@ def test_trial_matches_manual_noma_chain():
         c_cross = capacity(sinr_cross(g_near, pa.allocation, 0, lb))
         c_near = capacity(sinr_own(g_near, pa.allocation, 1, lb))
         alpha_far = pa.allocation.coefficients[0]
-        want = (bool((alpha_far > 0 and c_cross < targets[0])
-                     or c_near < targets[1]),
-                bool(c_far < targets[0]),
-                c_far + c_near)
-        got = run_trial(cfg, scheme, targets, np.random.default_rng(0))
-        assert got[:2] == want[:2]
-        assert_allclose(got[2], want[2], rtol=1e-12)
+        near = (alpha_far > 0 and c_cross < targets[0]) or c_near < targets[1]
+        far = c_far < targets[0]
+        rate = c_far + c_near
+        assert got[scheme][:2] == (n * near, n * far)
+        assert_allclose(got[scheme][2:], (n * rate, n * rate * rate), rtol=1e-12)
 
 
 def test_trial_replays_the_documented_draw_order():
-    # far envelopes first, then near, from one stream
-    cfg = SMALL
-    rng = np.random.default_rng(31)
-    got = run_trial(cfg, "fair", (1.0, 1.0), rng)
-
-    rng = np.random.default_rng(31)
-    fading = FadingModel(cfg.shape_m)
-    gains = []
-    for user in (FAR, NEAR):
-        env = sample_nakagami(fading, rng, (4, 4))
-        h = env * direct_channel_matrix(cfg, user)
-        gains.append(channel_gain(combine_channels(h, ris_channel_matrix(cfg, user))))
-    g_far, g_near = min(gains), max(gains)
-    lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
-    pa = allocate("fair", PaRequest(g_far, lb, 1.0))
-    c_far = 1.0 if pa.feasible_far else capacity(sinr_own(g_far, pa.allocation, 0, lb))
-    c_cross = capacity(sinr_cross(g_near, pa.allocation, 0, lb))
-    c_near = capacity(sinr_own(g_near, pa.allocation, 1, lb))
-    alpha_far = pa.allocation.coefficients[0]
-    assert got[0] == ((alpha_far > 0 and c_cross < 1.0) or c_near < 1.0)
-    assert got[1] == (c_far < 1.0)
-    assert_allclose(got[2], c_far + c_near, rtol=1e-12)
+    # one stream per chunk; every trial draws far envelopes first, then
+    # near; blocks of trials leave that order and the gains bit-identical
+    n = BLOCK + 5
+    for shape_m in (0.5, 1.0, 3.0):
+        cfg = SMALL.replace(shape_m=shape_m)
+        got = _chunk_gains(cfg, _chunk_rng(31, 1, 0, 0), n)
+        rng = _chunk_rng(31, 1, 0, 0)
+        want = np.array([_reference_gains(cfg, rng) for _ in range(n)]).T
+        assert got.shape == (2, n)
+        assert np.array_equal(got, want), shape_m
 
 
 def test_vanishing_power_fails_both_users():
     cfg = SMALL.replace(tx_power_dbm=-300.0)
-    near_out, far_out, rate = run_trial(cfg, "fair", (0.5, 0.5),
-                                        np.random.default_rng(2))
-    assert near_out and far_out
-    assert rate < 1e-12
+    near, far, rsum, _ = _chunk(cfg, ("fair",), (0.5, 0.5), seed=2)["fair"]
+    assert near == far == 8
+    assert rsum < 8e-12
 
 
 def test_fair_far_outage_is_the_infeasibility_event():
-    # on the feasible branch the far capacity is pinned at the target
+    # on the feasible branch the far capacity is pinned at the target;
+    # at 0.25 bits/s/Hz SMALL has both branches
     cfg = SMALL
-    rng = np.random.default_rng(17)
-    lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
-    for _ in range(200):
-        state = rng.bit_generator.state
-        _, far_out, _ = run_trial(cfg, "fair", (2.0, 2.0), rng)
-        rng.bit_generator.state = state
-        fading = FadingModel(cfg.shape_m)
-        gains = []
-        for user in (FAR, NEAR):
-            env = sample_nakagami(fading, rng, (4, 4))
-            h = env * direct_channel_matrix(cfg, user)
-            gains.append(channel_gain(combine_channels(h, ris_channel_matrix(cfg, user))))
-        pa = allocate("fair", PaRequest(min(gains), lb, 2.0))
-        assert far_out == (not pa.feasible_far)
+    outages = 0
+    for chunk in range(200):
+        _, far, _, _ = _chunk(cfg, ("fair",), (0.25, 0.25), seed=17,
+                              chunk=chunk, n=1)["fair"]
+        rng = _chunk_rng(17, 1, 0, chunk)
+        *_, feasible = _reference_trial(cfg, "fair", (0.25, 0.25), rng)
+        assert far == (not feasible)
+        outages += far
+    assert 0 < outages < 200
 
 
 def test_improved_never_worse_for_near_user():
-    # paired streams: improved-fair only changes the infeasible branch,
+    # paired gains: improved-fair only changes the infeasible branch,
     # where it hands the near user the whole budget
     cfg = SMALL
-    for trial in range(300):
-        rng1 = np.random.default_rng(1000 + trial)
-        rng2 = np.random.default_rng(1000 + trial)
-        near_fair, _, _ = run_trial(cfg, "fair", (3.0, 3.0), rng1)
-        near_imp, _, _ = run_trial(cfg, "improved-fair", (3.0, 3.0), rng2)
-        assert near_imp <= near_fair
+    better = 0
+    for chunk in range(300):
+        got = _chunk(cfg, ("fair", "improved-fair"), (0.25, 0.25), seed=1000,
+                     chunk=chunk, n=1)
+        assert got["improved-fair"][0] <= got["fair"][0]
+        better += got["improved-fair"][0] < got["fair"][0]
+    assert better > 0
 
 
 def test_outage_sweep_shapes_and_ranges():
@@ -210,18 +236,27 @@ def test_rerun_is_bit_identical():
 
 
 def test_run_chunk_reduction_matches_trial_loop():
+    # counts and rate sums equal a trial-by-trial loop in trial order, bit
+    # for bit, across a block boundary; baseline replays the same key
     cfg = SMALL
-    got = _run_chunk(cfg, "fixed", (1.0, 1.0), 55, 1, 0, 3, 40)
-    rng = _chunk_rng(55, 1, 0, 3)
-    near = far = 0
-    rsum = rsumsq = 0.0
-    for _ in range(40):
-        n_out, f_out, rate = run_trial(cfg, "fixed", (1.0, 1.0), rng)
-        near += n_out
-        far += f_out
-        rsum += rate
-        rsumsq += rate * rate
-    assert got == (near, far, rsum, rsumsq)
+    targets = (1.0, 1.0)
+    n = BLOCK + 12
+    schemes = ("fixed", "fair", "improved-fair", "baseline")
+    got = _run_chunk(_point_groups(cfg, schemes, targets), targets, 55, 1, 0, 3, n)
+    assert list(got) == list(schemes)
+    for scheme in schemes:
+        scheme_cfg = non_ris_non_thz_baseline(cfg) if scheme == "baseline" else cfg
+        rng = _chunk_rng(55, 1, 0, 3)
+        near = far = 0
+        rsum = rsumsq = 0.0
+        for _ in range(n):
+            n_out, f_out, rate, _, _ = _reference_trial(scheme_cfg, scheme,
+                                                        targets, rng)
+            near += n_out
+            far += f_out
+            rsum += rate
+            rsumsq += rate * rate
+        assert got[scheme] == (near, far, rsum, rsumsq), scheme
 
 
 def test_baseline_scenario_construction():

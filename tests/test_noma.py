@@ -37,6 +37,9 @@ def test_channel_gain_is_squared_frobenius_norm():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     assert_allclose(channel_gain(m), np.linalg.norm(m) ** 2, rtol=1e-12)
+    # a stack of matrices gives each matrix's gain, bit for bit
+    stack = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+    assert channel_gain(stack).tolist() == [channel_gain(x) for x in stack]
 
 
 def test_sinr_reference_values():
@@ -95,9 +98,16 @@ def test_capacity():
     assert_allclose(capacity(1.0), 1.0, rtol=1e-15)
     with pytest.raises(ValueError):
         capacity(-0.5)
+    # arrays: math.log2 of each element, bit for bit
+    sinr = np.random.default_rng(5).exponential(10.0, (4, 50))
+    assert capacity(sinr).tolist() == [[math.log2(1.0 + s) for s in row]
+                                       for row in sinr.tolist()]
+    with pytest.raises(ValueError):
+        capacity(np.array([1.0, -0.5]))
 
 
-@pytest.mark.parametrize("c_cross,c_near,c_far,want", [
+# (c_cross, c_near, c_far, want) at targets 1.0, the far message carrying power
+_TABLE = [
     (2.0, 2.0, 2.0, (False, False)),   # everything above target
     (0.5, 2.0, 2.0, (True, False)),    # near fails the SIC stage
     (2.0, 0.5, 2.0, (True, False)),    # near fails its own message
@@ -106,16 +116,37 @@ def test_capacity():
     (0.5, 2.0, 0.5, (True, True)),
     (2.0, 0.5, 0.5, (True, True)),
     (0.5, 0.5, 0.5, (True, True)),
+]
+# alpha_far = 0: there is no far message to decode, so the SIC stage
+# cannot fail the near user
+_NO_FAR_POWER = [
+    (0.5, 2.0, 2.0, (False, False)),
+    (0.5, 0.5, 2.0, (True, False)),
+    (0.5, 2.0, 0.5, (False, True)),
+    (0.5, 0.5, 0.5, (True, True)),
+]
+
+
+@pytest.mark.parametrize("c_cross,c_near,c_far,alpha_far,want", [
+    *(pytest.param(*row[:3], 0.8, row[3], id=f"{row[0]}-{row[1]}-{row[2]}-want{i}")
+      for i, row in enumerate(_TABLE)),
+    *(pytest.param(*row[:3], 0.0, row[3], id=f"alpha0-{row[0]}-{row[1]}-{row[2]}")
+      for row in _NO_FAR_POWER),
 ])
-def test_outage_truth_table(c_cross, c_near, c_far, want):
-    assert outage_indicators(c_cross, c_near, c_far, 1.0, 1.0) == want
+def test_outage_truth_table(c_cross, c_near, c_far, alpha_far, want):
+    assert outage_indicators(c_cross, c_near, c_far, 1.0, 1.0, alpha_far) == want
+    # elementwise over arrays
+    near, far = outage_indicators(*(np.full(3, v) for v in (c_cross, c_near, c_far)),
+                                  1.0, 1.0, np.full(3, alpha_far))
+    assert near.tolist() == [want[0]] * 3
+    assert far.tolist() == [want[1]] * 3
 
 
 def test_outage_boundary_is_strict():
     # exactly meeting the target is not an outage
-    assert outage_indicators(1.0, 1.0, 1.0, 1.0, 1.0) == (False, False)
+    assert outage_indicators(1.0, 1.0, 1.0, 1.0, 1.0, 0.8) == (False, False)
     with pytest.raises(ValueError):
-        outage_indicators(1.0, 1.0, 1.0, -0.1, 1.0)
+        outage_indicators(1.0, 1.0, 1.0, -0.1, 1.0, 0.8)
 
 
 def test_zero_power_yields_zero_sinr():
