@@ -24,8 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, allocation
-from .allocation import (PaRequest, fair_pa, fair_pa_iterative,
-                         improved_fair_pa)
+from .allocation import fair_pa, fair_pa_iterative, improved_fair_pa
 from .config import ConfigError, ScenarioConfig, parse_config, render_config
 from .ergodic import (WhitenedCovariance, build_effective_matrices,
                       closed_form_capacity, ergodic_capacity_mc_oracle)
@@ -190,20 +189,12 @@ def _cmd_validate(args) -> int:
     for _ in range(2000):
         gain = float(10.0 ** rng.uniform(-16, -10))
         rate = float(rng.uniform(0.0, 6.0))
-        req = PaRequest(gain, lb, rate)
-        direct, loop = fair_pa(req), fair_pa_iterative(req)
-        diff = max(abs(a - b) for a, b in zip(direct.allocation.coefficients,
-                                              loop.allocation.coefficients))
-        worst = max(worst, diff)
-        imp, imp_loop = improved_fair_pa(req), fair_pa_iterative(req, improved=True)
-        diff = max(abs(a - b) for a, b in zip(imp.allocation.coefficients,
-                                              imp_loop.allocation.coefficients))
-        worst = max(worst, diff)
-        if direct.feasible_far:
-            agree = direct.allocation.coefficients == imp.allocation.coefficients
-        else:
-            agree = (direct.allocation.coefficients == (1.0, 0.0)
-                     and imp.allocation.coefficients == (0.0, 1.0))
+        link = (gain, lb.tx_power_w, lb.noise_power_w, rate)
+        alpha, feasible = fair_pa(*link)
+        alpha_imp = improved_fair_pa(*link)[0]
+        worst = max(worst, abs(alpha - fair_pa_iterative(*link)[0]),
+                    abs(alpha_imp - fair_pa_iterative(*link, improved=True)[0]))
+        agree = alpha == alpha_imp if feasible else (alpha, alpha_imp) == (1.0, 0.0)
         if not agree:
             failures += 1
             print(f"  branch disagreement at gain {gain:g} rate {rate:g}")

@@ -152,6 +152,17 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("tx_power_dbm", "a finite value", cfg.tx_power_dbm)
     if cfg.noise_power_dbm is not None and not math.isfinite(cfg.noise_power_dbm):
         raise ConfigError("noise_power_dbm", "a finite value or unset", cfg.noise_power_dbm)
+    if not math.isfinite(cfg.noise_figure_db):
+        raise ConfigError("noise_figure_db", "a finite value", cfg.noise_figure_db)
+    # 10 ** (dBm / 10) overflows a float above about 3080 dBm
+    noise_field = "noise_figure_db" if cfg.noise_power_dbm is None else "noise_power_dbm"
+    for name, watts in (("tx_power_dbm", "tx_power_w"), (noise_field, "noise_power_w")):
+        try:
+            finite = math.isfinite(getattr(cfg, watts))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(name, f"a value giving a finite {watts}", getattr(cfg, name))
     if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
         raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
     if not (isinstance(cfg.trials, int) and cfg.trials >= 1):

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import allocation
-from .channel import (FadingModel, combine_channels, direct_channel_matrix,
+from .channel import (combine_channels, direct_channel_matrix,
                       ris_channel_matrix, sample_nakagami)
 from .config import FAR, NEAR, ScenarioConfig
 from .noma import LinkBudget, capacity, channel_gain, outage_indicators
@@ -106,7 +106,7 @@ def _deterministic_parts(cfg: ScenarioConfig):
     """Fading-free channel matrices, cached per scenario."""
     direct = tuple(direct_channel_matrix(cfg, u) for u in (FAR, NEAR))
     ris = tuple(ris_channel_matrix(cfg, u) for u in (FAR, NEAR))
-    return direct, ris, FadingModel(cfg.shape_m)
+    return direct, ris
 
 
 def _chunk_sizes(trials: int):
@@ -130,7 +130,7 @@ def _chunk_gains(cfg: ScenarioConfig, rng: np.random.Generator,
     Each trial draws the far user's envelopes, then the near user's; a
     block of trials takes its draws with one call.
     """
-    direct, ris, fading = _deterministic_parts(cfg)
+    direct, ris = _deterministic_parts(cfg)
     gains = np.empty((2, n))
     if not cfg.fading_enabled:
         for user in (FAR, NEAR):
@@ -138,7 +138,7 @@ def _chunk_gains(cfg: ScenarioConfig, rng: np.random.Generator,
         return gains
     for start in range(0, n, BLOCK):
         b = min(BLOCK, n - start)
-        env = sample_nakagami(fading, rng, (b, 2) + direct[FAR].shape)
+        env = sample_nakagami(cfg.shape_m, rng, (b, 2) + direct[FAR].shape)
         for user in (FAR, NEAR):
             h = combine_channels(env[:, user] * direct[user], ris[user])
             gains[user, start:start + b] = channel_gain(h)
@@ -252,8 +252,10 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult
         groups = _point_groups(point_cfg, spec.schemes, targets)
         tasks += [(groups, targets, spec.master_seed, domain, point, ci, n)
                   for ci, n in enumerate(sizes)]
-    if cfg.workers > 1:
-        executor = ProcessPoolExecutor(max_workers=cfg.workers)
+    # a pool forks all its workers up front, so never more than there are tasks
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        executor = ProcessPoolExecutor(max_workers=workers)
         try:
             parts = list(executor.map(_run_chunk, *zip(*tasks), chunksize=4))
         finally:

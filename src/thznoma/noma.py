@@ -39,14 +39,6 @@ class LinkBudget:
             raise ValueError(f"noise_power_w must be > 0, got {self.noise_power_w!r}")
 
 
-@dataclass(frozen=True)
-class SinrReport:
-    """SINRs of one fading realization: own-message per user plus the
-    cross-decoding values hit during SIC (user k decoding message j < k)."""
-    own: tuple            # zeta_k, SIC order
-    cross: tuple          # ((k, j), zeta_{k->j}) pairs, j < k
-
-
 def channel_gain(h: np.ndarray):
     """Squared Frobenius norm ||H||^2 = trace(H H^H) over the last two axes.
 
@@ -87,17 +79,6 @@ def sinr_own(gain_k: float, pa: PowerAllocation, k: int, lb: LinkBudget) -> floa
     if not 0 <= k < n:
         raise IndexError(f"user index {k} out of range for {n} users")
     return lb.tx_power_w * pa.coefficients[k] * gain_k / _interference(gain_k, pa, k, lb)
-
-
-def build_sinr_report(gains, pa: PowerAllocation, lb: LinkBudget) -> SinrReport:
-    """All SIC-stage SINRs for gains listed in SIC order."""
-    n = len(pa.coefficients)
-    if len(gains) != n:
-        raise ValueError(f"{len(gains)} gains for {n} allocation coefficients")
-    own = tuple(sinr_own(gains[k], pa, k, lb) for k in range(n))
-    cross = tuple(((k, j), sinr_cross(gains[k], pa, j, lb))
-                  for k in range(n) for j in range(k))
-    return SinrReport(own=own, cross=cross)
 
 
 def capacity(sinr):

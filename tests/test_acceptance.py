@@ -30,11 +30,9 @@ import warnings
 import numpy as np
 from scipy import integrate, special, stats
 
-from thznoma.allocation import PaRequest, fair_pa
-from thznoma.channel import (FadingModel, MisalignmentParams, RisParams,
-                             ThzLinkParams, los_attenuation,
-                             misalignment_factor, ris_element_gain,
-                             ris_matrix_from_params, sample_nakagami)
+from thznoma.allocation import fair_pa
+from thznoma.channel import (los_attenuation, misalignment_factor,
+                             ris_element_gain, ris_matrix, sample_nakagami)
 from thznoma.cli import main
 from thznoma.config import ScenarioConfig
 from thznoma.ergodic import (WhitenedCovariance, build_effective_matrices,
@@ -92,11 +90,12 @@ def test_criterion_2_fair_pa_exactness():
         s2 = float(10.0 ** rng.uniform(-14, -12))
         lb = LinkBudget(p, s2)
         rate = float(rng.uniform(0.0, math.log2(1.0 + p * g / s2)))
-        res = fair_pa(PaRequest(g, lb, rate))
-        assert res.feasible_far
-        achieved = capacity(sinr_own(g, res.allocation, 0, lb))
+        alpha, feasible = fair_pa(g, p, s2, rate)
+        assert feasible
+        pa = PowerAllocation((alpha, 1.0 - alpha))
+        achieved = capacity(sinr_own(g, pa, 0, lb))
         worst_rate = max(worst_rate, abs(achieved - rate))
-        worst_sum = max(worst_sum, abs(sum(res.allocation.coefficients) - 1.0))
+        worst_sum = max(worst_sum, abs(sum(pa.coefficients) - 1.0))
     elapsed = time.monotonic() - t0
     ok = worst_rate <= 1e-9 and worst_sum <= 1e-12 and elapsed < 10.0
     _report(2, ok, f"1e4 requests, worst rate error {worst_rate:.2e}, "
@@ -196,7 +195,7 @@ def test_criterion_5_special_functions():
     worst_ks = 0.0
     for m in (0.5, 1.0, 3.0):
         rng = np.random.default_rng(SEED_KS)
-        draws = sample_nakagami(FadingModel(m), rng, 1_000_000)
+        draws = sample_nakagami(m, rng, 1_000_000)
         ks = stats.kstest(draws, lambda t, m=m: special.gammainc(m, m * t * t))
         worst_ks = max(worst_ks, float(ks.statistic))
 
@@ -234,15 +233,15 @@ def test_criterion_6_worker_count_determinism(tmp_path):
 
 def test_criterion_7_channel_invariants():
     # pointing loss monotone in l_e
-    d3 = [misalignment_factor(MisalignmentParams(0.1, 0.2, le))
+    d3 = [misalignment_factor(0.1, 0.2, le)
           for le in np.linspace(0.0, 0.5, 26)]
     mono_le = all(b < a for a, b in zip(d3, d3[1:]))
 
     # attenuation monotone in distance and in absorption
-    mis = MisalignmentParams(0.1, 0.2, 0.05)
-    att_d = [los_attenuation(ThzLinkParams(0.3e12, 0.0033, d), mis).real
+    mis = misalignment_factor(0.1, 0.2, 0.05)
+    att_d = [los_attenuation(0.3e12, 0.0033, d, mis).real
              for d in np.linspace(50.0, 1000.0, 20)]
-    att_k = [los_attenuation(ThzLinkParams(0.3e12, k, 300.0), mis).real
+    att_k = [los_attenuation(0.3e12, k, 300.0, mis).real
              for k in np.linspace(0.0, 0.05, 20)]
     mono_d = all(b < a for a, b in zip(att_d, att_d[1:]))
     mono_k = all(b < a for a, b in zip(att_k, att_k[1:]))
@@ -252,10 +251,9 @@ def test_criterion_7_channel_invariants():
     from thznoma.config import user_geometry
     geo = user_geometry(cfg, 0)
     base = cfg.ris_phases()
-    mk = lambda ph: ris_matrix_from_params(
-        RisParams(cfg.ris_elements, np.ones(cfg.ris_elements), ph,
-                  geo.bs_element_m, geo.element_user_m),
-        cfg.wavelength_m, cfg.absorption_coeff)
+    mk = lambda ph: ris_matrix(np.ones(cfg.ris_elements), ph, geo.bs_element_m,
+                               geo.element_user_m, cfg.wavelength_m,
+                               cfg.absorption_coeff)
     g0 = mk(base)
     phase_inv = all(
         np.allclose(np.abs(mk(base + delta)), np.abs(g0), rtol=1e-9)
@@ -268,16 +266,14 @@ def test_criterion_7_channel_invariants():
     r2 = np.full((r_count, 1), 150.0)
     ones = np.ones(r_count)
     single = abs(ris_element_gain(1.0, 0.0, lam, 100.0, 150.0, 0.0))
-    coherent = abs(ris_matrix_from_params(
-        RisParams(r_count, ones, np.zeros(r_count), r1, r2), lam, 0.0)[0, 0])
+    coherent = abs(ris_matrix(ones, np.zeros(r_count), r1, r2, lam, 0.0)[0, 0])
     coherent_ok = abs(coherent / (r_count * single) - 1.0) < 1e-9
 
     rng = np.random.default_rng(64)
     mags_sq = []
     for _ in range(1000):
-        g = ris_matrix_from_params(
-            RisParams(r_count, ones, rng.uniform(0.0, 2 * np.pi, r_count),
-                      r1, r2), lam, 0.0)
+        g = ris_matrix(ones, rng.uniform(0.0, 2 * np.pi, r_count), r1, r2,
+                       lam, 0.0)
         mags_sq.append(abs(g[0, 0]) ** 2)
     rms = math.sqrt(float(np.mean(mags_sq)))
     random_ok = abs(rms / (math.sqrt(r_count) * single) - 1.0) < 0.10

@@ -146,6 +146,13 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "frequency_hz" in capsys.readouterr().err
 
     assert main(["outage", "--grid", "nonsense"]) == 1
+    # a power that overflows tx_power_w is a config error, not a traceback
+    assert main(["sumrate", "--grid", "4000", "--out", str(tmp_path)]) == 1
+    assert "tx_power_dbm" in capsys.readouterr().err
+    nan_noise = tmp_path / "nan.ini"
+    nan_noise.write_text("[montecarlo]\nnoise_figure_db = nan\n", encoding="utf-8")
+    assert main(["outage", "--config", str(nan_noise)]) == 1
+    assert "noise_figure_db" in capsys.readouterr().err
     assert main(["print-config", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
@@ -173,7 +180,8 @@ def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys)
     # every pool worker exits as it starts, which breaks the pool
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
-    rc = main(["outage", "--config", small_config, "--grid", "1",
+    # two grid points give two tasks, so the sweep still uses the pool
+    rc = main(["outage", "--config", small_config, "--grid", "1:2:1",
                "--workers", "2", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "worker pool failed" in capsys.readouterr().err

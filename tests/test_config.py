@@ -48,6 +48,10 @@ def test_noise_override_wins():
     ("fixed_alpha_far", 1.2),
     ("trials", 0),
     ("workers", 0),
+    ("tx_power_dbm", 4000.0),       # 10 ** 400 overflows tx_power_w
+    ("noise_power_dbm", 5000.0),
+    ("noise_figure_db", 5000.0),
+    ("noise_figure_db", math.inf),
 ])
 def test_rejected_fields_are_named(field, value):
     with pytest.raises(ConfigError) as err:

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma import allocation
-from thznoma.allocation import PaRequest, allocate
-from thznoma.channel import (FadingModel, combine_channels,
-                             direct_channel_matrix, ris_channel_matrix,
-                             sample_nakagami)
+from thznoma import allocation, montecarlo
+from thznoma.allocation import allocate
+from thznoma.channel import (combine_channels, direct_channel_matrix,
+                             ris_channel_matrix, sample_nakagami)
 from thznoma.config import FAR, NEAR, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SweepSpec, _chunk_gains,
                                 _chunk_rng, _chunk_sizes, _point_groups,
                                 _run_chunk, non_ris_non_thz_baseline,
                                 run_outage_sweep, run_sumrate_sweep)
-from thznoma.noma import (LinkBudget, capacity, channel_gain,
+from thznoma.noma import (LinkBudget, PowerAllocation, capacity, channel_gain,
                           outage_indicators, sinr_cross, sinr_own)
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
@@ -62,7 +61,7 @@ def _reference_gains(cfg, rng):
     for user in (FAR, NEAR):
         h = direct_channel_matrix(cfg, user)
         if cfg.fading_enabled:
-            h = sample_nakagami(FadingModel(cfg.shape_m), rng, h.shape) * h
+            h = sample_nakagami(cfg.shape_m, rng, h.shape) * h
         gains.append(channel_gain(combine_channels(h, ris_channel_matrix(cfg, user))))
     return gains
 
@@ -74,18 +73,19 @@ def _reference_trial(cfg, scheme, targets, rng):
     gains = _reference_gains(cfg, rng)
     g_far, g_near = gains if gains[0] <= gains[1] else gains[::-1]
     lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
-    pa = allocate(allocation.FAIR if scheme == "baseline" else scheme,
-                  PaRequest(g_far, lb, target_far), cfg.fixed_alpha_far)
-    alpha_far = pa.allocation.coefficients[0]
-    if pa.scheme != allocation.FIXED and pa.feasible_far:
+    alpha_far, feasible_far = allocate(
+        allocation.FAIR if scheme == "baseline" else scheme, g_far,
+        lb.tx_power_w, lb.noise_power_w, target_far, cfg.fixed_alpha_far)
+    pa = PowerAllocation((alpha_far, 1.0 - alpha_far))
+    if scheme != allocation.FIXED and feasible_far:
         c_far = target_far
     else:
-        c_far = capacity(sinr_own(g_far, pa.allocation, 0, lb))
-    c_cross = capacity(sinr_cross(g_near, pa.allocation, 0, lb))
-    c_near = capacity(sinr_own(g_near, pa.allocation, 1, lb))
+        c_far = capacity(sinr_own(g_far, pa, 0, lb))
+    c_cross = capacity(sinr_cross(g_near, pa, 0, lb))
+    c_near = capacity(sinr_own(g_near, pa, 1, lb))
     near, far = outage_indicators(c_cross, c_near, c_far, target_far,
                                   target_near, alpha_far)
-    return bool(near), bool(far), c_far + c_near, alpha_far, pa.feasible_far
+    return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
 
 
 def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8):
@@ -116,15 +116,17 @@ def test_trial_matches_manual_noma_chain():
     lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
     got = _chunk(cfg, ("fixed", "fair", "improved-fair"), targets, n=n)
     for scheme in ("fixed", "fair", "improved-fair"):
-        pa = allocate(scheme, PaRequest(g_far, lb, targets[0]), cfg.fixed_alpha_far)
+        alpha_far, feasible_far = allocate(scheme, g_far, lb.tx_power_w,
+                                           lb.noise_power_w, targets[0],
+                                           cfg.fixed_alpha_far)
+        pa = PowerAllocation((alpha_far, 1.0 - alpha_far))
         if scheme == "fixed":
-            c_far = capacity(sinr_own(g_far, pa.allocation, 0, lb))
+            c_far = capacity(sinr_own(g_far, pa, 0, lb))
         else:
-            c_far = targets[0] if pa.feasible_far else \
-                capacity(sinr_own(g_far, pa.allocation, 0, lb))
-        c_cross = capacity(sinr_cross(g_near, pa.allocation, 0, lb))
-        c_near = capacity(sinr_own(g_near, pa.allocation, 1, lb))
-        alpha_far = pa.allocation.coefficients[0]
+            c_far = targets[0] if feasible_far else \
+                capacity(sinr_own(g_far, pa, 0, lb))
+        c_cross = capacity(sinr_cross(g_near, pa, 0, lb))
+        c_near = capacity(sinr_own(g_near, pa, 1, lb))
         near = (alpha_far > 0 and c_cross < targets[0]) or c_near < targets[1]
         far = c_far < targets[0]
         rate = c_far + c_near
@@ -270,6 +272,39 @@ def test_baseline_scenario_construction():
     assert base.tx_power_dbm == 30.0
     assert base.bs_user_distance_far == 500.0
     assert np.all(ris_channel_matrix(base, FAR) == 0)
+
+
+def test_baseline_mean_snr_counts_path_loss_twice():
+    # the baseline entry amplitude is the free-space power loss, so its
+    # mean SNR p ||D||^2 / s2 (E[x^2] = 1, no surface) is far below the
+    # THz link's; criterion 4's fair >= 2x baseline rests on it
+    base = non_ris_non_thz_baseline(ScenarioConfig())
+    snr_db = [10.0 * math.log10(base.tx_power_w / base.noise_power_w
+                                * channel_gain(direct_channel_matrix(base, u)))
+              for u in (FAR, NEAR)]
+    assert_allclose(snr_db, [-38.3, -26.3], atol=0.05)
+
+
+def test_pool_never_has_more_workers_than_tasks(monkeypatch):
+    # a pool forks every worker up front; one task runs without a pool
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    cfg = SMALL.replace(workers=3)
+    for grid in ((1.0,), (1.0, 2.0)):
+        run_outage_sweep(SweepSpec(variable="target_rate", grid=grid, trials=10,
+                                   schemes=("fair",), master_seed=1), cfg)
+    assert sizes == [2]
 
 
 def test_baseline_link_is_far_weaker_than_composite():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma.noma import (LinkBudget, PowerAllocation, build_sinr_report,
-                          capacity, channel_gain, outage_indicators,
-                          sinr_cross, sinr_own)
+from thznoma.noma import (LinkBudget, PowerAllocation, capacity, channel_gain,
+                          outage_indicators, sinr_cross, sinr_own)
 
 LB = LinkBudget(tx_power_w=1.0, noise_power_w=0.1)
 PA = PowerAllocation((0.8, 0.2))
@@ -50,17 +49,6 @@ def test_sinr_reference_values():
     assert_allclose(sinr_own(1.0, PA, 0, LB), 8.0 / 3.0, rtol=1e-14)
     assert_allclose(sinr_cross(1.25, PA, 0, LB), 20.0 / 7.0, rtol=1e-14)
     assert_allclose(sinr_own(1.25, PA, 1, LB), 2.5, rtol=1e-14)
-
-
-def test_sinr_report_collects_all_stages():
-    rep = build_sinr_report((1.0, 1.25), PA, LB)
-    assert_allclose(rep.own, (sinr_own(1.0, PA, 0, LB), sinr_own(1.25, PA, 1, LB)),
-                    rtol=1e-15)
-    ((pair, zeta),) = rep.cross
-    assert pair == (1, 0)
-    assert_allclose(zeta, sinr_cross(1.25, PA, 0, LB), rtol=1e-15)
-    with pytest.raises(ValueError):
-        build_sinr_report((1.0,), PA, LB)
 
 
 def test_sinr_scale_invariance():
