@@ -1,278 +1,121 @@
-"""Closed-form ergodic capacity via eigenvalue partial fractions and E1.
+"""Closed-form ergodic capacity from one MGF integral, and its oracle.
 
-For a zero-mean complex Gaussian channel vector h with covariance R, the
-quadratic forms in the SINR are weighted chi-square sums over the
-eigenvalues of R. The ergodic capacity difference
+For h ~ CN(0, R) with spectrum w, X = ||h||^2 scaled by c has the moment
+generating function M(s) = prod_i (1 + c w_i s)^(-1). With signal power
+a, interference b and noise n, Hamdi's lemma (IEEE Trans. Commun., 2010)
+gives the capacity as one integral, with X_p = p X / n:
 
-    C = (1/ln 2) ( E[ln(1 + X_ab)] - E[ln(1 + X_b)] )
+    C ln 2 = E[ln(1 + X_(a+b))] - E[ln(1 + X_b)]
+           = int_0^inf (M_b(s) - M_(a+b)(s)) e^(-s) / s ds.
 
-with X_ab, X_b the signal-plus-interference and interference forms, has
-the partial-fraction evaluation
-
-    E[ln(1 + X)] = sum_i c_i^(d-1) e^(1/c_i) E1(1/c_i) step(c_i)
-                   / prod_{j != i} (c_i - c_j)
-
-over the (sigma^2-normalized) spectrum c of dimension d. Zero eigenvalues
-drop their own term but stay in the other terms' difference products.
-Spectra with a single repeated positive value use the exact Erlang
-identity E[ln(1 + s Y)] = e^(1/s) sum_{k=1..r} E_k(1/s), Y ~ Erlang(r,1).
-Near-degenerate clusters are spread multiplicatively before the partial
-fraction is applied.
-
-The partial-fraction sum is numerically reliable for modest dimensions
-(alternating huge terms cancel); the Erlang path is exact at any
-dimension and covers the scaled-identity covariances the simulator uses.
+In u = ln s the integrand is analytic in a strip and decays at both
+ends, so the trapezoid rule with a fixed step converges geometrically.
+`_log_moment_gap` does that integral; the capacity and e^x E1(x) =
+E[ln(1 + Y / x)], Y ~ Exp(1), are both calls to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .noma import LinkBudget, PowerAllocation
-
-_EULER_GAMMA = 0.577215664901532860606512090082
-_EPS = 1e-16
-_MAX_ITER = 400
-
-
-# ---------------------------------------------------------------------------
-# exponential integrals
-
-def _e1_series_scaled(x: float) -> float:
-    # e^x E1(x) via the ascending series, accurate for 0 < x <= 1
-    total = -_EULER_GAMMA - math.log(x)
-    p = 1.0
-    for k in range(1, _MAX_ITER):
-        p *= -x / k
-        term = -p / k
-        total += term
-        if abs(term) < _EPS * abs(total):
-            break
-    return math.exp(x) * total
+# trapezoid step in u = ln s and the u range: past s = e^4, e^(-s) is below
+# float resolution; below s = e^-40 / max(c, 1) the integrand is under 1e-17
+_STEP = 1.0 / 16.0
+_U_LO = -40.0
+_U_HI = 4.0
 
 
-def _en_contfrac_scaled(n: int, x: float) -> float:
-    # e^x E_n(x) via the modified Lentz continued fraction, for x > 1
-    tiny = 1e-300
-    b = x + n
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        a = -i * (n - 1.0 + i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    return h
+def _log_moment_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """E[ln(1 + X_a)] - E[ln(1 + X_b)] in nats.
 
-
-def exp_integral_e1(x):
-    """E1(x) = integral_x^inf e^(-t)/t dt, to better than 1e-13 relative.
-
-    Ascending series below 1, continued fraction above. Accepts scalars or
-    arrays; x <= 0 raises.
+    X_c = sum_i c_i |z_i|^2, z_i iid CN(0, 1), for a nonnegative spectrum
+    c (an empty b is X_b = 0). M_b - M_a = -M_b expm1(ln M_a - ln M_b)
+    keeps its relative precision as s -> 0. The integrand is below float
+    resolution at both ends, so the end weights are left at 1.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("exp_integral_e1 requires finite x > 0")
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    for i, xi in enumerate(flat):
-        if xi <= 1.0:
-            out[i] = _e1_series_scaled(xi) * math.exp(-xi)
-        else:
-            out[i] = _en_contfrac_scaled(1, xi) * math.exp(-xi)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    top = max(float(np.max(a, initial=0.0)), float(np.max(b, initial=0.0)))
+    lo = _U_LO - math.log(max(top, 1.0))
+    s = np.exp(_U_HI - _STEP * np.arange(math.ceil((_U_HI - lo) / _STEP) + 1))
+    log_ma = -np.log1p(np.multiply.outer(s, a)).sum(axis=1)
+    log_mb = -np.log1p(np.multiply.outer(s, b)).sum(axis=1)
+    values = -np.exp(log_mb - s) * np.expm1(log_ma - log_mb)
+    return math.fsum(values) * _STEP
 
 
 def e1_scaled(x: float) -> float:
     """e^x E1(x), overflow-free for large x."""
     if not (x > 0 and math.isfinite(x)):
         raise ValueError("e1_scaled requires finite x > 0")
-    if x <= 1.0:
-        return _e1_series_scaled(x)
-    return _en_contfrac_scaled(1, x)
+    return _log_moment_gap(np.array([1.0 / x]), np.empty(0))
 
 
-def erlang_log_moment(scale: float, order: int) -> float:
-    """E[ln(1 + scale * Y)] for Y ~ Erlang(order, 1), exactly.
+def exp_integral_e1(x):
+    """E1(x) = integral_x^inf e^(-t)/t dt, to better than 1e-13 relative.
 
-    Equals e^(1/scale) sum_{k=1..order} E_k(1/scale). The scaled values
-    follow the stable recurrence eE_{k+1} = (1 - x eE_k)/k for x <= 10
-    (error shrinks once k > x) and per-order continued fractions beyond.
+    Accepts scalars or arrays; x <= 0 raises.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("scale must be finite and > 0")
-    x = 1.0 / scale
-    if x <= 10.0:
-        ek = _e1_series_scaled(x) if x <= 1.0 else _en_contfrac_scaled(1, x)
-        total = ek
-        for k in range(1, order):
-            ek = (1.0 - x * ek) / k
-            total += ek
-        return total
-    return sum(_en_contfrac_scaled(k, x) for k in range(1, order + 1))
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+        raise ValueError("exp_integral_e1 requires finite x > 0")
+    out = np.array([e1_scaled(xi) * math.exp(-xi) for xi in arr.ravel()])
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
-# ---------------------------------------------------------------------------
-# covariance handling
+def _eigh(cov, signal_w: float, interference_w: float,
+          noise_power_w: float) -> tuple:
+    """Check one link's inputs; return the eigen-decomposition (w, u) of cov.
 
-@dataclass(frozen=True)
-class WhitenedCovariance:
-    """PSD covariance of the vectorized channel, h ~ CN(0, R)."""
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.matrix, dtype=complex)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {r.shape}")
-        scale = max(float(np.abs(r).max()), 1.0)
-        if np.abs(r - r.conj().T).max() > 1e-12 * scale:
-            raise ValueError("covariance is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", r)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum, descending, tiny negatives clamped to zero."""
-        w = np.linalg.eigvalsh(self.matrix)
-        scale = max(float(w.max(initial=0.0)), 1.0)
-        if w.min(initial=0.0) < -1e-12 * scale:
-            raise ValueError("covariance has a negative eigenvalue beyond tolerance")
-        w = np.clip(w, 0.0, None)
-        return np.sort(w)[::-1]
-
-    def sqrt(self) -> np.ndarray:
-        """PSD square root for whitened sampling."""
-        w, u = np.linalg.eigh(self.matrix)
-        w = np.clip(w, 0.0, None)
-        return (u * np.sqrt(w)) @ u.conj().T
-
-
-def build_effective_matrices(pa: PowerAllocation, lb: LinkBudget,
-                             cov: WhitenedCovariance, m: int):
-    """(A', B') = (p alpha_m R^H, p sum_{l>m} alpha_l R^H)."""
-    k = len(pa.coefficients)
-    if not 0 <= m < k:
-        raise IndexError(f"user index {m} out of range for {k} users")
-    rh = cov.matrix.conj().T
-    tail = sum(pa.coefficients[m + 1:])
-    return lb.tx_power_w * pa.coefficients[m] * rh, lb.tx_power_w * tail * rh
-
-
-# ---------------------------------------------------------------------------
-# closed form
-
-_CLUSTER_TOL = 1e-6
-
-
-def _spread_clusters(values: np.ndarray) -> np.ndarray:
-    """Separate eigenvalues closer than the partial fraction tolerates.
-
-    Members of a cluster are scaled by 1 + k*1e-6 with k centered on zero,
-    which perturbs the result by O(1e-4) bits at worst for the cluster
-    sizes that arise in practice.
+    cov must be square, Hermitian and PSD within 1e-12 relative (w is
+    clamped at 0); powers finite, signal and interference >= 0, noise > 0.
     """
-    if values.size < 2:
-        return values
-    top = values.max()
-    out = values.astype(float).copy()
-    used = np.zeros(values.size, dtype=bool)
-    for i in range(values.size):
-        if used[i]:
-            continue
-        cluster = np.abs(out - out[i]) <= _CLUSTER_TOL * top
-        idx = np.flatnonzero(cluster & ~used)
-        used[idx] = True
-        if idx.size > 1:
-            offsets = np.arange(idx.size) - (idx.size - 1) / 2.0
-            out[idx] = out[idx] * (1.0 + offsets * _CLUSTER_TOL)
-    return out
+    if not (0 <= signal_w < math.inf and 0 <= interference_w < math.inf
+            and 0 < noise_power_w < math.inf):
+        raise ValueError("powers must be finite, signal and interference "
+                         ">= 0, noise > 0")
+    r = np.asarray(cov, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"covariance must be square, got shape {r.shape}")
+    scale = max(float(np.abs(r).max(initial=0.0)), 1.0)
+    if np.abs(r - r.conj().T).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("covariance is not Hermitian within 1e-12")
+    w, u = np.linalg.eigh(r)
+    if w.min(initial=0.0) < -1e-12 * max(float(w.max(initial=0.0)), 1.0):
+        raise ValueError("covariance has a negative eigenvalue beyond tolerance")
+    return np.clip(w, 0.0, None), u
 
 
-def _log_moment_spectrum(spectrum: np.ndarray) -> float:
-    """E[ln(1 + sum_i c_i |z_i|^2)], z_i iid CN(0,1), via partial fractions.
+def closed_form_capacity(cov, signal_w: float, interference_w: float,
+                         noise_power_w: float) -> float:
+    """Ergodic capacity (bits/s/Hz) of SINR signal X / (interference X + noise).
 
-    The spectrum includes zeros (full dimension d); zero entries carry no
-    term of their own but remain in the difference products.
+    X = ||h||^2, h ~ CN(0, cov). The integrand is >= 0, and so is the result.
     """
-    c = np.asarray(spectrum, dtype=float)
-    d = c.size
-    if d == 0:
-        return 0.0
-    top = float(c.max(initial=0.0))
-    if top <= 0.0:
-        return 0.0
-    pos = c[c > _CLUSTER_TOL * top * 1e-6]
-    zeros = d - pos.size
-    # one distinct positive value: exact Erlang identity
-    if pos.max() - pos.min() <= _CLUSTER_TOL * top:
-        return erlang_log_moment(float(pos.mean()), pos.size)
-    work = np.concatenate([_spread_clusters(pos), np.zeros(zeros)])
-    terms = []
-    for i in range(work.size):
-        ci = work[i]
-        if ci <= 0.0:
-            continue
-        diffs = ci - np.delete(work, i)
-        terms.append(ci ** (d - 1) * e1_scaled(1.0 / ci) / np.prod(diffs))
-    # the terms alternate in sign and can cancel heavily; sum exactly
-    return math.fsum(terms)
+    w, _ = _eigh(cov, signal_w, interference_w, noise_power_w)
+    a = (signal_w + interference_w) / noise_power_w * w
+    b = interference_w / noise_power_w * w
+    return _log_moment_gap(a, b) / math.log(2.0)
 
 
-def closed_form_capacity(a_eff: np.ndarray, b_eff: np.ndarray, lb: LinkBudget) -> float:
-    """Ergodic capacity (bits/s/Hz) from the effective matrices.
-
-    lam = spectrum of (A'+B')/sigma^2, v = spectrum of B'/sigma^2;
-    C = (1/ln 2) (E[ln(1+X_lam)] - E[ln(1+X_v)]) with the partial-fraction
-    or Erlang evaluation of each log moment. B' = 0 reduces to the
-    single-sum form. Result is always >= 0.
-    """
-    a = np.asarray(a_eff, dtype=complex)
-    b = np.asarray(b_eff, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"effective matrices must be square and congruent, "
-                         f"got {a.shape} and {b.shape}")
-    s2 = lb.noise_power_w
-    lam = np.clip(np.linalg.eigvalsh((a + b) / s2), 0.0, None)
-    v = np.clip(np.linalg.eigvalsh(b / s2), 0.0, None)
-    c_nats = _log_moment_spectrum(lam) - _log_moment_spectrum(v)
-    return max(c_nats, 0.0) / math.log(2.0)
-
-
-def ergodic_capacity_mc_oracle(pa: PowerAllocation, lb: LinkBudget,
-                               cov: WhitenedCovariance, m: int, trials: int,
+def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,
+                               noise_power_w: float, trials: int,
                                rng: np.random.Generator,
                                chunk: int = 65536) -> tuple:
     """Monte Carlo estimate of the same ergodic capacity, with std-error.
 
-    Draws h = R^(1/2) hbar, hbar ~ CN(0, I); the instantaneous SINR is
-    p alpha_m ||h||^2 / (p sum_{l>m} alpha_l ||h||^2 + sigma^2).
-    Returns (mean, std_error) in bits/s/Hz.
+    Draws h = R^(1/2) hbar, hbar ~ CN(0, I), into the same SINR; returns
+    (mean, std_error) in bits/s/Hz.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = cov.dimension
-    root = cov.sqrt()
+    w, u = _eigh(cov, signal_w, interference_w, noise_power_w)
+    d = w.size
+    root = (u * np.sqrt(w)) @ u.conj().T
     if not np.any(np.abs(root) > 0):
         return 0.0, 0.0
-    p = lb.tx_power_w
-    s2 = lb.noise_power_w
-    alpha = pa.coefficients[m]
-    tail = sum(pa.coefficients[m + 1:])
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -282,7 +125,7 @@ def ergodic_capacity_mc_oracle(pa: PowerAllocation, lb: LinkBudget,
         hbar *= math.sqrt(0.5)
         h = hbar @ root.T
         x = np.sum(h.real ** 2 + h.imag ** 2, axis=1)
-        zeta = p * alpha * x / (p * tail * x + s2)
+        zeta = signal_w * x / (interference_w * x + noise_power_w)
         c = np.log2(1.0 + zeta)
         total += float(c.sum())
         total_sq += float((c * c).sum())

@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -27,6 +29,17 @@ def small_config(tmp_path):
     path = tmp_path / "small.ini"
     path.write_text(SMALL_INI, encoding="utf-8")
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.75 s of start-up; the package must not pull it in
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, thznoma.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parse_grid():

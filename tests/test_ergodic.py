@@ -7,11 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from thznoma.ergodic import (WhitenedCovariance, build_effective_matrices,
-                             closed_form_capacity, e1_scaled,
-                             erlang_log_moment, ergodic_capacity_mc_oracle,
-                             exp_integral_e1)
-from thznoma.noma import LinkBudget, PowerAllocation
+from thznoma.ergodic import (_eigh, closed_form_capacity, e1_scaled,
+                             ergodic_capacity_mc_oracle, exp_integral_e1)
 
 # 40-digit references
 E1_AT_1 = 0.21938393439552027
@@ -52,13 +49,18 @@ def test_e1_scaled_consistent_and_bounded():
         assert x / (x + 1.0) < v < 1.0
 
 
+def _erlang_log_moment(scale, order):
+    # E[ln(1 + scale Y)], Y ~ Erlang(order, 1): ||h||^2 for h ~ CN(0, I_order)
+    return closed_form_capacity(np.eye(order), scale, 0.0, 1.0) * math.log(2.0)
+
+
 def test_erlang_log_moment_reference():
-    assert_allclose(erlang_log_moment(2.0, 3), ERLANG_R3_S2, rtol=1e-13)
+    assert_allclose(_erlang_log_moment(2.0, 3), ERLANG_R3_S2, rtol=1e-13)
     # order 1 is the single-exponential E[ln(1+sX)] = e^(1/s) E1(1/s)
-    assert_allclose(erlang_log_moment(1.0, 1), math.e * E1_AT_1, rtol=1e-13)
+    assert_allclose(_erlang_log_moment(1.0, 1), math.e * E1_AT_1, rtol=1e-13)
 
 
-@pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+@pytest.mark.parametrize("order", [1, 2, 5, 16, 64, 256])
 @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
 def test_erlang_log_moment_against_quadrature(order, scale):
     def integrand(y):
@@ -70,104 +72,102 @@ def test_erlang_log_moment_against_quadrature(order, scale):
     hi = order + 12 * math.sqrt(order) + 12
     val, err = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12,
                               limit=400)
-    assert_allclose(erlang_log_moment(scale, order), val, rtol=5e-9)
-
-
-def test_erlang_log_moment_validation():
-    with pytest.raises(ValueError):
-        erlang_log_moment(1.0, 0)
-    with pytest.raises(ValueError):
-        erlang_log_moment(0.0, 1)
+    assert_allclose(_erlang_log_moment(scale, order), val, rtol=5e-9)
 
 
 def test_whitened_covariance_validation():
-    WhitenedCovariance(np.eye(3))
-    with pytest.raises(ValueError):
-        WhitenedCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        # indefinite matrices are caught when the spectrum is requested
-        WhitenedCovariance(np.diag([1.0, -0.5])).eigenvalues()
-    with pytest.raises(ValueError):
-        WhitenedCovariance(np.ones((2, 3)))
+    closed_form_capacity(np.eye(3), 1.0, 0.0, 1.0)
+    ergodic_capacity_mc_oracle(np.eye(3), 1.0, 0.0, 1.0, 10,
+                               np.random.default_rng(0))
+    bad = (np.array([[1.0, 2.0], [0.0, 1.0]]),  # not Hermitian
+           np.diag([1.0, -0.5]),                 # indefinite
+           np.ones((2, 3)))                      # not square
+    for cov in bad:
+        with pytest.raises(ValueError):
+            closed_form_capacity(cov, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            ergodic_capacity_mc_oracle(cov, 1.0, 0.0, 1.0, 10,
+                                       np.random.default_rng(0))
+
+
+def test_link_power_validation():
+    for powers in ((-1.0, 0.0, 1.0), (1.0, -0.1, 1.0), (1.0, 0.0, 0.0),
+                   (math.inf, 0.0, 1.0), (1.0, 0.0, math.nan)):
+        with pytest.raises(ValueError):
+            closed_form_capacity(np.eye(2), *powers)
+        with pytest.raises(ValueError):
+            ergodic_capacity_mc_oracle(np.eye(2), *powers, 10,
+                                       np.random.default_rng(0))
 
 
 def test_covariance_spectrum_and_sqrt():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    cov = WhitenedCovariance(a @ a.conj().T)
-    w = cov.eigenvalues()
-    assert np.all(np.diff(w) <= 0) and np.all(w >= 0)
-    root = cov.sqrt()
-    assert_allclose(root @ root.conj().T, cov.matrix, atol=1e-10)
-
-
-def test_effective_matrices():
-    cov = WhitenedCovariance(np.diag([2.0, 1.0]))
-    lb = LinkBudget(4.0, 1.0)
-    pa = PowerAllocation((0.75, 0.25))
-    a_eff, b_eff = build_effective_matrices(pa, lb, cov, 0)
-    assert_allclose(a_eff, 3.0 * np.diag([2.0, 1.0]), rtol=1e-15)
-    assert_allclose(b_eff, 1.0 * np.diag([2.0, 1.0]), rtol=1e-15)
-    a2, b2 = build_effective_matrices(pa, lb, cov, 1)
-    assert_allclose(b2, np.zeros((2, 2)), atol=0)
-    with pytest.raises(IndexError):
-        build_effective_matrices(pa, lb, cov, 2)
+    r = a @ a.conj().T
+    w, u = _eigh(r, 1.0, 0.0, 1.0)
+    assert np.all(np.diff(w) >= 0) and np.all(w >= 0)
+    assert_allclose(np.sort(w), np.sort(np.linalg.eigvalsh(r)), rtol=1e-12)
+    root = (u * np.sqrt(w)) @ u.conj().T
+    assert_allclose(root @ root.conj().T, r, atol=1e-10)
 
 
 def test_single_branch_capacity_reference():
     # h scalar CN(0,1), full power, unit SNR: C = e E1(1) / ln 2
-    cov = WhitenedCovariance(np.eye(1))
-    lb = LinkBudget(1.0, 1.0)
-    pa = PowerAllocation((1.0,))
-    a_eff, b_eff = build_effective_matrices(pa, lb, cov, 0)
-    assert_allclose(closed_form_capacity(a_eff, b_eff, lb),
+    assert_allclose(closed_form_capacity(np.eye(1), 1.0, 0.0, 1.0),
                     SINGLE_EXP_CAPACITY, rtol=1e-12)
 
 
 def test_closed_form_vs_oracle_distinct_spectrum():
-    cov = WhitenedCovariance(np.diag([4.0, 3.0, 2.0, 1.0]))
-    lb = LinkBudget(2.0, 1.0)
-    pa = PowerAllocation((0.8, 0.2))
-    a_eff, b_eff = build_effective_matrices(pa, lb, cov, 0)
-    closed = closed_form_capacity(a_eff, b_eff, lb)
-    mc, se = ergodic_capacity_mc_oracle(pa, lb, cov, 0, 400000,
-                                        np.random.default_rng(8))
+    # p = 2, alpha = (0.8, 0.2), unit noise
+    link = (np.diag([4.0, 3.0, 2.0, 1.0]), 1.6, 0.4, 1.0)
+    closed = closed_form_capacity(*link)
+    mc, se = ergodic_capacity_mc_oracle(*link, 400000, np.random.default_rng(8))
     assert se > 0
     assert abs(closed - mc) < 4 * se
 
 
 def test_closed_form_vs_oracle_identity_covariance():
-    # repeated eigenvalues exercise the Erlang path
-    cov = WhitenedCovariance(np.eye(6))
-    lb = LinkBudget(5.0, 1.0)
-    pa = PowerAllocation((0.6, 0.4))
-    a_eff, b_eff = build_effective_matrices(pa, lb, cov, 0)
-    closed = closed_form_capacity(a_eff, b_eff, lb)
-    mc, se = ergodic_capacity_mc_oracle(pa, lb, cov, 0, 400000,
-                                        np.random.default_rng(9))
+    # repeated eigenvalues (p = 5, alpha = (0.6, 0.4))
+    link = (np.eye(6), 3.0, 2.0, 1.0)
+    closed = closed_form_capacity(*link)
+    mc, se = ergodic_capacity_mc_oracle(*link, 400000, np.random.default_rng(9))
+    assert abs(closed - mc) < 4 * se
+
+
+@pytest.mark.parametrize("dim, trials", [(64, 200_000), (256, 20_000)])
+def test_closed_form_vs_oracle_high_dimension(dim, trials):
+    # the dimension of the simulated channel vector is N*M = 256
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    r = a @ a.conj().T
+    link = (r * (dim / np.trace(r).real), 8.0, 2.0, 1.0)
+    closed = closed_form_capacity(*link)
+    mc, se = ergodic_capacity_mc_oracle(*link, trials, rng)
+    assert se > 0
     assert abs(closed - mc) < 4 * se
 
 
 def test_near_degenerate_cluster_is_stable():
-    # two eigenvalues 1e-8 apart must not blow up the partial fraction
-    lb = LinkBudget(1.0, 1.0)
-    pa = PowerAllocation((1.0,))
-    tight = closed_form_capacity(np.diag([3.0, 2.0 + 1e-8, 2.0]),
-                                 np.zeros((3, 3)), lb)
-    exact = closed_form_capacity(np.diag([3.0, 2.0, 2.0]), np.zeros((3, 3)), lb)
+    # two eigenvalues 1e-8 apart move the capacity by about 1.8e-9 bits
+    tight = closed_form_capacity(np.diag([3.0, 2.0 + 1e-8, 2.0]), 1.0, 0.0, 1.0)
+    exact = closed_form_capacity(np.diag([3.0, 2.0, 2.0]), 1.0, 0.0, 1.0)
     assert math.isfinite(tight)
-    assert abs(tight - exact) < 1e-4
+    assert abs(tight - exact) < 1e-8
 
 
 def test_interference_free_reduction():
-    # B' = 0: capacity is the plain log moment of the signal form
-    lb = LinkBudget(1.0, 1.0)
-    spectrum = np.diag([2.5, 1.0])
-    c_full = closed_form_capacity(spectrum, np.zeros((2, 2)), lb)
-    pa = PowerAllocation((1.0, 0.0))
-    cov = WhitenedCovariance(spectrum)
-    a_eff, b_eff = build_effective_matrices(pa, lb, cov, 0)
-    assert_allclose(closed_form_capacity(a_eff, b_eff, lb), c_full, rtol=1e-12)
+    # interference 0: the plain log moment of the signal form, which for
+    # two distinct eigenvalues c1, c2 is the two-term partial fraction
+    # (c1 e^(1/c1) E1(1/c1) - c2 e^(1/c2) E1(1/c2)) / (c1 - c2)
+    c1, c2 = 2.5, 1.0
+    c_full = closed_form_capacity(np.diag([c1, c2]), 1.0, 0.0, 1.0)
+    two_term = (c1 * e1_scaled(1.0 / c1) - c2 * e1_scaled(1.0 / c2)) / (c1 - c2)
+    assert_allclose(c_full * math.log(2.0), two_term, rtol=1e-12)
+    # with interference the capacity is the difference of two such moments
+    cov = np.diag([c1, c2])
+    diff = (closed_form_capacity(cov, 0.7, 0.0, 1.0)
+            - closed_form_capacity(cov, 0.3, 0.0, 1.0))
+    assert_allclose(closed_form_capacity(cov, 0.4, 0.3, 1.0), diff, rtol=1e-12)
 
 
 def test_capacity_scale_invariance():
@@ -175,32 +175,21 @@ def test_capacity_scale_invariance():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     r = a @ a.conj().T
-    pa = PowerAllocation((0.7, 0.3))
+    c1 = closed_form_capacity(r, 2.0 * 0.7, 2.0 * 0.3, 1.0)
     for k in (1e-6, 1e3):
-        c1 = closed_form_capacity(*build_effective_matrices(
-            pa, LinkBudget(2.0, 1.0), WhitenedCovariance(r), 0),
-            LinkBudget(2.0, 1.0))
-        c2 = closed_form_capacity(*build_effective_matrices(
-            pa, LinkBudget(2.0 / k, 1.0), WhitenedCovariance(r * k), 0),
-            LinkBudget(2.0 / k, 1.0))
+        c2 = closed_form_capacity(r * k, 2.0 / k * 0.7, 2.0 / k * 0.3, 1.0)
         assert_allclose(c2, c1, rtol=1e-9)
 
 
 def test_zero_covariance():
-    lb = LinkBudget(1.0, 1.0)
-    pa = PowerAllocation((1.0,))
-    cov = WhitenedCovariance(np.zeros((3, 3)))
-    a_eff, b_eff = build_effective_matrices(pa, lb, cov, 0)
-    assert closed_form_capacity(a_eff, b_eff, lb) == 0.0
-    mean, se = ergodic_capacity_mc_oracle(pa, lb, cov, 0, 100,
+    assert closed_form_capacity(np.zeros((3, 3)), 1.0, 0.0, 1.0) == 0.0
+    mean, se = ergodic_capacity_mc_oracle(np.zeros((3, 3)), 1.0, 0.0, 1.0, 100,
                                           np.random.default_rng(1))
     assert (mean, se) == (0.0, 0.0)
 
 
 def test_oracle_seeded_reproducibility():
-    cov = WhitenedCovariance(np.diag([2.0, 1.0]))
-    lb = LinkBudget(1.0, 1.0)
-    pa = PowerAllocation((0.8, 0.2))
-    m1 = ergodic_capacity_mc_oracle(pa, lb, cov, 0, 5000, np.random.default_rng(42))
-    m2 = ergodic_capacity_mc_oracle(pa, lb, cov, 0, 5000, np.random.default_rng(42))
+    link = (np.diag([2.0, 1.0]), 0.8, 0.2, 1.0)
+    m1 = ergodic_capacity_mc_oracle(*link, 5000, np.random.default_rng(42))
+    m2 = ergodic_capacity_mc_oracle(*link, 5000, np.random.default_rng(42))
     assert m1 == m2
