@@ -4,9 +4,9 @@ Three schemes: a channel-blind fixed split, a fair scheme that pins the
 far user exactly at its target rate whenever the link can support it
 (falling back to all power for the far user), and an improved variant
 that instead diverts all power to the near user when the far target is
-unreachable. Each returns (alpha_far, feasible): the far user's power
-share (the near user gets 1 - alpha_far) and whether the far target is
-reachable at the far user's gain ||H_m||^2.
+unreachable. ``allocate`` returns (alpha_far, feasible): the far user's
+power share (the near user gets 1 - alpha_far) and whether the far
+target is reachable at the far user's gain ||H_m||^2.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ def target_sinr(target_rate: float) -> float:
     return 2.0 ** target_rate - 1.0
 
 
-def fixed_pa(alpha_far: float) -> tuple:
-    """Channel-blind split (alpha_m, 1 - alpha_m), always feasible."""
-    if not 0.0 <= alpha_far <= 1.0:
-        raise ValueError(f"alpha_far must be in [0,1], got {alpha_far!r}")
-    return alpha_far, True
-
-
 def fair_alpha(far_gain, tx_power_w: float, noise_power_w: float,
                target_rate: float):
     """Un-clipped far coefficient from the rate equation, elementwise.
@@ -53,33 +46,28 @@ def fair_alpha(far_gain, tx_power_w: float, noise_power_w: float,
     return np.where(denom == 0.0, np.inf, alpha)
 
 
-def fair_pa(far_gain: float, tx_power_w: float, noise_power_w: float,
-            target_rate: float) -> tuple:
-    """Far user pinned at R_m; all power to the far user when infeasible.
+def allocate(scheme: str, far_gain, tx_power_w: float, noise_power_w: float,
+             target_rate: float, fixed_alpha_far: float = 0.8):
+    """(alpha_far, feasible) of one scheme, elementwise in far_gain.
 
-    alpha_m = min(1, xi (p g + s2) / (p (1+xi) g)). On the feasible branch
-    the far-user capacity equals R_m identically.
+    fixed: alpha_m = fixed_alpha_far, always feasible. fair: alpha_m =
+    fair_alpha where it is <= 1, which pins the far capacity at R_m
+    identically, else 1 (all power to the far user). improved-fair: the
+    fair split where feasible, else 0 (all power to the near user). A
+    scalar gain gives a float and a bool.
     """
-    alpha = float(fair_alpha(far_gain, tx_power_w, noise_power_w, target_rate))
-    return (alpha, True) if alpha <= 1.0 else (1.0, False)
-
-
-def improved_fair_pa(far_gain: float, tx_power_w: float, noise_power_w: float,
-                     target_rate: float) -> tuple:
-    """Fair split when feasible; all power to the near user otherwise."""
-    alpha = float(fair_alpha(far_gain, tx_power_w, noise_power_w, target_rate))
-    return (alpha, True) if alpha <= 1.0 else (0.0, False)
-
-
-def allocate(scheme: str, far_gain: float, tx_power_w: float, noise_power_w: float,
-             target_rate: float, fixed_alpha_far: float = 0.8) -> tuple:
+    g = np.asarray(far_gain, dtype=float)
     if scheme == FIXED:
-        return fixed_pa(fixed_alpha_far)
-    if scheme == FAIR:
-        return fair_pa(far_gain, tx_power_w, noise_power_w, target_rate)
-    if scheme == IMPROVED:
-        return improved_fair_pa(far_gain, tx_power_w, noise_power_w, target_rate)
-    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        alpha, feasible = np.full_like(g, fixed_alpha_far), np.ones(g.shape, bool)
+    elif scheme in (FAIR, IMPROVED):
+        alpha = fair_alpha(g, tx_power_w, noise_power_w, target_rate)
+        feasible = alpha <= 1.0
+        alpha = np.where(feasible, alpha, 1.0 if scheme == FAIR else 0.0)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if g.ndim == 0:
+        return float(alpha), bool(feasible)
+    return alpha, feasible
 
 
 def fair_pa_iterative(far_gain: float, tx_power_w: float, noise_power_w: float,

@@ -95,14 +95,12 @@ def sample_nakagami(shape_m: float, rng: np.random.Generator, size):
 # ---------------------------------------------------------------------------
 # matrix assembly
 
-def direct_channel_matrix(cfg: ScenarioConfig, user: int,
-                          rng: np.random.Generator | None = None) -> np.ndarray:
+def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
     """(M, N) direct BS-user channel; entry (j, i) covers BS antenna i.
 
     Deterministic entry: multiray_response of the pairwise LoS gain times
-    the propagation phase exp(-j 2 pi d_ij / lambda). When rng is given and
-    fading is enabled, each entry is scaled by an independent Nakagami
-    envelope.
+    the propagation phase exp(-j 2 pi d_ij / lambda). Fading is not applied
+    here: the sweeps scale the entries by Nakagami envelopes per trial.
 
     In the free-space reference mode the entry amplitude is the free-space
     power loss (c / (4 pi f d))^2 at the reference carrier, with no
@@ -121,10 +119,7 @@ def direct_channel_matrix(cfg: ScenarioConfig, user: int,
         amp = multiray_response(los_attenuation(f, cfg.absorption_coeff, d, mis),
                                 cfg.nlos_gains, cfg.nlos_delays, f)
         lam = cfg.wavelength_m
-    h = amp * np.exp(-2j * np.pi * d / lam)
-    if rng is not None and cfg.fading_enabled:
-        h = h * sample_nakagami(cfg.shape_m, rng, h.shape)
-    h = np.ascontiguousarray(h)
+    h = np.ascontiguousarray(amp * np.exp(-2j * np.pi * d / lam))
     h.setflags(write=False)
     return h
 
@@ -177,15 +172,3 @@ def ris_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
                       cfg.ris_phases(), geo.bs_element_m, geo.element_user_m,
                       cfg.wavelength_m, cfg.absorption_coeff)
 
-
-def combine_channels(direct: np.ndarray, ris: np.ndarray) -> np.ndarray:
-    """Overall channel H = H_D + G, entrywise.
-
-    The direct part may stack trials ahead of its (M, N) axes; the surface
-    part is the same for all of them.
-    """
-    if direct.shape[direct.ndim - ris.ndim:] != ris.shape:
-        raise ValueError(f"channel shape mismatch: {direct.shape} vs {ris.shape}")
-    h = direct + ris
-    h.setflags(write=False)
-    return h

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, allocation
-from .allocation import fair_pa, fair_pa_iterative, improved_fair_pa
+from .allocation import FAIR, IMPROVED, allocate, fair_pa_iterative
 from .config import ConfigError, ScenarioConfig, parse_config, render_config
 from .ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
@@ -37,17 +37,19 @@ _SUMRATE_GRID = "0:30:6"
 
 def _parse_grid(text: str) -> tuple:
     """Inclusive start:stop:step grid; a bare number is a one-point grid."""
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
-            raise ValueError
-        start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in text.split(":")]
     except ValueError:
-        raise ConfigError("grid", "start:stop:step or a single number", text) from None
-    if step <= 0 or stop < start:
-        raise ConfigError("grid", "step > 0 and stop >= start", text)
+        values = []
+    if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
+        raise ConfigError("grid", "start:stop:step or a single number, all finite",
+                          text)
+    if len(values) == 1:
+        return tuple(values)
+    start, stop, step = values
+    # finite ends can still span more than a float: -1e308:1e308:1
+    if step <= 0 or stop < start or math.isinf((stop - start) / step):
+        raise ConfigError("grid", "step > 0, stop >= start and a finite span", text)
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + k * step for k in range(count))
 
@@ -107,8 +109,8 @@ def _cmd_outage(args) -> int:
     cfg = _load_scenario(args)
     schemes = _parse_schemes(args.schemes, allocation.SCHEMES) \
         if args.schemes else OUTAGE_SCHEMES
-    spec = SweepSpec(variable="target_rate", grid=_parse_grid(args.grid),
-                     trials=cfg.trials, schemes=schemes, master_seed=args.seed)
+    spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
+                     master_seed=args.seed)
     result = run_outage_sweep(spec, cfg)
     lines = ["target_rate,scheme,user,outage,stderr"]
     for i, rate in enumerate(result.grid):
@@ -133,8 +135,8 @@ def _cmd_sumrate(args) -> int:
     cfg = _load_scenario(args)
     schemes = _parse_schemes(args.schemes, SUMRATE_SCHEMES) \
         if args.schemes else SUMRATE_SCHEMES
-    spec = SweepSpec(variable="tx_power_dbm", grid=_parse_grid(args.grid),
-                     trials=cfg.trials, schemes=schemes, master_seed=args.seed)
+    spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
+                     master_seed=args.seed)
     result = run_sumrate_sweep(spec, cfg)
     lines = ["tx_power_dbm,scheme,sum_rate,stderr"]
     for i, dbm in enumerate(result.grid):
@@ -186,8 +188,8 @@ def _cmd_validate(args) -> int:
         gain = float(10.0 ** rng.uniform(-16, -10))
         rate = float(rng.uniform(0.0, 6.0))
         link = (gain, cfg.tx_power_w, cfg.noise_power_w, rate)
-        alpha, feasible = fair_pa(*link)
-        alpha_imp = improved_fair_pa(*link)[0]
+        alpha, feasible = allocate(FAIR, *link)
+        alpha_imp = allocate(IMPROVED, *link)[0]
         worst = max(worst, abs(alpha - fair_pa_iterative(*link)[0]),
                     abs(alpha_imp - fair_pa_iterative(*link, improved=True)[0]))
         agree = alpha == alpha_imp if feasible else (alpha, alpha_imp) == (1.0, 0.0)

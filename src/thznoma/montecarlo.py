@@ -33,10 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import allocation
-from .channel import (combine_channels, direct_channel_matrix,
-                      ris_channel_matrix, sample_nakagami)
+from .channel import direct_channel_matrix, ris_channel_matrix, sample_nakagami
 from .config import FAR, NEAR, ScenarioConfig
-from .noma import LinkBudget, capacity, channel_gain, outage_indicators
+from .noma import capacity, channel_gain, outage_indicators, sinr
 
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
 BLOCK = 128   # trials whose channels are formed at once; bounds temporaries
@@ -50,21 +49,15 @@ SUMRATE_SCHEMES = (allocation.FIXED, allocation.FAIR, allocation.IMPROVED, "base
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str        # "target_rate" or "tx_power_dbm"
     grid: tuple
-    trials: int
     schemes: tuple
     master_seed: int
 
     def __post_init__(self):
-        if self.variable not in ("target_rate", "tx_power_dbm"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid is empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if len(self.schemes) == 0:
             raise ValueError("no schemes selected")
         for s in self.schemes:
@@ -74,7 +67,6 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    variable: str
     grid: tuple
     schemes: tuple
     # per scheme: {"near_outage", "far_outage", "sum_rate", and "*_stderr"}
@@ -134,13 +126,13 @@ def _chunk_gains(cfg: ScenarioConfig, rng: np.random.Generator,
     gains = np.empty((2, n))
     if not cfg.fading_enabled:
         for user in (FAR, NEAR):
-            gains[user] = channel_gain(combine_channels(direct[user], ris[user]))
+            gains[user] = channel_gain(direct[user] + ris[user])
         return gains
     for start in range(0, n, BLOCK):
         b = min(BLOCK, n - start)
         env = sample_nakagami(cfg.shape_m, rng, (b, 2) + direct[FAR].shape)
         for user in (FAR, NEAR):
-            h = combine_channels(env[:, user] * direct[user], ris[user])
+            h = env[:, user] * direct[user] + ris[user]
             gains[user, start:start + b] = channel_gain(h)
     return gains
 
@@ -157,19 +149,15 @@ def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
     """
     target_far, target_near = targets
     p, s2 = cfg.tx_power_w, cfg.noise_power_w
-    if scheme == allocation.FIXED:
-        a_far, exact = cfg.fixed_alpha_far, False
-    else:
-        alpha = allocation.fair_alpha(g_far, p, s2, target_far)
-        exact = alpha <= 1.0
-        # infeasible: fair (and baseline) give the far user everything,
-        # improved-fair gives the near user everything
-        a_far = np.where(exact, alpha, 0.0 if scheme == allocation.IMPROVED else 1.0)
+    # the baseline link is allocated like fair
+    a_far, feasible = allocation.allocate(
+        allocation.FAIR if scheme == "baseline" else scheme, g_far, p, s2,
+        target_far, cfg.fixed_alpha_far)
     a_near = 1.0 - a_far
-    c_far = np.where(exact, target_far,
-                     capacity(p * a_far * g_far / (p * g_far * a_near + s2)))
-    c_cross = capacity(p * a_far * g_near / (p * g_near * a_near + s2))
-    c_near = capacity(p * a_near * g_near / s2)
+    c_far = np.where(feasible & (scheme != allocation.FIXED), target_far,
+                     capacity(sinr(g_far, a_far, a_near, p, s2)))
+    c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
+    c_near = capacity(sinr(g_near, a_near, 0.0, p, s2))
     near, far = outage_indicators(c_cross, c_near, c_far, target_far,
                                   target_near, a_far)
     rate = c_far + c_near
@@ -202,10 +190,12 @@ def _run_chunk(groups: tuple, targets: tuple, master_seed: int, domain: int,
 def _point_groups(cfg: ScenarioConfig, schemes: tuple, targets: tuple) -> tuple:
     """Check one grid point and pair its scenarios with their schemes.
 
-    The link budget and target checks run here, once per point, instead
-    of inside the trial arrays.
+    The noise and target checks run here, once per point, instead of
+    inside the trial arrays; the noise power underflows to 0 at extreme
+    dBm, which ScenarioConfig does not rule out.
     """
-    LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
+    if not cfg.noise_power_w > 0:
+        raise ValueError(f"noise_power_w must be > 0, got {cfg.noise_power_w!r}")
     for t in targets:
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"target rates must be finite and >= 0, got {t!r}")
@@ -240,10 +230,10 @@ def _point_stats(parts: list, t: int) -> dict:
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult:
-    sizes = _chunk_sizes(spec.trials)
+    sizes = _chunk_sizes(cfg.trials)
     tasks = []
     for point, value in enumerate(spec.grid):
-        if spec.variable == "target_rate":
+        if domain == _DOMAIN_OUTAGE:
             point_cfg = cfg
             targets = (float(value), float(value))
         else:
@@ -271,24 +261,20 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult
     for point in range(len(spec.grid)):
         chunks = parts[point * per_point:(point + 1) * per_point]
         for scheme in spec.schemes:
-            stats = _point_stats([c[scheme] for c in chunks], spec.trials)
+            stats = _point_stats([c[scheme] for c in chunks], cfg.trials)
             for key, val in stats.items():
                 series[scheme][key].append(val)
     series = {s: {k: np.asarray(v) for k, v in d.items()} for s, d in series.items()}
-    return SweepResult(variable=spec.variable, grid=tuple(spec.grid),
+    return SweepResult(grid=tuple(spec.grid),
                        schemes=tuple(spec.schemes), series=series,
                        scenario=cfg.as_dict(), seed=spec.master_seed)
 
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> SweepResult:
     """Near/far outage vs far-user target rate R_m, with R_n = R_m."""
-    if spec.variable != "target_rate":
-        raise ValueError("outage sweeps vary target_rate")
     return _run_sweep(spec, cfg, _DOMAIN_OUTAGE)
 
 
 def run_sumrate_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> SweepResult:
     """Mean achieved sum rate vs transmit power (dBm)."""
-    if spec.variable != "tx_power_dbm":
-        raise ValueError("sum-rate sweeps vary tx_power_dbm")
     return _run_sweep(spec, cfg, _DOMAIN_SUMRATE)

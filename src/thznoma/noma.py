@@ -1,42 +1,16 @@
 """Two-user power-domain NOMA: SIC-ordered SINRs, capacities, outage tests.
 
-Users are indexed in SIC order: index 0 is the far (weakest-gain) user,
-the last index the near (strongest) user. MIMO structure is collapsed to
-squared Frobenius-norm channel gains; noise enters as the scalar variance
-per receive dimension.
+The far user has the weaker gain; the near user decodes the far message
+first (SIC), then its own. MIMO structure is collapsed to squared
+Frobenius-norm channel gains; noise enters as the scalar variance per
+receive dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    coefficients: tuple  # alpha_k, SIC order far..near
-
-    def __post_init__(self):
-        for a in self.coefficients:
-            if not (math.isfinite(a) and -1e-12 <= a <= 1.0 + 1e-12):
-                raise ValueError(f"allocation coefficient out of [0,1]: {a!r}")
-        s = sum(self.coefficients)
-        if abs(s - 1.0) > 1e-12:
-            raise ValueError(f"allocation coefficients sum to {s!r}, expected 1")
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    tx_power_w: float     # p_o
-    noise_power_w: float  # sigma^2_o
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tx_power_w) and self.tx_power_w >= 0):
-            raise ValueError(f"tx_power_w must be >= 0, got {self.tx_power_w!r}")
-        if not (math.isfinite(self.noise_power_w) and self.noise_power_w > 0):
-            raise ValueError(f"noise_power_w must be > 0, got {self.noise_power_w!r}")
 
 
 def channel_gain(h: np.ndarray):
@@ -52,33 +26,16 @@ def channel_gain(h: np.ndarray):
     return float(gain) if gain.ndim == 0 else gain
 
 
-def _interference(gain: float, pa: PowerAllocation, upto: int, lb: LinkBudget) -> float:
-    # power of messages decoded after index `upto` plus noise
-    tail = sum(pa.coefficients[upto + 1:])
-    return lb.tx_power_w * gain * tail + lb.noise_power_w
+def sinr(gain, alpha, residual, tx_power_w: float, noise_power_w: float):
+    """SINR of a message with power share alpha, elementwise.
 
-
-def sinr_cross(gain_n: float, pa: PowerAllocation, m: int, lb: LinkBudget) -> float:
-    """SINR at a stronger user decoding the weaker user's message m.
-
-    zeta_{n->m} = p alpha_m g_n / (p g_n sum_{l>m} alpha_l + sigma^2).
+    zeta = p alpha g / (p g residual + s2), where residual is the power
+    share of the messages still undecoded at this receiver. Far message at
+    the far user: sinr(g_m, a_m, a_n); the same message at the near user
+    (the SIC stage): sinr(g_n, a_m, a_n); the near user's own message
+    after SIC: sinr(g_n, a_n, 0.0).
     """
-    k = len(pa.coefficients)
-    if not 0 <= m < k - 1:
-        raise IndexError(f"cross-decoding index {m} out of range for {k} users")
-    return lb.tx_power_w * pa.coefficients[m] * gain_n / _interference(gain_n, pa, m, lb)
-
-
-def sinr_own(gain_k: float, pa: PowerAllocation, k: int, lb: LinkBudget) -> float:
-    """Own-message SINR after SIC removed all weaker-user messages.
-
-    zeta_k = p alpha_k g_k / (p g_k sum_{l>k} alpha_l + sigma^2); the
-    interference sum is empty for the last (nearest) user.
-    """
-    n = len(pa.coefficients)
-    if not 0 <= k < n:
-        raise IndexError(f"user index {k} out of range for {n} users")
-    return lb.tx_power_w * pa.coefficients[k] * gain_k / _interference(gain_k, pa, k, lb)
+    return tx_power_w * alpha * gain / (tx_power_w * gain * residual + noise_power_w)
 
 
 def capacity(sinr):

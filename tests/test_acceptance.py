@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 from scipy import integrate, special, stats
 
-from thznoma.allocation import fair_pa
+from thznoma.allocation import FAIR, allocate
 from thznoma.channel import (los_attenuation, misalignment_factor,
                              ris_element_gain, ris_matrix, sample_nakagami)
 from thznoma.cli import main
@@ -38,7 +38,7 @@ from thznoma.config import ScenarioConfig
 from thznoma.ergodic import (closed_form_capacity, e1_scaled,
                              ergodic_capacity_mc_oracle, exp_integral_e1)
 from thznoma.montecarlo import SweepSpec, run_outage_sweep, run_sumrate_sweep
-from thznoma.noma import LinkBudget, PowerAllocation, capacity, sinr_own
+from thznoma.noma import capacity, sinr
 
 SEED_ORACLE = 1
 SEED_PA = 7
@@ -86,14 +86,12 @@ def test_criterion_2_fair_pa_exactness():
         g = float(10.0 ** rng.uniform(-14, -9))
         p = float(10.0 ** rng.uniform(-1, 1))
         s2 = float(10.0 ** rng.uniform(-14, -12))
-        lb = LinkBudget(p, s2)
         rate = float(rng.uniform(0.0, math.log2(1.0 + p * g / s2)))
-        alpha, feasible = fair_pa(g, p, s2, rate)
+        alpha, feasible = allocate(FAIR, g, p, s2, rate)
         assert feasible
-        pa = PowerAllocation((alpha, 1.0 - alpha))
-        achieved = capacity(sinr_own(g, pa, 0, lb))
+        achieved = capacity(sinr(g, alpha, 1.0 - alpha, p, s2))
         worst_rate = max(worst_rate, abs(achieved - rate))
-        worst_sum = max(worst_sum, abs(sum(pa.coefficients) - 1.0))
+        worst_sum = max(worst_sum, abs(sum((alpha, 1.0 - alpha)) - 1.0))
     elapsed = time.monotonic() - t0
     ok = worst_rate <= 1e-9 and worst_sum <= 1e-12 and elapsed < 10.0
     _report(2, ok, f"1e4 requests, worst rate error {worst_rate:.2e}, "
@@ -105,10 +103,9 @@ def test_criterion_2_fair_pa_exactness():
 
 def test_criterion_3_outage_trends():
     t0 = time.monotonic()
-    cfg = ScenarioConfig()
+    cfg = ScenarioConfig(trials=100_000)
     grid = tuple(0.5 + 0.5 * k for k in range(12))
-    spec = SweepSpec(variable="target_rate", grid=grid, trials=100_000,
-                     schemes=("fixed", "fair", "improved-fair"),
+    spec = SweepSpec(grid=grid, schemes=("fixed", "fair", "improved-fair"),
                      master_seed=SEED_SWEEPS)
     res = run_outage_sweep(spec, cfg)
     fixed_far = res.series["fixed"]["far_outage"]
@@ -135,9 +132,9 @@ def test_criterion_3_outage_trends():
 
 def test_criterion_4_sum_rate_trends():
     t0 = time.monotonic()
-    cfg = ScenarioConfig()
+    cfg = ScenarioConfig(trials=100_000)
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
-    spec = SweepSpec(variable="tx_power_dbm", grid=grid, trials=100_000,
+    spec = SweepSpec(grid=grid,
                      schemes=("fixed", "fair", "improved-fair", "baseline"),
                      master_seed=SEED_SWEEPS)
     res = run_sumrate_sweep(spec, cfg)

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma.allocation import (FAIR, FIXED, IMPROVED, allocate, fair_pa,
-                                fair_pa_iterative, fixed_pa, improved_fair_pa,
-                                target_sinr)
-from thznoma.noma import LinkBudget, PowerAllocation, capacity, sinr_own
+from thznoma.allocation import (FAIR, FIXED, IMPROVED, allocate, fair_alpha,
+                                fair_pa_iterative, target_sinr)
+from thznoma.noma import capacity, sinr
 
-LB = LinkBudget(1.0, 0.1)
-P, S2 = LB.tx_power_w, LB.noise_power_w
+P, S2 = 1.0, 0.1
 
 
 def _split(alpha_far):
@@ -28,17 +26,18 @@ def test_target_sinr():
 
 
 def test_fixed_split():
-    alpha, feasible = fixed_pa(0.8)
-    assert alpha == 0.8
-    assert_allclose(_split(alpha), (0.8, 0.2), rtol=1e-15)
-    assert feasible
-    with pytest.raises(ValueError):
-        fixed_pa(1.5)
+    # channel-blind: the same split at any gain, even one that cannot
+    # carry the target
+    for g in (1.0, 1e-16, 0.0):
+        alpha, feasible = allocate(FIXED, g, P, S2, 4.0, 0.8)
+        assert alpha == 0.8
+        assert_allclose(_split(alpha), (0.8, 0.2), rtol=1e-15)
+        assert feasible
 
 
 def test_fair_reference_value():
     # p=1, g=1, s2=0.1, R=1: alpha = 1*(1+0.1)/(2*1) = 0.55
-    alpha, feasible = fair_pa(1.0, P, S2, 1.0)
+    alpha, feasible = allocate(FAIR, 1.0, P, S2, 1.0)
     assert_allclose(_split(alpha), (0.55, 0.45), rtol=1e-14)
     assert feasible
 
@@ -49,46 +48,44 @@ def test_fair_pins_far_rate_exactly():
         g = float(10.0 ** rng.uniform(-14, -9))
         p = float(10.0 ** rng.uniform(-1, 1))
         s2 = float(10.0 ** rng.uniform(-14, -12))
-        lb = LinkBudget(p, s2)
         cap_max = math.log2(1.0 + p * g / s2)
         rate = float(rng.uniform(0.0, cap_max))
-        alpha, feasible = fair_pa(g, p, s2, rate)
+        alpha, feasible = allocate(FAIR, g, p, s2, rate)
         assert feasible
-        pa = PowerAllocation(_split(alpha))
-        achieved = capacity(sinr_own(g, pa, 0, lb))
+        achieved = capacity(sinr(g, alpha, 1.0 - alpha, p, s2))
         assert abs(achieved - rate) < 1e-9
-        assert abs(sum(pa.coefficients) - 1.0) <= 1e-12
+        assert abs(sum(_split(alpha)) - 1.0) <= 1e-12
 
 
 def test_feasibility_boundary():
     # alpha = 1 exactly at g = xi * s2 / p
     xi = target_sinr(1.0)
     g_star = xi * S2 / P
-    alpha, feasible = fair_pa(g_star, P, S2, 1.0)
+    alpha, feasible = allocate(FAIR, g_star, P, S2, 1.0)
     assert feasible
     assert_allclose(_split(alpha), (1.0, 0.0), rtol=1e-12)
-    alpha, feasible = fair_pa(g_star * 0.999, P, S2, 1.0)
+    alpha, feasible = allocate(FAIR, g_star * 0.999, P, S2, 1.0)
     assert not feasible
     assert _split(alpha) == (1.0, 0.0)
 
 
 def test_infeasible_branches_differ():
     link = (1e-16, P, S2, 4.0)
-    basic, basic_feasible = fair_pa(*link)
-    improved, improved_feasible = improved_fair_pa(*link)
+    basic, basic_feasible = allocate(FAIR, *link)
+    improved, improved_feasible = allocate(IMPROVED, *link)
     assert not basic_feasible and not improved_feasible
     assert _split(basic) == (1.0, 0.0)
     assert _split(improved) == (0.0, 1.0)
 
 
 def test_zero_target_gives_near_everything():
-    alpha, feasible = fair_pa(1.0, P, S2, 0.0)
+    alpha, feasible = allocate(FAIR, 1.0, P, S2, 0.0)
     assert _split(alpha) == (0.0, 1.0)
     assert feasible
 
 
 def test_zero_gain_is_infeasible():
-    alpha, feasible = fair_pa(0.0, P, S2, 1.0)
+    alpha, feasible = allocate(FAIR, 0.0, P, S2, 1.0)
     assert not feasible
     assert _split(alpha) == (1.0, 0.0)
 
@@ -96,16 +93,25 @@ def test_zero_gain_is_infeasible():
 def test_allocate_dispatch():
     link = (1.0, P, S2, 1.0)
     assert_allclose(_split(allocate(FIXED, *link, 0.7)[0]), (0.7, 0.3), rtol=1e-15)
-    assert allocate(FAIR, *link) == fair_pa(*link)
-    assert allocate(IMPROVED, *link) == improved_fair_pa(*link)
+    assert allocate(FAIR, *link) == (float(fair_alpha(*link)), True)
+    assert allocate(IMPROVED, *link) == allocate(FAIR, *link)
+    alpha, feasible = allocate(FAIR, *link)
+    assert type(alpha) is float and type(feasible) is bool
     with pytest.raises(ValueError):
         allocate("equal", *link)
+    # elementwise over gains on both branches, equal to the scalar calls
+    gains = np.array([0.0, 1e-16, 0.1, 1.0, 10.0])
+    for scheme in (FIXED, FAIR, IMPROVED):
+        alphas, feasibles = allocate(scheme, gains, P, S2, 1.0, 0.7)
+        assert alphas.shape == feasibles.shape == gains.shape
+        assert list(zip(alphas.tolist(), feasibles.tolist())) == [
+            allocate(scheme, g, P, S2, 1.0, 0.7) for g in gains.tolist()]
 
 
 def test_far_share_shrinks_with_gain_and_power():
-    rates = [fair_pa(g, P, S2, 1.0)[0] for g in np.logspace(-1, 2, 12)]
+    rates = [allocate(FAIR, g, P, S2, 1.0)[0] for g in np.logspace(-1, 2, 12)]
     assert all(b < a for a, b in zip(rates, rates[1:]))
-    powers = [fair_pa(1.0, p, 0.1, 1.0)[0] for p in np.logspace(-1, 2, 12)]
+    powers = [allocate(FAIR, 1.0, p, 0.1, 1.0)[0] for p in np.logspace(-1, 2, 12)]
     assert all(b < a for a, b in zip(powers, powers[1:]))
     # floor: even infinite power keeps xi/(1+xi) for the far user
     assert rates[-1] > target_sinr(1.0) / (1.0 + target_sinr(1.0)) - 1e-12
@@ -116,11 +122,11 @@ def test_iterative_loop_lands_on_closed_form():
     worst = 0.0
     for _ in range(500):
         g = float(10.0 ** rng.uniform(-16, -10))
-        lb = LinkBudget(float(10.0 ** rng.uniform(-1, 1)), 1e-13)
+        p = float(10.0 ** rng.uniform(-1, 1))
         rate = float(rng.uniform(0.0, 6.0))
-        link = (g, lb.tx_power_w, lb.noise_power_w, rate)
+        link = (g, p, 1e-13, rate)
         for improved in (False, True):
-            closed = improved_fair_pa(*link) if improved else fair_pa(*link)
+            closed = allocate(IMPROVED if improved else FAIR, *link)
             loop = fair_pa_iterative(*link, improved=improved)
             assert loop[1] == closed[1]
             worst = max(worst, max(

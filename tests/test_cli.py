@@ -47,7 +47,8 @@ def test_parse_grid():
     assert _parse_grid("0:30:6") == (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
     assert _parse_grid("3") == (3.0,)
     assert _parse_grid("2:2:1") == (2.0,)
-    for bad in ("a:b:c", "1:2", "1:2:0", "5:1:1", ""):
+    for bad in ("a:b:c", "1:2", "1:2:0", "5:1:1", "", "0:inf:1", "0:nan:1",
+                "nan", "inf", "-1e308:1e308:1"):
         with pytest.raises(ConfigError):
             _parse_grid(bad)
 
@@ -158,6 +159,9 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["outage", "--config", str(bad)]) == 1
     assert "frequency_hz" in capsys.readouterr().err
 
+    # a non-finite grid is rejected before it reaches the sweep
+    assert main(["outage", "--grid", "0:inf:1"]) == 1
+    assert "config error: config field 'grid'" in capsys.readouterr().err
     assert main(["outage", "--grid", "nonsense"]) == 1
     # a power that overflows tx_power_w is a config error, not a traceback
     assert main(["sumrate", "--grid", "4000", "--out", str(tmp_path)]) == 1

@@ -8,15 +8,14 @@ from numpy.testing import assert_allclose
 
 from thznoma import allocation, montecarlo
 from thznoma.allocation import allocate
-from thznoma.channel import (combine_channels, direct_channel_matrix,
-                             ris_channel_matrix, sample_nakagami)
+from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
+                             sample_nakagami)
 from thznoma.config import FAR, NEAR, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SweepSpec, _chunk_gains,
                                 _chunk_rng, _chunk_sizes, _point_groups,
                                 _run_chunk, non_ris_non_thz_baseline,
                                 run_outage_sweep, run_sumrate_sweep)
-from thznoma.noma import (LinkBudget, PowerAllocation, capacity, channel_gain,
-                          outage_indicators, sinr_cross, sinr_own)
+from thznoma.noma import capacity, channel_gain, outage_indicators
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
 
@@ -41,18 +40,12 @@ def test_chunk_rng_streams_are_distinct_and_stable():
 
 
 def test_sweep_spec_validation():
-    good = dict(variable="target_rate", grid=(0.5, 1.0), trials=10,
-                schemes=("fair",), master_seed=1)
+    good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1)
     SweepSpec(**good)
-    for bad in (dict(variable="bandwidth"), dict(grid=()),
-                dict(grid=(1.0, 0.5)), dict(trials=0),
+    for bad in (dict(grid=()), dict(grid=(1.0, 0.5)),
                 dict(schemes=()), dict(schemes=("equal",))):
         with pytest.raises(ValueError):
             SweepSpec(**{**good, **bad})
-    with pytest.raises(ValueError):
-        run_outage_sweep(SweepSpec(**{**good, "variable": "tx_power_dbm"}), SMALL)
-    with pytest.raises(ValueError):
-        run_sumrate_sweep(SweepSpec(**good), SMALL)
 
 
 def _reference_gains(cfg, rng):
@@ -62,27 +55,30 @@ def _reference_gains(cfg, rng):
         h = direct_channel_matrix(cfg, user)
         if cfg.fading_enabled:
             h = sample_nakagami(cfg.shape_m, rng, h.shape) * h
-        gains.append(channel_gain(combine_channels(h, ris_channel_matrix(cfg, user))))
+        gains.append(channel_gain(h + ris_channel_matrix(cfg, user)))
     return gains
 
 
 def _reference_trial(cfg, scheme, targets, rng):
-    """One trial through the scalar noma and allocation functions:
-    (near_outage, far_outage, sum_rate, alpha_far, feasible_far)."""
+    """One trial through scalar allocation and the paper's SINR formulas:
+    (near_outage, far_outage, sum_rate, alpha_far, feasible_far).
+
+    The SINRs are written out here, not taken from noma.sinr, so the
+    kernel is checked against code it does not share."""
     target_far, target_near = targets
     gains = _reference_gains(cfg, rng)
     g_far, g_near = gains if gains[0] <= gains[1] else gains[::-1]
-    lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
+    p, s2 = cfg.tx_power_w, cfg.noise_power_w
     alpha_far, feasible_far = allocate(
         allocation.FAIR if scheme == "baseline" else scheme, g_far,
-        lb.tx_power_w, lb.noise_power_w, target_far, cfg.fixed_alpha_far)
-    pa = PowerAllocation((alpha_far, 1.0 - alpha_far))
+        p, s2, target_far, cfg.fixed_alpha_far)
+    alpha_near = 1.0 - alpha_far
     if scheme != allocation.FIXED and feasible_far:
         c_far = target_far
     else:
-        c_far = capacity(sinr_own(g_far, pa, 0, lb))
-    c_cross = capacity(sinr_cross(g_near, pa, 0, lb))
-    c_near = capacity(sinr_own(g_near, pa, 1, lb))
+        c_far = capacity(p * alpha_far * g_far / (p * g_far * alpha_near + s2))
+    c_cross = capacity(p * alpha_far * g_near / (p * g_near * alpha_near + s2))
+    c_near = capacity(p * alpha_near * g_near / s2)
     near, far = outage_indicators(c_cross, c_near, c_far, target_far,
                                   target_near, alpha_far)
     return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
@@ -109,24 +105,23 @@ def test_trial_matches_manual_noma_chain():
     targets = (0.75, 0.75)
     n = 5
     gains = sorted(
-        channel_gain(combine_channels(direct_channel_matrix(cfg, u),
-                                      ris_channel_matrix(cfg, u)))
+        channel_gain(direct_channel_matrix(cfg, u) + ris_channel_matrix(cfg, u))
         for u in (FAR, NEAR))
     g_far, g_near = gains
-    lb = LinkBudget(cfg.tx_power_w, cfg.noise_power_w)
+    p, s2 = cfg.tx_power_w, cfg.noise_power_w
     got = _chunk(cfg, ("fixed", "fair", "improved-fair"), targets, n=n)
     for scheme in ("fixed", "fair", "improved-fair"):
-        alpha_far, feasible_far = allocate(scheme, g_far, lb.tx_power_w,
-                                           lb.noise_power_w, targets[0],
+        alpha_far, feasible_far = allocate(scheme, g_far, p, s2, targets[0],
                                            cfg.fixed_alpha_far)
-        pa = PowerAllocation((alpha_far, 1.0 - alpha_far))
+        alpha_near = 1.0 - alpha_far
+        # the paper's SINRs, written out rather than taken from noma.sinr
+        far_sinr = p * alpha_far * g_far / (p * g_far * alpha_near + s2)
         if scheme == "fixed":
-            c_far = capacity(sinr_own(g_far, pa, 0, lb))
+            c_far = capacity(far_sinr)
         else:
-            c_far = targets[0] if feasible_far else \
-                capacity(sinr_own(g_far, pa, 0, lb))
-        c_cross = capacity(sinr_cross(g_near, pa, 0, lb))
-        c_near = capacity(sinr_own(g_near, pa, 1, lb))
+            c_far = targets[0] if feasible_far else capacity(far_sinr)
+        c_cross = capacity(p * alpha_far * g_near / (p * g_near * alpha_near + s2))
+        c_near = capacity(p * alpha_near * g_near / s2)
         near = (alpha_far > 0 and c_cross < targets[0]) or c_near < targets[1]
         far = c_far < targets[0]
         rate = c_far + c_near
@@ -184,8 +179,7 @@ def test_improved_never_worse_for_near_user():
 
 def test_outage_sweep_shapes_and_ranges():
     cfg = SMALL.replace(trials=600)
-    spec = SweepSpec(variable="target_rate", grid=(0.5, 2.0, 6.0), trials=600,
-                     schemes=("fixed", "fair"), master_seed=5)
+    spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), master_seed=5)
     res = run_outage_sweep(spec, cfg)
     assert res.grid == (0.5, 2.0, 6.0)
     assert set(res.series) == {"fixed", "fair"}
@@ -204,8 +198,8 @@ def test_outage_sweep_shapes_and_ranges():
 
 def test_sumrate_sweep_monotone_in_power():
     cfg = SMALL.replace(trials=400)
-    spec = SweepSpec(variable="tx_power_dbm", grid=(0.0, 15.0, 30.0), trials=400,
-                     schemes=("fixed", "baseline"), master_seed=6)
+    spec = SweepSpec(grid=(0.0, 15.0, 30.0), schemes=("fixed", "baseline"),
+                     master_seed=6)
     res = run_sumrate_sweep(spec, cfg)
     for scheme in res.schemes:
         rates = res.series[scheme]["sum_rate"]
@@ -218,8 +212,7 @@ def test_sumrate_sweep_monotone_in_power():
 
 def test_sweep_results_identical_across_worker_counts():
     cfg = SMALL.replace(trials=2100)
-    spec = SweepSpec(variable="target_rate", grid=(1.0, 4.0), trials=2100,
-                     schemes=("fixed", "fair"), master_seed=9)
+    spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), master_seed=9)
     serial = run_outage_sweep(spec, cfg.replace(workers=1))
     parallel = run_outage_sweep(spec, cfg.replace(workers=3))
     for scheme in spec.schemes:
@@ -229,8 +222,7 @@ def test_sweep_results_identical_across_worker_counts():
 
 def test_rerun_is_bit_identical():
     cfg = SMALL.replace(trials=700)
-    spec = SweepSpec(variable="target_rate", grid=(2.0,), trials=700,
-                     schemes=("fair",), master_seed=77)
+    spec = SweepSpec(grid=(2.0,), schemes=("fair",), master_seed=77)
     r1 = run_outage_sweep(spec, cfg)
     r2 = run_outage_sweep(spec, cfg)
     for key, vals in r1.series["fair"].items():
@@ -300,17 +292,15 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
             pass
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-    cfg = SMALL.replace(workers=3)
+    cfg = SMALL.replace(workers=3, trials=10)
     for grid in ((1.0,), (1.0, 2.0)):
-        run_outage_sweep(SweepSpec(variable="target_rate", grid=grid, trials=10,
-                                   schemes=("fair",), master_seed=1), cfg)
+        run_outage_sweep(SweepSpec(grid=grid, schemes=("fair",), master_seed=1), cfg)
     assert sizes == [2]
 
 
 def test_baseline_link_is_far_weaker_than_composite():
     cfg = ScenarioConfig()
-    thz = channel_gain(combine_channels(direct_channel_matrix(cfg, FAR),
-                                        ris_channel_matrix(cfg, FAR)))
+    thz = channel_gain(direct_channel_matrix(cfg, FAR) + ris_channel_matrix(cfg, FAR))
     base = non_ris_non_thz_baseline(cfg)
     ref = channel_gain(direct_channel_matrix(base, FAR))
     assert thz > 100.0 * ref

@@ -6,28 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma.noma import (LinkBudget, PowerAllocation, capacity, channel_gain,
-                          outage_indicators, sinr_cross, sinr_own)
+from thznoma.noma import capacity, channel_gain, outage_indicators, sinr
 
-LB = LinkBudget(tx_power_w=1.0, noise_power_w=0.1)
-PA = PowerAllocation((0.8, 0.2))
-
-
-def test_power_allocation_validation():
-    PowerAllocation((0.55, 0.45))
-    PowerAllocation((1.0, 0.0))
-    with pytest.raises(ValueError):
-        PowerAllocation((0.7, 0.2))       # sums to 0.9
-    with pytest.raises(ValueError):
-        PowerAllocation((1.2, -0.2))      # out of range
-
-
-def test_link_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(1.0, 0.0)
-    with pytest.raises(ValueError):
-        LinkBudget(-1.0, 0.1)
-    LinkBudget(0.0, 1e-13)
+P, S2 = 1.0, 0.1
+A_FAR, A_NEAR = 0.8, 0.2
 
 
 def test_channel_gain_is_squared_frobenius_norm():
@@ -46,38 +28,35 @@ def test_sinr_reference_values():
     #   far own     0.8/(0.2 + 0.1)          = 8/3
     #   far at near 0.8*1.25/(0.2*1.25 + 0.1) = 20/7
     #   near own    0.2*1.25/0.1             = 5/2
-    assert_allclose(sinr_own(1.0, PA, 0, LB), 8.0 / 3.0, rtol=1e-14)
-    assert_allclose(sinr_cross(1.25, PA, 0, LB), 20.0 / 7.0, rtol=1e-14)
-    assert_allclose(sinr_own(1.25, PA, 1, LB), 2.5, rtol=1e-14)
+    assert_allclose(sinr(1.0, A_FAR, A_NEAR, P, S2), 8.0 / 3.0, rtol=1e-14)
+    assert_allclose(sinr(1.25, A_FAR, A_NEAR, P, S2), 20.0 / 7.0, rtol=1e-14)
+    assert_allclose(sinr(1.25, A_NEAR, 0.0, P, S2), 2.5, rtol=1e-14)
+    # elementwise over gains and shares
+    got = sinr(np.array([1.0, 1.25, 1.25]), np.array([A_FAR, A_FAR, A_NEAR]),
+               np.array([A_NEAR, A_NEAR, 0.0]), P, S2)
+    assert_allclose(got, [8.0 / 3.0, 20.0 / 7.0, 2.5], rtol=1e-14)
 
 
 def test_sinr_scale_invariance():
     # scaling power and noise together leaves every SINR unchanged
     for k in (1e-3, 1.0, 1e6):
-        lb = LinkBudget(LB.tx_power_w * k, LB.noise_power_w * k)
-        assert_allclose(sinr_own(1.0, PA, 0, lb), sinr_own(1.0, PA, 0, LB), rtol=1e-12)
-        assert_allclose(sinr_cross(1.25, PA, 0, lb), sinr_cross(1.25, PA, 0, LB),
-                        rtol=1e-12)
+        assert_allclose(sinr(1.0, A_FAR, A_NEAR, P * k, S2 * k),
+                        sinr(1.0, A_FAR, A_NEAR, P, S2), rtol=1e-12)
+        assert_allclose(sinr(1.25, A_FAR, A_NEAR, P * k, S2 * k),
+                        sinr(1.25, A_FAR, A_NEAR, P, S2), rtol=1e-12)
 
 
 def test_far_sinr_saturates_with_gain():
     # interference-limited ceiling alpha_m / alpha_n
-    vals = [sinr_own(g, PA, 0, LB) for g in (1.0, 10.0, 1e3, 1e9)]
+    vals = [sinr(g, A_FAR, A_NEAR, P, S2) for g in (1.0, 10.0, 1e3, 1e9)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.8 / 0.2
     assert_allclose(vals[-1], 4.0, rtol=1e-6)
 
 
 def test_near_sinr_linear_in_gain():
-    assert_allclose(sinr_own(2.0, PA, 1, LB) / sinr_own(1.0, PA, 1, LB), 2.0,
-                    rtol=1e-12)
-
-
-def test_index_bounds():
-    with pytest.raises(IndexError):
-        sinr_own(1.0, PA, 2, LB)
-    with pytest.raises(IndexError):
-        sinr_cross(1.0, PA, 1, LB)  # last user has no cross stage
+    assert_allclose(sinr(2.0, A_NEAR, 0.0, P, S2) / sinr(1.0, A_NEAR, 0.0, P, S2),
+                    2.0, rtol=1e-12)
 
 
 def test_capacity():
@@ -138,6 +117,5 @@ def test_outage_boundary_is_strict():
 
 
 def test_zero_power_yields_zero_sinr():
-    lb = LinkBudget(0.0, 0.1)
-    assert sinr_own(5.0, PA, 0, lb) == 0.0
-    assert capacity(sinr_own(5.0, PA, 1, lb)) == 0.0
+    assert sinr(5.0, A_FAR, A_NEAR, 0.0, S2) == 0.0
+    assert capacity(sinr(5.0, A_NEAR, 0.0, 0.0, S2)) == 0.0
