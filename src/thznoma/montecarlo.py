@@ -1,16 +1,17 @@
 """Monte Carlo outage and sum-rate sweeps.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
-stream spawned from the master seed by (domain, grid-point, chunk) key,
-so results are identical for any worker count and workers only decide
-which chunks run where.
+stream spawned from the master seed by (domain, 0, chunk) key, so results
+are identical for any worker count and workers only decide which chunks
+run where. Neither the target rate nor the transmit power enters the
+channel, so a chunk draws its gains once and every grid point and scheme
+is evaluated on them (common random numbers): each point's estimate is
+still its own marginal one, while differences between points and between
+schemes are paired. The baseline scheme has its own scenario and draws
+its gains from a fresh stream with the same key.
 
-One chunk is evaluated as arrays. Its channels are formed in blocks of
-BLOCK trials, and every requested scheme is evaluated on the same gains,
-so scheme comparisons are paired (common random numbers) and one chunk
-task returns the sums of all schemes. The baseline scheme has its own
-scenario and draws its gains from a fresh stream with the same key.
-The outputs equal those of a per-trial loop bit for bit, which rests on:
+One chunk is evaluated as arrays, its channels formed in blocks of BLOCK
+trials. The outputs equal those of a per-trial loop bit for bit, by:
 
 - stream order: one draw of shape (b, 2, M, N) consumes the stream as b
   trials each drawing the far user's (M, N) envelopes, then the near
@@ -103,15 +104,15 @@ def _deterministic_parts(cfg: ScenarioConfig):
 
 def _chunk_sizes(trials: int):
     full, rest = divmod(trials, CHUNK)
-    sizes = [CHUNK] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+    return [CHUNK] * full + ([rest] if rest else [])
 
 
-def _chunk_rng(master_seed: int, domain: int, point: int, chunk: int):
+def _chunk_rng(master_seed: int, domain: int, chunk: int):
+    """The chunk's stream. The 0 stands where a grid point's index was when
+    each point had its own stream; keeping it keeps the outputs of one-point
+    sweeps and of the first point of every sweep."""
     ss = np.random.SeedSequence(entropy=master_seed,
-                                spawn_key=(domain, point, chunk))
+                                spawn_key=(domain, 0, chunk))
     return np.random.default_rng(ss)
 
 
@@ -166,25 +167,29 @@ def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
             float(np.add.accumulate(rate * rate)[-1]))
 
 
-def _run_chunk(groups: tuple, targets: tuple, master_seed: int, domain: int,
-               point: int, chunk: int, n: int) -> dict:
-    """{scheme: (near_count, far_count, rate_sum, rate_sumsq)} over one chunk.
+def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
+               n: int) -> list:
+    """One {scheme: (near_count, far_count, rate_sum, rate_sumsq)} per point.
 
-    ``groups`` pairs each scenario with the schemes evaluated on its gains;
-    every scenario draws from its own stream with the chunk's key. SIC
-    roles go by ascending gain, ties to the nominal far user.
+    ``points`` holds each grid point's ``_point_groups`` result and its
+    targets. Every scenario group draws its gains once, from its own
+    stream with the chunk's key, on the first point's scenario (the swept
+    target or power does not enter the gains), and every point evaluates
+    its schemes on them. SIC roles go by ascending gain, ties to the
+    nominal far user.
     """
-    sums = {}
-    for cfg, schemes in groups:
-        g = _chunk_gains(cfg, _chunk_rng(master_seed, domain, point, chunk), n)
+    gains = []
+    for cfg, _ in points[0][0]:
+        g = _chunk_gains(cfg, _chunk_rng(master_seed, domain, chunk), n)
         swap = g[FAR] > g[NEAR]
         g_far = np.where(swap, g[NEAR], g[FAR])
-        g_near = np.where(swap, g[FAR], g[NEAR])
         if not np.all(np.isfinite(g_far)):
             raise ValueError("far_gain must be finite")
-        for scheme in schemes:
-            sums[scheme] = _scheme_sums(scheme, g_far, g_near, targets, cfg)
-    return sums
+        gains.append((g_far, np.where(swap, g[FAR], g[NEAR])))
+    return [{scheme: _scheme_sums(scheme, g_far, g_near, targets, cfg)
+             for (cfg, schemes), (g_far, g_near) in zip(groups, gains)
+             for scheme in schemes}
+            for groups, targets in points]
 
 
 def _point_groups(cfg: ScenarioConfig, schemes: tuple, targets: tuple) -> tuple:
@@ -230,41 +235,33 @@ def _point_stats(parts: list, t: int) -> dict:
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult:
-    sizes = _chunk_sizes(cfg.trials)
-    tasks = []
-    for point, value in enumerate(spec.grid):
+    points = []
+    for value in spec.grid:
         if domain == _DOMAIN_OUTAGE:
             point_cfg = cfg
             targets = (float(value), float(value))
         else:
             point_cfg = cfg.replace(tx_power_dbm=float(value))
             targets = (cfg.target_rate, cfg.target_rate)
-        groups = _point_groups(point_cfg, spec.schemes, targets)
-        tasks += [(groups, targets, spec.master_seed, domain, point, ci, n)
-                  for ci, n in enumerate(sizes)]
+        points.append((_point_groups(point_cfg, spec.schemes, targets), targets))
+    tasks = [(tuple(points), spec.master_seed, domain, ci, n)
+             for ci, n in enumerate(_chunk_sizes(cfg.trials))]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
-            parts = list(executor.map(_run_chunk, *zip(*tasks), chunksize=4))
+            parts = list(executor.map(_run_chunk, *zip(*tasks), chunksize=1))
         finally:
             # also on KeyboardInterrupt: drop the queued chunks
             executor.shutdown(cancel_futures=True)
     else:
         parts = [_run_chunk(*t) for t in tasks]
-    per_point = len(sizes)
-    series = {s: {k: [] for k in ("near_outage", "near_outage_stderr",
-                                  "far_outage", "far_outage_stderr",
-                                  "sum_rate", "sum_rate_stderr")}
-              for s in spec.schemes}
-    for point in range(len(spec.grid)):
-        chunks = parts[point * per_point:(point + 1) * per_point]
-        for scheme in spec.schemes:
-            stats = _point_stats([c[scheme] for c in chunks], cfg.trials)
-            for key, val in stats.items():
-                series[scheme][key].append(val)
-    series = {s: {k: np.asarray(v) for k, v in d.items()} for s, d in series.items()}
+    series = {}
+    for scheme in spec.schemes:
+        stats = [_point_stats([c[point][scheme] for c in parts], cfg.trials)
+                 for point in range(len(spec.grid))]
+        series[scheme] = {k: np.asarray([st[k] for st in stats]) for k in stats[0]}
     return SweepResult(grid=tuple(spec.grid),
                        schemes=tuple(spec.schemes), series=series,
                        scenario=cfg.as_dict(), seed=spec.master_seed)

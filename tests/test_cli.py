@@ -197,9 +197,10 @@ def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys)
     # every pool worker exits as it starts, which breaks the pool
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
-    # two grid points give two tasks, so the sweep still uses the pool
+    # two chunks give two tasks, so the sweep still uses the pool
     rc = main(["outage", "--config", small_config, "--grid", "1:2:1",
-               "--workers", "2", "--out", str(tmp_path / "run")])
+               "--trials", "1100", "--workers", "2",
+               "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "worker pool failed" in capsys.readouterr().err
 

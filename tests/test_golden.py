@@ -11,10 +11,14 @@ Each scenario in ``tests/golden/<name>.ini`` has an ``outage.csv`` and a
 
 on the default grids. 2560 trials are two full chunks and a partial one.
 The scenarios cover Nakagami m in {0.5, 1, 3} with the 200-element
-surface, m = 1 without the surface and m = 1 without fading. Any change
-to these files must be deliberate and explained.
+surface, m = 1 without the surface, m = 1 without fading and m = 1 with
+the surface's zero phase profile (the one that raises the mean SNR).
+Every ``.ini`` file in ``tests/golden/`` is a scenario, so adding one
+is its ``.ini`` and its two CSVs. Any change to these files must be
+deliberate and explained.
 """
 
+import glob
 import os
 
 import pytest
@@ -22,7 +26,8 @@ import pytest
 from thznoma.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-SCENARIOS = ("m0.5", "m1", "m3", "m1-no-ris", "m1-no-fading")
+SCENARIOS = sorted(os.path.basename(p)[:-len(".ini")]
+                   for p in glob.glob(os.path.join(GOLDEN, "*.ini")))
 RUNS = {
     "outage": ["--schemes", "fixed,fair,improved-fair", "--workers", "1"],
     "sumrate": ["--workers", "2"],
