@@ -16,6 +16,11 @@ the surface's zero phase profile (the one that raises the mean SNR).
 Every ``.ini`` file in ``tests/golden/`` is a scenario, so adding one
 is its ``.ini`` and its two CSVs. Any change to these files must be
 deliberate and explained.
+
+``tests/golden/print-config/<name>.txt`` holds the ``thznoma
+print-config`` output of each scenario, and ``default.txt`` that of the
+default scenario (no ``--config``), so the INI grammar and the rendering
+of every field type stay fixed.
 """
 
 import glob
@@ -47,3 +52,14 @@ def test_cli_reproduces_golden_csv(tmp_path, scenario, command):
     with open(os.path.join(GOLDEN, scenario, f"{command}.csv"), "rb") as fh:
         want = fh.read()
     assert got == want
+
+
+@pytest.mark.parametrize("scenario", ["default"] + SCENARIOS)
+def test_print_config_is_pinned(scenario, capsys):
+    config = [] if scenario == "default" else [
+        "--config", os.path.join(GOLDEN, f"{scenario}.ini")]
+    assert main(["print-config"] + config) == 0
+    with open(os.path.join(GOLDEN, "print-config", f"{scenario}.txt"),
+              encoding="utf-8", newline="") as fh:
+        want = fh.read()
+    assert capsys.readouterr().out == want
