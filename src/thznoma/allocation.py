@@ -11,8 +11,6 @@ target is reachable at the far user's gain ||H_m||^2.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 FIXED = "fixed"
@@ -69,34 +67,3 @@ def allocate(scheme: str, far_gain, tx_power_w: float, noise_power_w: float,
         return float(alpha), bool(feasible)
     return alpha, feasible
 
-
-def fair_pa_iterative(far_gain: float, tx_power_w: float, noise_power_w: float,
-                      target_rate: float, improved: bool = False,
-                      escalation: float = 1.01, max_iter: int = 1000) -> tuple:
-    """Pseudocode-shaped evaluation of the fair schemes, for conformance tests.
-
-    The published loop recomputes the closed-form coefficient, clips it,
-    evaluates the achieved far rate and escalates the target SINR whenever
-    the rate falls short. Escalation only ever fires on the clipped branch,
-    where it cannot help, so the loop lands exactly where the closed form
-    does; this implementation exists to demonstrate that.
-    """
-    p, s2, g = tx_power_w, noise_power_w, far_gain
-    xi = target_sinr(target_rate)
-    for _ in range(max_iter):
-        denom = p * (1.0 + xi) * g
-        raw = math.inf if denom == 0.0 else xi * (p * g + s2) / denom
-        if raw > 1.0:
-            if improved:
-                return 0.0, False
-            alpha_m, alpha_n = 1.0, 0.0
-        else:
-            alpha_m, alpha_n = raw, 1.0 - raw
-        achieved = math.log2(1.0 + p * alpha_m * g / (p * g * alpha_n + s2))
-        # the feasible branch meets the target identically in exact math;
-        # allow float rounding of the re-evaluated rate
-        if achieved >= target_rate - 1e-9 or xi == 0.0:
-            return alpha_m, raw <= 1.0
-        xi *= escalation
-    # only reachable on the clipped basic-fair branch
-    return 1.0, False

@@ -24,11 +24,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, allocation
-from .allocation import FAIR, IMPROVED, allocate, fair_pa_iterative
+from .allocation import FAIR, IMPROVED, allocate
 from .config import ConfigError, ScenarioConfig, parse_config, render_config
 from .ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
                          run_outage_sweep, run_sumrate_sweep)
+from .noma import capacity, sinr
 
 _DEFAULT_SEED = 12345
 _OUTAGE_GRID = "0.5:6:0.5"
@@ -70,6 +71,8 @@ def _load_scenario(args) -> ScenarioConfig:
         overrides["trials"] = args.trials
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
+    if args.seed < 0:
+        raise ConfigError("seed", "an integer >= 0", args.seed)
     return parse_config(args.config, overrides)
 
 
@@ -102,53 +105,35 @@ def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig, seed: int,
     }
     path = os.path.join(out_dir, f"{command}_manifest.json")
     _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
 
 
-def _cmd_outage(args) -> int:
+def _cmd_sweep(args) -> int:
+    """``outage`` or ``sumrate``, by ``args.command``: sweep, write CSV and manifest."""
     cfg = _load_scenario(args)
-    schemes = _parse_schemes(args.schemes, allocation.SCHEMES) \
-        if args.schemes else OUTAGE_SCHEMES
+    if args.command == "outage":
+        allowed, default, sweep = allocation.SCHEMES, OUTAGE_SCHEMES, run_outage_sweep
+        header = "target_rate,scheme,user,outage,stderr"
+        columns = ((["far"], "far_outage"), (["near"], "near_outage"))
+    else:
+        allowed, default, sweep = SUMRATE_SCHEMES, SUMRATE_SCHEMES, run_sumrate_sweep
+        header = "tx_power_dbm,scheme,sum_rate,stderr"
+        columns = (([], "sum_rate"),)
+    schemes = _parse_schemes(args.schemes, allowed) if args.schemes else default
     spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
                      master_seed=args.seed)
-    result = run_outage_sweep(spec, cfg)
-    lines = ["target_rate,scheme,user,outage,stderr"]
-    for i, rate in enumerate(result.grid):
+    result = sweep(spec, cfg)
+    lines = [header]
+    for i, value in enumerate(result.grid):
         for scheme in result.schemes:
             s = result.series[scheme]
-            lines.append(",".join([_fmt(rate), scheme, "far",
-                                   _fmt(s["far_outage"][i]),
-                                   _fmt(s["far_outage_stderr"][i])]))
-            lines.append(",".join([_fmt(rate), scheme, "near",
-                                   _fmt(s["near_outage"][i]),
-                                   _fmt(s["near_outage_stderr"][i])]))
+            for label, key in columns:
+                lines.append(",".join([_fmt(value), scheme, *label, _fmt(s[key][i]),
+                                       _fmt(s[f"{key}_stderr"][i])]))
+    name = f"{args.command}.csv"
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "outage.csv")
+    csv_path = os.path.join(args.out, name)
     _write_atomic(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(args.out, "outage", cfg, args.seed, ["outage.csv"])
-    print(f"wrote {csv_path} ({len(result.grid)} grid points, "
-          f"{cfg.trials} trials/point)")
-    return 0
-
-
-def _cmd_sumrate(args) -> int:
-    cfg = _load_scenario(args)
-    schemes = _parse_schemes(args.schemes, SUMRATE_SCHEMES) \
-        if args.schemes else SUMRATE_SCHEMES
-    spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
-                     master_seed=args.seed)
-    result = run_sumrate_sweep(spec, cfg)
-    lines = ["tx_power_dbm,scheme,sum_rate,stderr"]
-    for i, dbm in enumerate(result.grid):
-        for scheme in result.schemes:
-            s = result.series[scheme]
-            lines.append(",".join([_fmt(dbm), scheme,
-                                   _fmt(s["sum_rate"][i]),
-                                   _fmt(s["sum_rate_stderr"][i])]))
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "sumrate.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(args.out, "sumrate", cfg, args.seed, ["sumrate.csv"])
+    _write_manifest(args.out, args.command, cfg, args.seed, [name])
     print(f"wrote {csv_path} ({len(result.grid)} grid points, "
           f"{cfg.trials} trials/point)")
     return 0
@@ -183,22 +168,24 @@ def _cmd_validate(args) -> int:
                   f"{'ok' if ok else 'FAIL'}")
 
     print("power allocation conformance")
+    p, s2 = cfg.tx_power_w, cfg.noise_power_w
     worst = 0.0
     for _ in range(2000):
         gain = float(10.0 ** rng.uniform(-16, -10))
         rate = float(rng.uniform(0.0, 6.0))
-        link = (gain, cfg.tx_power_w, cfg.noise_power_w, rate)
-        alpha, feasible = allocate(FAIR, *link)
-        alpha_imp = allocate(IMPROVED, *link)[0]
-        worst = max(worst, abs(alpha - fair_pa_iterative(*link)[0]),
-                    abs(alpha_imp - fair_pa_iterative(*link, improved=True)[0]))
+        alpha, feasible = allocate(FAIR, gain, p, s2, rate)
+        alpha_imp = allocate(IMPROVED, gain, p, s2, rate)[0]
+        if feasible:
+            # the fair share solves the rate equation: the far user gets R_m
+            achieved = capacity(sinr(gain, alpha, 1.0 - alpha, p, s2))
+            worst = max(worst, abs(achieved - rate))
         agree = alpha == alpha_imp if feasible else (alpha, alpha_imp) == (1.0, 0.0)
         if not agree:
             failures += 1
             print(f"  branch disagreement at gain {gain:g} rate {rate:g}")
     ok = worst <= 1e-9
     failures += not ok
-    print(f"  pseudocode-loop worst deviation {worst:.3g} {'ok' if ok else 'FAIL'}")
+    print(f"  fair far-rate worst deviation {worst:.3g} {'ok' if ok else 'FAIL'}")
 
     if failures:
         print(f"validation FAILED ({failures} violations)")
@@ -236,11 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_out = sub.add_parser("outage", help="outage vs far-user target rate")
     common(p_out, _OUTAGE_GRID)
-    p_out.set_defaults(func=_cmd_outage)
+    p_out.set_defaults(func=_cmd_sweep)
 
     p_sum = sub.add_parser("sumrate", help="sum rate vs transmit power (dBm)")
     common(p_sum, _SUMRATE_GRID)
-    p_sum.set_defaults(func=_cmd_sumrate)
+    p_sum.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="numerical self-checks")
     common(p_val, None)

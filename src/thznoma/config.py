@@ -115,6 +115,8 @@ _POSITIVE = (
     "ris_user_distance_near", "bs_ris_distance", "baseline_frequency_hz",
 )
 _NONNEGATIVE = ("absorption_coeff", "pointing_error_m", "target_rate")
+_INT_MINIMUM = {"bs_antennas": 1, "user_antennas": 1, "ris_elements": 0,
+                "ris_phase_seed": 0, "ray_count": 1, "trials": 1, "workers": 1}
 
 
 def _validate(cfg: ScenarioConfig):
@@ -126,28 +128,26 @@ def _validate(cfg: ScenarioConfig):
         v = getattr(cfg, name)
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
             raise ConfigError(name, "a finite value >= 0", v)
-    if not (isinstance(cfg.bs_antennas, int) and cfg.bs_antennas >= 1):
-        raise ConfigError("bs_antennas", "an integer >= 1", cfg.bs_antennas)
-    if not (isinstance(cfg.user_antennas, int) and cfg.user_antennas >= 1):
-        raise ConfigError("user_antennas", "an integer >= 1", cfg.user_antennas)
-    if not (isinstance(cfg.ris_elements, int) and cfg.ris_elements >= 0):
-        raise ConfigError("ris_elements", "an integer >= 0", cfg.ris_elements)
+    for name, low in _INT_MINIMUM.items():
+        v = getattr(cfg, name)
+        if not (isinstance(v, int) and v >= low):
+            raise ConfigError(name, f"an integer >= {low}", v)
     if not (0.0 <= cfg.ris_reflection <= 1.0):
         raise ConfigError("ris_reflection", "a value in [0, 1]", cfg.ris_reflection)
     if cfg.ris_phase_mode not in ("random", "zero"):
         raise ConfigError("ris_phase_mode", "'random' or 'zero'", cfg.ris_phase_mode)
-    if not (isinstance(cfg.ray_count, int) and cfg.ray_count >= 1):
-        raise ConfigError("ray_count", "an integer >= 1", cfg.ray_count)
     if len(cfg.nlos_gains) != cfg.ray_count - 1:
         raise ConfigError("nlos_gains", f"length ray_count-1 = {cfg.ray_count - 1}",
                           list(cfg.nlos_gains))
     if len(cfg.nlos_delays) != cfg.ray_count - 1:
         raise ConfigError("nlos_delays", f"length ray_count-1 = {cfg.ray_count - 1}",
                           list(cfg.nlos_delays))
-    if any(d < 0 for d in cfg.nlos_delays):
-        raise ConfigError("nlos_delays", "all delays >= 0", list(cfg.nlos_delays))
-    if not cfg.shape_m >= 0.5:
-        raise ConfigError("shape_m", "a value >= 0.5", cfg.shape_m)
+    if not all(map(math.isfinite, cfg.nlos_gains)):
+        raise ConfigError("nlos_gains", "finite gains", list(cfg.nlos_gains))
+    if not all(math.isfinite(d) and d >= 0 for d in cfg.nlos_delays):
+        raise ConfigError("nlos_delays", "finite delays >= 0", list(cfg.nlos_delays))
+    if not (math.isfinite(cfg.shape_m) and cfg.shape_m >= 0.5):
+        raise ConfigError("shape_m", "a finite value >= 0.5", cfg.shape_m)
     if not math.isfinite(cfg.tx_power_dbm):
         raise ConfigError("tx_power_dbm", "a finite value", cfg.tx_power_dbm)
     if cfg.noise_power_dbm is not None and not math.isfinite(cfg.noise_power_dbm):
@@ -165,10 +165,6 @@ def _validate(cfg: ScenarioConfig):
             raise ConfigError(name, f"a value giving a finite {watts}", getattr(cfg, name))
     if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
         raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
-    if not (isinstance(cfg.trials, int) and cfg.trials >= 1):
-        raise ConfigError("trials", "an integer >= 1", cfg.trials)
-    if not (isinstance(cfg.workers, int) and cfg.workers >= 1):
-        raise ConfigError("workers", "an integer >= 1", cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +259,30 @@ _SECTION_FIELDS = {
     ),
 }
 
-_INT_FIELDS = {"bs_antennas", "user_antennas", "ris_elements", "ris_phase_seed",
-               "ray_count", "trials", "workers"}
-_BOOL_FIELDS = {"fading_enabled", "freespace_baseline"}
-_STR_FIELDS = {"ris_phase_mode"}
-_SEQ_FIELDS = {"nlos_gains", "nlos_delays"}
+# annotation strings: "float", "int", "bool", "str", "tuple" or "float | None"
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()
+    kind = _FIELD_TYPES[name]
     try:
-        if name in _STR_FIELDS:
+        if kind == "str":
             return raw
-        if name in _BOOL_FIELDS:
+        if kind == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError("not a boolean")
-        if name in _SEQ_FIELDS:
+        if kind == "tuple":
             if not raw:
                 return ()
             return tuple(float(part) for part in raw.split(","))
-        if name in _INT_FIELDS:
+        if kind == "int":
             return int(raw)
-        if name == "noise_power_dbm" and raw.lower() in ("", "none"):
+        if kind == "float | None" and raw.lower() in ("", "none"):
             return None
         return float(raw)
     except ValueError as exc:

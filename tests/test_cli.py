@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from thznoma import montecarlo
+from thznoma import cli, montecarlo
 from thznoma.cli import _parse_grid, _parse_schemes, main
 from thznoma.config import ConfigError, ScenarioConfig, parse_config
 
@@ -171,6 +171,15 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["outage", "--config", str(nan_noise)]) == 1
     assert "noise_figure_db" in capsys.readouterr().err
     assert main(["print-config", "--config", str(tmp_path / "missing.ini")]) == 1
+    # a non-finite channel field is named before any channel is built
+    inf_shape = tmp_path / "inf.ini"
+    inf_shape.write_text("[channel]\nshape_m = inf\n", encoding="utf-8")
+    assert main(["outage", "--config", str(inf_shape), "--grid", "1",
+                 "--trials", "10", "--out", str(tmp_path)]) == 1
+    assert "shape_m" in capsys.readouterr().err
+    for command in ("outage", "sumrate", "validate"):
+        assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert "config error: config field 'seed'" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):
@@ -205,12 +214,36 @@ def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys)
     assert "worker pool failed" in capsys.readouterr().err
 
 
+def _rate_check_line(out):
+    (line,) = [x for x in out.splitlines() if "fair far-rate worst deviation" in x]
+    return line
+
+
 def test_validate_passes_and_reports(tmp_path, small_config, capsys):
     rc = main(["validate", "--config", small_config, "--seed", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
     assert "SE" in out  # per-case margins are reported
+    assert _rate_check_line(out).endswith(" ok")
+
+
+def test_validate_fails_when_fair_share_misses_the_target(small_config, monkeypatch,
+                                                          capsys):
+    # both fair schemes get the same perturbed share, so the branches still
+    # agree and only the far-rate check can fail
+    allocate = cli.allocate
+
+    def perturbed(*args):
+        alpha, feasible = allocate(*args)
+        return (alpha * (1.0 + 1e-6) if feasible else alpha), feasible
+
+    monkeypatch.setattr(cli, "allocate", perturbed)
+    rc = main(["validate", "--config", small_config, "--seed", "2"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "branch disagreement" not in out
+    assert _rate_check_line(out).endswith(" FAIL")
 
 
 def test_validate_exit_code_on_impossible_tolerance(small_config, capsys):

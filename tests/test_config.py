@@ -45,6 +45,8 @@ def test_noise_override_wins():
     ("ris_phase_mode", "fancy"),
     ("ray_count", 0),
     ("shape_m", 0.3),
+    ("shape_m", math.inf),
+    ("ris_phase_seed", -1),
     ("fixed_alpha_far", 1.2),
     ("trials", 0),
     ("workers", 0),
@@ -65,6 +67,18 @@ def test_nlos_lengths_must_match_ray_count():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig(ray_count=4, nlos_gains=(0.2, 0.1), nlos_delays=(1e-11, 2e-11))
     assert err.value.field_name == "nlos_gains"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("nlos_gains", (math.nan, 0.18, 0.12)),
+    ("nlos_gains", (0.25, math.inf, 0.12)),
+    ("nlos_delays", (1.3e-11, math.inf, 4.7e-11)),
+    ("nlos_delays", (math.nan, 2.9e-11, 4.7e-11)),
+])
+def test_nlos_values_must_be_finite(field, value):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**{field: value})
+    assert err.value.field_name == field
 
 
 def test_ris_free_scenario_is_accepted():
