@@ -50,31 +50,72 @@ def _report(num: int, ok: bool, detail: str):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def test_criterion_1_closed_form_matches_oracle():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(SEED_ORACLE)
+def _criterion_1_links(rng):
+    """Criterion 1's 120 links: 20 covariances drawn from rng first, then
+    each with alpha_m in {0.6, 0.8} and SNR in {0, 10, 20} dB."""
     covs = []
     for _ in range(20):
         dim = int(rng.integers(2, 9))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         r = a @ a.conj().T
         covs.append(r * (dim / np.trace(r).real))
-    worst = 0.0
-    cases = 0
+    links = []
     for cov in covs:
         for alpha in (0.6, 0.8):
             for snr_db in (0.0, 10.0, 20.0):
                 p = 10.0 ** (snr_db / 10.0)
-                link = (cov, p * alpha, p * (1.0 - alpha), 1.0)
-                closed = closed_form_capacity(*link)
-                mc, se = ergodic_capacity_mc_oracle(*link, 1_000_000, rng)
-                worst = max(worst, abs(closed - mc) / se)
-                cases += 1
+                links.append((cov, p * alpha, p * (1.0 - alpha), 1.0))
+    return links
+
+
+def test_criterion_1_closed_form_matches_oracle():
+    """The worst of 120 independent margins is held to 3 SE, so correct
+    code fails on some seeds: over seeds 1-20, seeds 6, 11 and 16 fail
+    (3.33, 3.09 and 3.72 SE), about 15%. Seed 1 passes at 2.51 SE.
+    `test_closed_form_matches_quadrature` is the deterministic counterpart
+    on the same 120 links."""
+    t0 = time.monotonic()
+    rng = np.random.default_rng(SEED_ORACLE)
+    worst = 0.0
+    cases = 0
+    for link in _criterion_1_links(rng):
+        closed = closed_form_capacity(*link)
+        mc, se = ergodic_capacity_mc_oracle(*link, 1_000_000, rng)
+        worst = max(worst, abs(closed - mc) / se)
+        cases += 1
     elapsed = time.monotonic() - t0
     ok = worst <= 3.0 and cases == 120 and elapsed < 300.0
     _report(1, ok, f"{cases} cases, worst margin {worst:.2f} SE, {elapsed:.0f} s")
     assert worst <= 3.0, f"worst oracle disagreement {worst:.2f} SE"
     assert elapsed < 300.0
+
+
+def _mgf_gap_quadrature(a, b) -> float:
+    """int_0^inf (M_b(s) - M_a(s)) e^(-s) / s ds by adaptive quadrature,
+    split at s = 1, with M_c(s) = prod_i (1 + c_i s)^(-1)."""
+    def integrand(s):
+        return (np.prod(1.0 / (1.0 + b * s))
+                - np.prod(1.0 / (1.0 + a * s))) * math.exp(-s) / s
+    head = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0]
+    tail = integrate.quad(integrand, 1.0, math.inf, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0]
+    return head + tail
+
+
+def test_closed_form_matches_quadrature():
+    """Criterion 1's 120 links, checked without sampling: the closed form
+    against scipy's adaptive quadrature of the same MGF integral."""
+    worst = 0.0
+    for cov, signal, interference, noise in _criterion_1_links(
+            np.random.default_rng(SEED_ORACLE)):
+        w = np.linalg.eigvalsh(cov)
+        a = (signal + interference) / noise * w
+        b = interference / noise * w
+        exact = _mgf_gap_quadrature(a, b) / math.log(2.0)
+        closed = closed_form_capacity(cov, signal, interference, noise)
+        worst = max(worst, abs(closed - exact) / exact)
+    assert worst <= 1e-10, f"worst relative difference {worst:.2e}"
 
 
 def test_criterion_2_fair_pa_exactness():

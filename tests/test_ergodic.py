@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
+from thznoma import ergodic
 from thznoma.ergodic import (_eigh, closed_form_capacity, e1_scaled,
                              ergodic_capacity_mc_oracle, exp_integral_e1)
 
@@ -145,6 +146,52 @@ def test_closed_form_vs_oracle_high_dimension(dim, trials):
     mc, se = ergodic_capacity_mc_oracle(*link, trials, rng)
     assert se > 0
     assert abs(closed - mc) < 4 * se
+
+
+class _Log2Recorder:
+    """Stands in for numpy in `ergodic` and keeps every log2 argument."""
+
+    def __init__(self):
+        self.args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log2(self, v):
+        self.args.append(np.array(v))
+        return np.log2(v)
+
+
+def _complex_gaussian_norm_sq(r, n, rng):
+    # reference law: ||R^(1/2) zbar||^2, zbar ~ CN(0, I), R^(1/2) from eigh
+    w, u = np.linalg.eigh(r)
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    out = []
+    for m in np.diff(np.linspace(0, n, 11).astype(int)):
+        shape = (m, w.size)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = (z * math.sqrt(0.5)) @ root.T
+        out.append(np.sum(h.real ** 2 + h.imag ** 2, axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("dim", [4, 64])
+def test_oracle_draw_has_the_complex_gaussian_law(dim, monkeypatch):
+    # with signal 1, no interference and unit noise the SINR is X itself,
+    # so the oracle's draws of X = ||h||^2 are its log2 arguments minus 1
+    rng = np.random.default_rng(100 + dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    r = a @ a.conj().T
+    r *= dim / np.trace(r).real
+    n = 200_000
+    recorder = _Log2Recorder()
+    monkeypatch.setattr(ergodic, "np", recorder)
+    ergodic_capacity_mc_oracle(r, 1.0, 0.0, 1.0, n, rng)
+    x = np.concatenate(recorder.args) - 1.0
+    assert x.size == n
+    ref = _complex_gaussian_norm_sq(r, n, rng)
+    assert stats.ks_2samp(x, ref).pvalue > 1e-3
+    assert abs(x.mean() - np.trace(r).real) < 4 * x.std() / math.sqrt(n)
 
 
 def test_near_degenerate_cluster_is_stable():
