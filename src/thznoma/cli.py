@@ -121,11 +121,11 @@ def _cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes, allowed) if args.schemes else default
     spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
                      master_seed=args.seed)
-    result = sweep(spec, cfg)
+    series = sweep(spec, cfg)
     lines = [header]
-    for i, value in enumerate(result.grid):
-        for scheme in result.schemes:
-            s = result.series[scheme]
+    for i, value in enumerate(spec.grid):
+        for scheme in spec.schemes:
+            s = series[scheme]
             for label, key in columns:
                 lines.append(",".join([_fmt(value), scheme, *label, _fmt(s[key][i]),
                                        _fmt(s[f"{key}_stderr"][i])]))
@@ -134,7 +134,7 @@ def _cmd_sweep(args) -> int:
     csv_path = os.path.join(args.out, name)
     _write_atomic(csv_path, "\n".join(lines) + "\n")
     _write_manifest(args.out, args.command, cfg, args.seed, [name])
-    print(f"wrote {csv_path} ({len(result.grid)} grid points, "
+    print(f"wrote {csv_path} ({len(spec.grid)} grid points, "
           f"{cfg.trials} trials/point)")
     return 0
 

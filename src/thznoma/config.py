@@ -67,7 +67,7 @@ class ScenarioConfig:
     noise_power_dbm: float | None = None  # overrides the thermal formula when set
     # NOMA
     fixed_alpha_far: float = 0.8          # fixed-PA far-user coefficient
-    target_rate: float = 0.5              # R_m for sum-rate sweeps, bits/s/Hz
+    target_rate: float = 0.5              # R_m = R_n of every point; `outage` sweeps it
     # Monte Carlo
     trials: int = 100000
     workers: int = 1
@@ -163,6 +163,14 @@ def _validate(cfg: ScenarioConfig):
             finite = False
         if not finite:
             raise ConfigError(name, f"a value giving a finite {watts}", getattr(cfg, name))
+    # and below about -3206 dBm the noise power underflows to 0 W
+    if not cfg.noise_power_w > 0:
+        raise ConfigError(noise_field, "a value giving noise_power_w > 0",
+                          getattr(cfg, noise_field))
+    # the target SINR 2^R - 1 overflows a float from R = 1024 on
+    if cfg.target_rate >= 1024:
+        raise ConfigError("target_rate", "a value < 1024 (a finite 2^R - 1)",
+                          cfg.target_rate)
     if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
         raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
 

@@ -67,9 +67,9 @@ def exp_integral_e1(x):
     return out.reshape(arr.shape)
 
 
-def _eigh(cov, signal_w: float, interference_w: float,
-          noise_power_w: float) -> tuple:
-    """Check one link's inputs; return the eigen-decomposition (w, u) of cov.
+def _spectrum(cov, signal_w: float, interference_w: float,
+              noise_power_w: float) -> np.ndarray:
+    """Check one link's inputs; return the ascending spectrum w of cov.
 
     cov must be square, Hermitian and PSD within 1e-12 relative (w is
     clamped at 0); powers finite, signal and interference >= 0, noise > 0.
@@ -84,10 +84,10 @@ def _eigh(cov, signal_w: float, interference_w: float,
     scale = max(float(np.abs(r).max(initial=0.0)), 1.0)
     if np.abs(r - r.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("covariance is not Hermitian within 1e-12")
-    w, u = np.linalg.eigh(r)
+    w = np.linalg.eigvalsh(r)
     if w.min(initial=0.0) < -1e-12 * max(float(w.max(initial=0.0)), 1.0):
         raise ValueError("covariance has a negative eigenvalue beyond tolerance")
-    return np.clip(w, 0.0, None), u
+    return np.clip(w, 0.0, None)
 
 
 def closed_form_capacity(cov, signal_w: float, interference_w: float,
@@ -96,7 +96,7 @@ def closed_form_capacity(cov, signal_w: float, interference_w: float,
 
     X = ||h||^2, h ~ CN(0, cov). The integrand is >= 0, and so is the result.
     """
-    w, _ = _eigh(cov, signal_w, interference_w, noise_power_w)
+    w = _spectrum(cov, signal_w, interference_w, noise_power_w)
     a = (signal_w + interference_w) / noise_power_w * w
     b = interference_w / noise_power_w * w
     return _log_moment_gap(a, b) / math.log(2.0)
@@ -114,7 +114,7 @@ def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    w, _ = _eigh(cov, signal_w, interference_w, noise_power_w)
+    w = _spectrum(cov, signal_w, interference_w, noise_power_w)
     if not np.any(w > 0):
         return 0.0, 0.0
     total = 0.0

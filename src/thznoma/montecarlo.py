@@ -1,9 +1,11 @@
 """Monte Carlo outage and sum-rate sweeps.
 
-Trials are partitioned into fixed-size chunks; every chunk owns an RNG
-stream spawned from the master seed by (domain, 0, chunk) key, so results
-are identical for any worker count and workers only decide which chunks
-run where. Neither the target rate nor the transmit power enters the
+Every grid point is a ScenarioConfig: the sweep's scenario with one field
+replaced, the target rate R_m = R_n for ``outage`` and the transmit power
+for ``sumrate``. Trials are partitioned into fixed-size chunks; every
+chunk owns an RNG stream spawned from the master seed by (domain, 0,
+chunk) key, so results are identical for any worker count and workers
+only decide which chunks run where. Neither swept field enters the
 channel, so a chunk draws its gains once and every grid point and scheme
 is evaluated on them (common random numbers): each point's estimate is
 still its own marginal one, while differences between points and between
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import allocation
 from .channel import direct_channel_matrix, ris_channel_matrix, sample_nakagami
-from .config import FAR, NEAR, ScenarioConfig
+from .config import FAR, NEAR, ConfigError, ScenarioConfig
 from .noma import capacity, channel_gain, outage_indicators, sinr
 
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
@@ -56,24 +58,16 @@ class SweepSpec:
 
     def __post_init__(self):
         if len(self.grid) == 0:
-            raise ValueError("sweep grid is empty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
+            raise ConfigError("grid", "at least one point", self.grid)
+        for a, b in zip(self.grid, self.grid[1:]):
+            # a float grid can collapse: 1e16 + 1 == 1e16
+            if b <= a:
+                raise ConfigError("grid", "strictly increasing points", (a, b))
         if len(self.schemes) == 0:
-            raise ValueError("no schemes selected")
+            raise ConfigError("schemes", "at least one scheme", self.schemes)
         for s in self.schemes:
             if s not in allocation.SCHEMES and s != "baseline":
-                raise ValueError(f"unknown scheme {s!r}")
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    grid: tuple
-    schemes: tuple
-    # per scheme: {"near_outage", "far_outage", "sum_rate", and "*_stderr"}
-    series: dict
-    scenario: dict
-    seed: int
+                raise ConfigError("schemes", "known scheme names", s)
 
 
 def non_ris_non_thz_baseline(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -139,28 +133,29 @@ def _chunk_gains(cfg: ScenarioConfig, rng: np.random.Generator,
 
 
 def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
-                 targets: tuple, cfg: ScenarioConfig) -> tuple:
+                 cfg: ScenarioConfig) -> tuple:
     """(near_count, far_count, rate_sum, rate_sumsq) of one scheme.
 
-    Power is allocated per the scheme from the far user's instantaneous
-    gain. On the feasible fair branch the far capacity is R_m identically
-    (the coefficient is the exact solution of the rate equation), so that
-    value is used directly rather than re-rounded through the SINR chain;
-    the far outage event is then exactly the infeasibility event.
+    Both users' target is cfg.target_rate. Power is allocated per the
+    scheme from the far user's instantaneous gain. On the feasible fair
+    branch the far capacity is R_m identically (the coefficient is the
+    exact solution of the rate equation), so that value is used directly
+    rather than re-rounded through the SINR chain; the far outage event is
+    then exactly the infeasibility event.
     """
-    target_far, target_near = targets
+    target = cfg.target_rate
     p, s2 = cfg.tx_power_w, cfg.noise_power_w
     # the baseline link is allocated like fair
     a_far, feasible = allocation.allocate(
         allocation.FAIR if scheme == "baseline" else scheme, g_far, p, s2,
-        target_far, cfg.fixed_alpha_far)
+        target, cfg.fixed_alpha_far)
     a_near = 1.0 - a_far
-    c_far = np.where(feasible & (scheme != allocation.FIXED), target_far,
+    c_far = np.where(feasible & (scheme != allocation.FIXED), target,
                      capacity(sinr(g_far, a_far, a_near, p, s2)))
     c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
     c_near = capacity(sinr(g_near, a_near, 0.0, p, s2))
-    near, far = outage_indicators(c_cross, c_near, c_far, target_far,
-                                  target_near, a_far)
+    near, far = outage_indicators(c_cross, c_near, c_far, target, target,
+                                  a_far)
     rate = c_far + c_near
     return (int(np.count_nonzero(near)), int(np.count_nonzero(far)),
             float(np.add.accumulate(rate)[-1]),
@@ -171,39 +166,28 @@ def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
                n: int) -> list:
     """One {scheme: (near_count, far_count, rate_sum, rate_sumsq)} per point.
 
-    ``points`` holds each grid point's ``_point_groups`` result and its
-    targets. Every scenario group draws its gains once, from its own
-    stream with the chunk's key, on the first point's scenario (the swept
-    target or power does not enter the gains), and every point evaluates
-    its schemes on them. SIC roles go by ascending gain, ties to the
-    nominal far user.
+    ``points`` holds each grid point's ``_point_groups`` result. Every
+    scenario group draws its gains once, from its own stream with the
+    chunk's key, on the first point's scenario (the swept target or power
+    does not enter the gains), and every point evaluates its schemes on
+    them. SIC roles go by ascending gain, ties to the nominal far user.
     """
     gains = []
-    for cfg, _ in points[0][0]:
+    for cfg, _ in points[0]:
         g = _chunk_gains(cfg, _chunk_rng(master_seed, domain, chunk), n)
         swap = g[FAR] > g[NEAR]
         g_far = np.where(swap, g[NEAR], g[FAR])
         if not np.all(np.isfinite(g_far)):
             raise ValueError("far_gain must be finite")
         gains.append((g_far, np.where(swap, g[FAR], g[NEAR])))
-    return [{scheme: _scheme_sums(scheme, g_far, g_near, targets, cfg)
+    return [{scheme: _scheme_sums(scheme, g_far, g_near, cfg)
              for (cfg, schemes), (g_far, g_near) in zip(groups, gains)
              for scheme in schemes}
-            for groups, targets in points]
+            for groups in points]
 
 
-def _point_groups(cfg: ScenarioConfig, schemes: tuple, targets: tuple) -> tuple:
-    """Check one grid point and pair its scenarios with their schemes.
-
-    The noise and target checks run here, once per point, instead of
-    inside the trial arrays; the noise power underflows to 0 at extreme
-    dBm, which ScenarioConfig does not rule out.
-    """
-    if not cfg.noise_power_w > 0:
-        raise ValueError(f"noise_power_w must be > 0, got {cfg.noise_power_w!r}")
-    for t in targets:
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"target rates must be finite and >= 0, got {t!r}")
+def _point_groups(cfg: ScenarioConfig, schemes: tuple) -> tuple:
+    """Pair one grid point's scenarios with their schemes."""
     thz = tuple(s for s in schemes if s != "baseline")
     groups = ((cfg, thz),) if thz else ()
     if "baseline" in schemes:
@@ -234,17 +218,13 @@ def _point_stats(parts: list, t: int) -> dict:
     }
 
 
-def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult:
-    points = []
-    for value in spec.grid:
-        if domain == _DOMAIN_OUTAGE:
-            point_cfg = cfg
-            targets = (float(value), float(value))
-        else:
-            point_cfg = cfg.replace(tx_power_dbm=float(value))
-            targets = (cfg.target_rate, cfg.target_rate)
-        points.append((_point_groups(point_cfg, spec.schemes, targets), targets))
-    tasks = [(tuple(points), spec.master_seed, domain, ci, n)
+def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
+               swept: str) -> dict:
+    """Per scheme: {"near_outage", "far_outage", "sum_rate", and "*_stderr"},
+    each an array over spec.grid."""
+    points = tuple(_point_groups(cfg.replace(**{swept: float(v)}), spec.schemes)
+                   for v in spec.grid)
+    tasks = [(points, spec.master_seed, domain, ci, n)
              for ci, n in enumerate(_chunk_sizes(cfg.trials))]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(cfg.workers, len(tasks))
@@ -262,16 +242,14 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int) -> SweepResult
         stats = [_point_stats([c[point][scheme] for c in parts], cfg.trials)
                  for point in range(len(spec.grid))]
         series[scheme] = {k: np.asarray([st[k] for st in stats]) for k in stats[0]}
-    return SweepResult(grid=tuple(spec.grid),
-                       schemes=tuple(spec.schemes), series=series,
-                       scenario=cfg.as_dict(), seed=spec.master_seed)
+    return series
 
 
-def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> SweepResult:
+def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:
     """Near/far outage vs far-user target rate R_m, with R_n = R_m."""
-    return _run_sweep(spec, cfg, _DOMAIN_OUTAGE)
+    return _run_sweep(spec, cfg, _DOMAIN_OUTAGE, "target_rate")
 
 
-def run_sumrate_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> SweepResult:
+def run_sumrate_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:
     """Mean achieved sum rate vs transmit power (dBm)."""
-    return _run_sweep(spec, cfg, _DOMAIN_SUMRATE)
+    return _run_sweep(spec, cfg, _DOMAIN_SUMRATE, "tx_power_dbm")

@@ -152,17 +152,17 @@ def test_criterion_3_outage_trends():
     spec = SweepSpec(grid=grid, schemes=("fixed", "fair", "improved-fair"),
                      master_seed=SEED_SWEEPS)
     res = run_outage_sweep(spec, cfg)
-    fixed_far = res.series["fixed"]["far_outage"]
-    fixed_se = res.series["fixed"]["far_outage_stderr"]
-    fair_far = res.series["fair"]["far_outage"]
-    fair_se = res.series["fair"]["far_outage_stderr"]
+    fixed_far = res["fixed"]["far_outage"]
+    fixed_se = res["fixed"]["far_outage_stderr"]
+    fair_far = res["fair"]["far_outage"]
+    fair_se = res["fair"]["far_outage_stderr"]
     nondecreasing = bool(np.all(np.diff(fixed_far) >= 0))
     gap_ok = all(
         fixed_far[i] - fair_far[i] >= 3.0 * math.hypot(fixed_se[i], fair_se[i])
         for i, r in enumerate(grid) if r >= 2.0)
     i5 = grid.index(5.0)
-    fair_near = res.series["fair"]["near_outage"][i5]
-    improved_near = res.series["improved-fair"]["near_outage"][i5]
+    fair_near = res["fair"]["near_outage"][i5]
+    improved_near = res["improved-fair"]["near_outage"][i5]
     margin = (fair_near - improved_near) / fair_near
     elapsed = time.monotonic() - t0
     ok = nondecreasing and gap_ok and 0.10 <= margin <= 0.70 and elapsed < 600.0
@@ -187,11 +187,11 @@ def test_criterion_4_sum_rate_trends():
                      schemes=("fixed", "fair", "improved-fair", "baseline"),
                      master_seed=SEED_SWEEPS)
     res = run_sumrate_sweep(spec, cfg)
-    monotone = all(bool(np.all(np.diff(res.series[s]["sum_rate"]) >= 0))
+    monotone = all(bool(np.all(np.diff(res[s]["sum_rate"]) >= 0))
                    for s in spec.schemes)
-    fair30 = res.series["fair"]["sum_rate"][-1]
-    fixed30 = res.series["fixed"]["sum_rate"][-1]
-    base30 = res.series["baseline"]["sum_rate"][-1]
+    fair30 = res["fair"]["sum_rate"][-1]
+    fixed30 = res["fixed"]["sum_rate"][-1]
+    base30 = res["baseline"]["sum_rate"][-1]
     gain_fixed = fair30 / fixed30 - 1.0
     gain_base = fair30 / base30 - 1.0
     elapsed = time.monotonic() - t0

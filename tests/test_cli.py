@@ -180,6 +180,19 @@ def test_exit_code_config_error(tmp_path, capsys):
     for command in ("outage", "sumrate", "validate"):
         assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 1
         assert "config error: config field 'seed'" in capsys.readouterr().err
+    # every grid point is a scenario, checked like one; 2^2000 - 1 overflows
+    high_target = tmp_path / "target.ini"
+    high_target.write_text("[noma]\ntarget_rate = 2000\n", encoding="utf-8")
+    collapsing = "1e16:1.0000000000000004e16:1"  # 1e16 + 1 == 1e16
+    for argv, field in ((["outage", "--grid", "2000"], "target_rate"),
+                        (["outage", "--grid", "-1"], "target_rate"),
+                        (["sumrate", "--config", str(high_target)], "target_rate"),
+                        (["outage", "--grid", collapsing], "grid"),
+                        (["sumrate", "--grid", collapsing], "grid")):
+        assert main(argv + ["--trials", "10", "--out", str(tmp_path)]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"config error: config field '{field}'" in err, argv
+        assert "Traceback" not in err
 
 
 def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):
@@ -198,8 +211,9 @@ def test_exit_code_noise_underflow(tmp_path, capsys):
     for command in ("outage", "sumrate"):
         rc = main([command, "--config", str(ini), "--grid", "1",
                    "--out", str(tmp_path / command)])
-        assert rc == 2
-        assert "noise_power_w must be > 0" in capsys.readouterr().err
+        assert rc == 1
+        assert ("config error: config field 'noise_power_dbm'"
+                in capsys.readouterr().err)
 
 
 def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):

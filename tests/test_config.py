@@ -54,6 +54,8 @@ def test_noise_override_wins():
     ("noise_power_dbm", 5000.0),
     ("noise_figure_db", 5000.0),
     ("noise_figure_db", math.inf),
+    ("target_rate", 1024),          # 2 ** 1024 - 1 overflows the target SINR
+    ("noise_power_dbm", -5000),     # 10 ** -500 underflows noise_power_w to 0
 ])
 def test_rejected_fields_are_named(field, value):
     with pytest.raises(ConfigError) as err:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
 from thznoma import ergodic
-from thznoma.ergodic import (_eigh, closed_form_capacity, e1_scaled,
+from thznoma.ergodic import (_spectrum, closed_form_capacity, e1_scaled,
                              ergodic_capacity_mc_oracle, exp_integral_e1)
 
 # 40-digit references
@@ -105,11 +105,9 @@ def test_covariance_spectrum_and_sqrt():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     r = a @ a.conj().T
-    w, u = _eigh(r, 1.0, 0.0, 1.0)
+    w = _spectrum(r, 1.0, 0.0, 1.0)
     assert np.all(np.diff(w) >= 0) and np.all(w >= 0)
     assert_allclose(np.sort(w), np.sort(np.linalg.eigvalsh(r)), rtol=1e-12)
-    root = (u * np.sqrt(w)) @ u.conj().T
-    assert_allclose(root @ root.conj().T, r, atol=1e-10)
 
 
 def test_single_branch_capacity_reference():

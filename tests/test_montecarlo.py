@@ -10,7 +10,7 @@ from thznoma import allocation, montecarlo
 from thznoma.allocation import allocate
 from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
                              sample_nakagami)
-from thznoma.config import FAR, NEAR, ScenarioConfig
+from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SweepSpec, _chunk_gains,
                                 _chunk_rng, _chunk_sizes, _point_groups,
                                 _run_chunk, non_ris_non_thz_baseline,
@@ -42,10 +42,11 @@ def test_chunk_rng_streams_are_distinct_and_stable():
 def test_sweep_spec_validation():
     good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1)
     SweepSpec(**good)
-    for bad in (dict(grid=()), dict(grid=(1.0, 0.5)),
+    for bad in (dict(grid=()), dict(grid=(1.0, 0.5)), dict(grid=(1e16, 1e16 + 1)),
                 dict(schemes=()), dict(schemes=("equal",))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             SweepSpec(**{**good, **bad})
+        assert err.value.field_name == next(iter(bad))
 
 
 def _reference_gains(cfg, rng):
@@ -84,16 +85,16 @@ def _reference_trial(cfg, scheme, targets, rng):
     return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
 
 
-def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8):
-    points = ((_point_groups(cfg, schemes, targets), targets),)
+def _chunk(cfg, schemes, target, seed=0, chunk=0, n=8):
+    points = (_point_groups(cfg.replace(target_rate=target), schemes),)
     return _run_chunk(points, seed, 1, chunk, n)[0]
 
 
 def test_trial_without_fading_is_deterministic():
     cfg = SMALL.replace(fading_enabled=False)
     schemes = ("fixed", "fair", "improved-fair")
-    t1 = _chunk(cfg, schemes, (0.5, 0.5), seed=1)
-    t2 = _chunk(cfg, schemes, (0.5, 0.5), seed=999)
+    t1 = _chunk(cfg, schemes, 0.5, seed=1)
+    t2 = _chunk(cfg, schemes, 0.5, seed=999)
     assert t1 == t2
     for near, far, _, _ in t1.values():
         assert near in (0, 8) and far in (0, 8)
@@ -109,7 +110,7 @@ def test_trial_matches_manual_noma_chain():
         for u in (FAR, NEAR))
     g_far, g_near = gains
     p, s2 = cfg.tx_power_w, cfg.noise_power_w
-    got = _chunk(cfg, ("fixed", "fair", "improved-fair"), targets, n=n)
+    got = _chunk(cfg, ("fixed", "fair", "improved-fair"), targets[0], n=n)
     for scheme in ("fixed", "fair", "improved-fair"):
         alpha_far, feasible_far = allocate(scheme, g_far, p, s2, targets[0],
                                            cfg.fixed_alpha_far)
@@ -144,7 +145,7 @@ def test_trial_replays_the_documented_draw_order():
 
 def test_vanishing_power_fails_both_users():
     cfg = SMALL.replace(tx_power_dbm=-300.0)
-    near, far, rsum, _ = _chunk(cfg, ("fair",), (0.5, 0.5), seed=2)["fair"]
+    near, far, rsum, _ = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"]
     assert near == far == 8
     assert rsum < 8e-12
 
@@ -155,7 +156,7 @@ def test_fair_far_outage_is_the_infeasibility_event():
     cfg = SMALL
     outages = 0
     for chunk in range(200):
-        _, far, _, _ = _chunk(cfg, ("fair",), (0.25, 0.25), seed=17,
+        _, far, _, _ = _chunk(cfg, ("fair",), 0.25, seed=17,
                               chunk=chunk, n=1)["fair"]
         rng = _chunk_rng(17, 1, chunk)
         *_, feasible = _reference_trial(cfg, "fair", (0.25, 0.25), rng)
@@ -170,7 +171,7 @@ def test_improved_never_worse_for_near_user():
     cfg = SMALL
     better = 0
     for chunk in range(300):
-        got = _chunk(cfg, ("fair", "improved-fair"), (0.25, 0.25), seed=1000,
+        got = _chunk(cfg, ("fair", "improved-fair"), 0.25, seed=1000,
                      chunk=chunk, n=1)
         assert got["improved-fair"][0] <= got["fair"][0]
         better += got["improved-fair"][0] < got["fair"][0]
@@ -180,11 +181,10 @@ def test_improved_never_worse_for_near_user():
 def test_outage_sweep_shapes_and_ranges():
     cfg = SMALL.replace(trials=600)
     spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), master_seed=5)
-    res = run_outage_sweep(spec, cfg)
-    assert res.grid == (0.5, 2.0, 6.0)
-    assert set(res.series) == {"fixed", "fair"}
-    for scheme in res.schemes:
-        s = res.series[scheme]
+    series = run_outage_sweep(spec, cfg)
+    assert set(series) == {"fixed", "fair"}
+    for scheme in spec.schemes:
+        s = series[scheme]
         for key in ("near_outage", "far_outage"):
             p = s[key]
             assert p.shape == (3,)
@@ -192,22 +192,19 @@ def test_outage_sweep_shapes_and_ranges():
             se = s[key + "_stderr"]
             assert_allclose(se, np.sqrt(p * (1 - p) / 600), rtol=1e-12)
             assert np.all(se <= 0.5 / math.sqrt(600) + 1e-15)
-    assert res.seed == 5
-    assert res.scenario["trials"] == 600
 
 
 def test_sumrate_sweep_monotone_in_power():
     cfg = SMALL.replace(trials=400)
     spec = SweepSpec(grid=(0.0, 15.0, 30.0), schemes=("fixed", "baseline"),
                      master_seed=6)
-    res = run_sumrate_sweep(spec, cfg)
-    for scheme in res.schemes:
-        rates = res.series[scheme]["sum_rate"]
+    series = run_sumrate_sweep(spec, cfg)
+    for scheme in spec.schemes:
+        rates = series[scheme]["sum_rate"]
         assert rates.shape == (3,)
         assert np.all(np.diff(rates) > 0)
     # THz+RIS link beats the free-space reference at equal power
-    assert np.all(res.series["fixed"]["sum_rate"]
-                  > res.series["baseline"]["sum_rate"])
+    assert np.all(series["fixed"]["sum_rate"] > series["baseline"]["sum_rate"])
 
 
 def test_sweep_results_identical_across_worker_counts():
@@ -216,8 +213,8 @@ def test_sweep_results_identical_across_worker_counts():
     serial = run_outage_sweep(spec, cfg.replace(workers=1))
     parallel = run_outage_sweep(spec, cfg.replace(workers=3))
     for scheme in spec.schemes:
-        for key, vals in serial.series[scheme].items():
-            assert np.array_equal(vals, parallel.series[scheme][key]), (scheme, key)
+        for key, vals in serial[scheme].items():
+            assert np.array_equal(vals, parallel[scheme][key]), (scheme, key)
 
 
 def test_rerun_is_bit_identical():
@@ -225,8 +222,8 @@ def test_rerun_is_bit_identical():
     spec = SweepSpec(grid=(2.0,), schemes=("fair",), master_seed=77)
     r1 = run_outage_sweep(spec, cfg)
     r2 = run_outage_sweep(spec, cfg)
-    for key, vals in r1.series["fair"].items():
-        assert np.array_equal(vals, r2.series["fair"][key])
+    for key, vals in r1["fair"].items():
+        assert np.array_equal(vals, r2["fair"][key])
 
 
 def test_run_chunk_reduction_matches_trial_loop():
@@ -236,7 +233,7 @@ def test_run_chunk_reduction_matches_trial_loop():
     targets = (1.0, 1.0)
     n = BLOCK + 12
     schemes = ("fixed", "fair", "improved-fair", "baseline")
-    points = ((_point_groups(cfg, schemes, targets), targets),)
+    points = (_point_groups(cfg.replace(target_rate=targets[0]), schemes),)
     got = _run_chunk(points, 55, 1, 3, n)[0]
     assert list(got) == list(schemes)
     for scheme in schemes:
@@ -338,8 +335,8 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid):
     for i, value in enumerate(grid):
         one = run(SweepSpec(grid=(value,), schemes=schemes, master_seed=3), cfg)
         for scheme in schemes:
-            for key, vals in one.series[scheme].items():
-                assert vals.tolist() == [full.series[scheme][key][i]], (
+            for key, vals in one[scheme].items():
+                assert vals.tolist() == [full[scheme][key][i]], (
                     value, scheme, key)
 
 
