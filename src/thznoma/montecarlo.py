@@ -9,17 +9,21 @@ only decide which chunks run where. Neither swept field enters the
 channel, so a chunk draws its gains once and every grid point and scheme
 is evaluated on them (common random numbers): each point's estimate is
 still its own marginal one, while differences between points and between
-schemes are paired. The baseline scheme has its own scenario and draws
-its gains from a fresh stream with the same key.
+schemes are paired. The baseline scheme has its own scenario. Its stream
+has the same key, so where its envelope law equals the THz link's (the
+default m = 1) it shares the THz link's draw; otherwise it draws its own.
 
 One chunk is evaluated as arrays, its channels formed in blocks of BLOCK
 trials. The outputs equal those of a per-trial loop bit for bit, by:
 
-- stream order: one draw of shape (b, 2, M, N) consumes the stream as b
+- stream order: one draw of shape (b, 2, M*N) consumes the stream as b
   trials each drawing the far user's (M, N) envelopes, then the near
   user's, would;
-- gains: the row sum over a trial's M*N entries equals np.sum over that
-  matrix alone (``noma.channel_gain``);
+- gains: with the real and imaginary parts of the direct (D) and surface
+  (G) entries kept apart, hr = e*Dr + Gr and hi = e*Di + Gi are the parts
+  of E∘D + G exactly (numpy's real-by-complex product), and
+  sum(hr*hr) + sum(hi*hi) over a trial's M*N contiguous entries equals
+  ``noma.channel_gain`` of that matrix;
 - rate sums: a chunk's rate sum and sum of squares accumulate in trial
   order (np.add.accumulate, not pairwise np.sum), and chunk sums are
   added in chunk order;
@@ -38,10 +42,10 @@ import numpy as np
 from . import allocation
 from .channel import direct_channel_matrix, ris_channel_matrix, sample_nakagami
 from .config import FAR, NEAR, ConfigError, ScenarioConfig
-from .noma import capacity, channel_gain, outage_indicators, sinr
+from .noma import capacity, outage_indicators, sinr
 
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
-BLOCK = 128   # trials whose channels are formed at once; bounds temporaries
+BLOCK = 32    # trials whose channels are formed at once; temporaries stay in cache
 
 _DOMAIN_OUTAGE = 1
 _DOMAIN_SUMRATE = 2
@@ -65,9 +69,6 @@ class SweepSpec:
                 raise ConfigError("grid", "strictly increasing points", (a, b))
         if len(self.schemes) == 0:
             raise ConfigError("schemes", "at least one scheme", self.schemes)
-        for s in self.schemes:
-            if s not in allocation.SCHEMES and s != "baseline":
-                raise ConfigError("schemes", "known scheme names", s)
 
 
 def non_ris_non_thz_baseline(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -89,11 +90,19 @@ def non_ris_non_thz_baseline(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 @lru_cache(maxsize=16)
-def _deterministic_parts(cfg: ScenarioConfig):
-    """Fading-free channel matrices, cached per scenario."""
-    direct = tuple(direct_channel_matrix(cfg, u) for u in (FAR, NEAR))
-    ris = tuple(ris_channel_matrix(cfg, u) for u in (FAR, NEAR))
-    return direct, ris
+def _deterministic_parts(cfg: ScenarioConfig) -> tuple:
+    """(Dr, Di, Gr, Gi): the real and imaginary parts of the fading-free
+    direct and surface matrices, each (2, M*N) with rows in user order,
+    cached per scenario."""
+    d = np.stack([direct_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
+    g = np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
+    return tuple(np.ascontiguousarray(x, dtype=float)
+                 for x in (d.real, d.imag, g.real, g.imag))
+
+
+def _law(cfg: ScenarioConfig) -> tuple:
+    """What a scenario's envelope draw depends on: (fading, m, M*N)."""
+    return cfg.fading_enabled, cfg.shape_m, cfg.user_antennas * cfg.bs_antennas
 
 
 def _chunk_sizes(trials: int):
@@ -110,25 +119,29 @@ def _chunk_rng(master_seed: int, domain: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _chunk_gains(cfg: ScenarioConfig, rng: np.random.Generator,
-                 n: int) -> np.ndarray:
-    """(2, n) squared Frobenius gains of n trials, rows in user order.
+def _chunk_gains(cfgs: list, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(len(cfgs), 2, n) squared Frobenius gains of n trials, rows in user order.
 
-    Each trial draws the far user's envelopes, then the near user's; a
-    block of trials takes its draws with one call.
+    The scenarios share one ``_law``, so one draw serves them all. Each
+    trial draws the far user's envelopes, then the near user's; a block of
+    trials takes its draws with one call. Without fading nothing is drawn
+    and every envelope is 1.0.
     """
-    direct, ris = _deterministic_parts(cfg)
-    gains = np.empty((2, n))
-    if not cfg.fading_enabled:
-        for user in (FAR, NEAR):
-            gains[user] = channel_gain(direct[user] + ris[user])
-        return gains
+    fading, shape_m, size = _law(cfgs[0])
+    parts = [_deterministic_parts(cfg) for cfg in cfgs]
+    gains = np.empty((len(cfgs), 2, n))
     for start in range(0, n, BLOCK):
         b = min(BLOCK, n - start)
-        env = sample_nakagami(cfg.shape_m, rng, (b, 2) + direct[FAR].shape)
-        for user in (FAR, NEAR):
-            h = env[:, user] * direct[user] + ris[user]
-            gains[user, start:start + b] = channel_gain(h)
+        env = (sample_nakagami(shape_m, rng, (b, 2, size)) if fading
+               else np.ones((1, 2, 1)))
+        for out, (dr, di, gr, gi) in zip(gains, parts):
+            hr = env * dr
+            hr += gr
+            hr *= hr
+            hi = env * di
+            hi += gi
+            hi *= hi
+            out[:, start:start + b] = (hr.sum(axis=-1) + hi.sum(axis=-1)).T
     return gains
 
 
@@ -150,8 +163,9 @@ def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
         allocation.FAIR if scheme == "baseline" else scheme, g_far, p, s2,
         target, cfg.fixed_alpha_far)
     a_near = 1.0 - a_far
-    c_far = np.where(feasible & (scheme != allocation.FIXED), target,
-                     capacity(sinr(g_far, a_far, a_near, p, s2)))
+    free = ~(feasible & (scheme != allocation.FIXED))
+    c_far = np.full(g_far.shape, target)
+    c_far[free] = capacity(sinr(g_far[free], a_far[free], a_near[free], p, s2))
     c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
     c_near = capacity(sinr(g_near, a_near, 0.0, p, s2))
     near, far = outage_indicators(c_cross, c_near, c_far, target, target,
@@ -166,15 +180,25 @@ def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
                n: int) -> list:
     """One {scheme: (near_count, far_count, rate_sum, rate_sumsq)} per point.
 
-    ``points`` holds each grid point's ``_point_groups`` result. Every
-    scenario group draws its gains once, from its own stream with the
-    chunk's key, on the first point's scenario (the swept target or power
+    ``points`` holds each grid point's ``_point_groups`` result. Gains are
+    drawn once, on the first point's scenarios (the swept target or power
     does not enter the gains), and every point evaluates its schemes on
-    them. SIC roles go by ascending gain, ties to the nominal far user.
+    them. Every scenario's stream has the chunk's key, so scenarios with
+    one envelope law would draw the same envelopes: each law opens the
+    stream once and its scenarios share the draw. SIC roles go by
+    ascending gain, ties to the nominal far user.
     """
+    cfgs = [cfg for cfg, _ in points[0]]
+    laws = {}
+    for cfg in cfgs:
+        laws.setdefault(_law(cfg), []).append(cfg)
+    drawn = {}
+    for group in laws.values():
+        drawn.update(zip(group, _chunk_gains(
+            group, _chunk_rng(master_seed, domain, chunk), n)))
     gains = []
-    for cfg, _ in points[0]:
-        g = _chunk_gains(cfg, _chunk_rng(master_seed, domain, chunk), n)
+    for cfg in cfgs:
+        g = drawn[cfg]
         swap = g[FAR] > g[NEAR]
         g_far = np.where(swap, g[NEAR], g[FAR])
         if not np.all(np.isfinite(g_far)):
@@ -219,9 +243,12 @@ def _point_stats(parts: list, t: int) -> dict:
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
-               swept: str) -> dict:
+               swept: str, allowed: tuple) -> dict:
     """Per scheme: {"near_outage", "far_outage", "sum_rate", and "*_stderr"},
-    each an array over spec.grid."""
+    each an array over spec.grid. Every scheme must be in ``allowed``."""
+    for s in spec.schemes:
+        if s not in allowed:
+            raise ConfigError("schemes", f"one of {allowed}", s)
     points = tuple(_point_groups(cfg.replace(**{swept: float(v)}), spec.schemes)
                    for v in spec.grid)
     tasks = [(points, spec.master_seed, domain, ci, n)
@@ -247,9 +274,11 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:
     """Near/far outage vs far-user target rate R_m, with R_n = R_m."""
-    return _run_sweep(spec, cfg, _DOMAIN_OUTAGE, "target_rate")
+    return _run_sweep(spec, cfg, _DOMAIN_OUTAGE, "target_rate",
+                      allocation.SCHEMES)
 
 
 def run_sumrate_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:
     """Mean achieved sum rate vs transmit power (dBm)."""
-    return _run_sweep(spec, cfg, _DOMAIN_SUMRATE, "tx_power_dbm")
+    return _run_sweep(spec, cfg, _DOMAIN_SUMRATE, "tx_power_dbm",
+                      SUMRATE_SCHEMES)

@@ -43,13 +43,17 @@ def capacity(sinr):
 
     math.log2 is applied to each element: np.log2 differs from it in the
     last ulp on a small share of inputs, and sweep outputs are pinned to
-    the per-element value.
+    the per-element value. A SINR of exactly 0 gives 0.0 without the call,
+    since log2(1) = 0 exactly; NaN and inf still go through math.log2.
     """
     s = np.asarray(sinr, dtype=float)
     if np.any(s < 0):
         raise ValueError(f"sinr must be >= 0, got {float(s.min())!r}")
-    out = np.fromiter(map(math.log2, (1.0 + s).ravel().tolist()), float, s.size)
-    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+    out = np.zeros(s.shape)
+    live = s != 0.0
+    values = (1.0 + s[live]).tolist()
+    out[live] = np.fromiter(map(math.log2, values), float, len(values))
+    return float(out) if s.ndim == 0 else out
 
 
 def outage_indicators(c_cross, c_near, c_far, target_far: float,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma import allocation, montecarlo
+from thznoma import allocation, cli, montecarlo
 from thznoma.allocation import allocate
 from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
                              sample_nakagami)
@@ -43,7 +43,7 @@ def test_sweep_spec_validation():
     good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1)
     SweepSpec(**good)
     for bad in (dict(grid=()), dict(grid=(1.0, 0.5)), dict(grid=(1e16, 1e16 + 1)),
-                dict(schemes=()), dict(schemes=("equal",))):
+                dict(schemes=())):
         with pytest.raises(ConfigError) as err:
             SweepSpec(**{**good, **bad})
         assert err.value.field_name == next(iter(bad))
@@ -136,7 +136,7 @@ def test_trial_replays_the_documented_draw_order():
     n = BLOCK + 5
     for shape_m in (0.5, 1.0, 3.0):
         cfg = SMALL.replace(shape_m=shape_m)
-        got = _chunk_gains(cfg, _chunk_rng(31, 1, 0), n)
+        got = _chunk_gains([cfg], _chunk_rng(31, 1, 0), n)[0]
         rng = _chunk_rng(31, 1, 0)
         want = np.array([_reference_gains(cfg, rng) for _ in range(n)]).T
         assert got.shape == (2, n)
@@ -226,10 +226,15 @@ def test_rerun_is_bit_identical():
         assert np.array_equal(vals, r2["fair"][key])
 
 
-def test_run_chunk_reduction_matches_trial_loop():
+@pytest.mark.parametrize("cfg", [
+    SMALL.replace(shape_m=0.5), SMALL, SMALL.replace(shape_m=3.0),
+    SMALL.replace(fading_enabled=False),
+], ids=["m0.5", "m1", "m3", "no-fading"])
+def test_run_chunk_reduction_matches_trial_loop(cfg):
     # counts and rate sums equal a trial-by-trial loop in trial order, bit
-    # for bit, across a block boundary; baseline replays the same key
-    cfg = SMALL
+    # for bit, across a block boundary; baseline replays the same key.
+    # At m = 1 and without fading the THz and baseline links share one
+    # envelope law and so one draw; at m != 1 each draws its own
     targets = (1.0, 1.0)
     n = BLOCK + 12
     schemes = ("fixed", "fair", "improved-fair", "baseline")
@@ -249,6 +254,44 @@ def test_run_chunk_reduction_matches_trial_loop():
             rsum += rate
             rsumsq += rate * rate
         assert got[scheme] == (near, far, rsum, rsumsq), scheme
+
+
+@pytest.mark.parametrize("shape_m, streams", [(1.0, 1), (3.0, 2)])
+def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
+    # fixed and baseline at m = 1 share one law, so one draw of 2*M*N
+    # envelopes per trial serves both; at m = 3 the baseline (m = 1)
+    # draws its own
+    drawn = []
+
+    def counting(*args):
+        env = sample_nakagami(*args)
+        drawn.append(env.size)
+        return env
+
+    monkeypatch.setattr(montecarlo, "sample_nakagami", counting)
+    cfg = SMALL.replace(shape_m=shape_m)
+    n = BLOCK + 12
+    _chunk(cfg, ("fixed", "baseline"), 1.0, n=n)
+    per_trial = 2 * cfg.user_antennas * cfg.bs_antennas
+    assert sum(drawn) == streams * per_trial * n
+
+
+def test_sweeps_check_scheme_names(tmp_path, capsys):
+    # each sweep checks its scheme names, and only it: outage has no
+    # baseline link; the CLI reports a bad name as a config error
+    cfg = SMALL.replace(trials=8)
+    for run, bad in ((run_outage_sweep, "equal"), (run_outage_sweep, "baseline"),
+                     (run_sumrate_sweep, "equal")):
+        with pytest.raises(ConfigError) as err:
+            run(SweepSpec(grid=(1.0,), schemes=("fair", bad), master_seed=1),
+                cfg)
+        assert (err.value.field_name, err.value.value) == ("schemes", bad)
+        command = "outage" if run is run_outage_sweep else "sumrate"
+        out = tmp_path / command
+        assert cli.main([command, "--schemes", f"fair,{bad}", "--trials", "8",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
 
 def test_baseline_scenario_construction():

@@ -71,6 +71,12 @@ def test_capacity():
                                        for row in sinr.tolist()]
     with pytest.raises(ValueError):
         capacity(np.array([1.0, -0.5]))
+    # zeros skip the call but keep its value; NaN and inf still take it
+    edge = np.array([0.0, -0.0, 1.0, np.inf, np.nan])
+    np.testing.assert_array_equal(capacity(edge),
+                                  [math.log2(1.0 + s) for s in edge.tolist()])
+    zero = capacity(0.0)
+    assert type(zero) is float and zero == 0.0
 
 
 # (c_cross, c_near, c_far, want) at targets 1.0, the far message carrying power
