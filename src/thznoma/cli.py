@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 
 import numpy as np
@@ -238,6 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pool_failure() -> tuple:
+    """The broken-pool error, once a sweep has imported the process pool."""
+    process = sys.modules.get("concurrent.futures.process")
+    return (process.BrokenProcessPool,) if process else ()
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -249,7 +254,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except _pool_failure() as exc:
         print(f"error: worker pool failed: {exc}", file=sys.stderr)
         return 2
 

@@ -14,26 +14,21 @@ has the same key, so where its envelope law equals the THz link's (the
 default m = 1) it shares the THz link's draw; otherwise it draws its own.
 
 One chunk is evaluated as arrays, its channels formed in blocks of BLOCK
-trials. The outputs equal those of a per-trial loop bit for bit, by:
+trials. A sweep gives the same bits for any worker count, rerun and CPU
+dispatch path:
 
-- stream order: one draw of shape (b, 2, M*N) consumes the stream as b
-  trials each drawing the far user's (M, N) envelopes, then the near
-  user's, would;
-- gains: with the real and imaginary parts of the direct (D) and surface
-  (G) entries kept apart, hr = e*Dr + Gr and hi = e*Di + Gi are the parts
-  of E∘D + G exactly (numpy's real-by-complex product), and
-  sum(hr*hr) + sum(hi*hi) over a trial's M*N contiguous entries equals
-  ``noma.channel_gain`` of that matrix;
-- rate sums: a chunk's rate sum and sum of squares accumulate in trial
-  order (np.add.accumulate, not pairwise np.sum), and chunk sums are
-  added in chunk order;
-- capacities: math.log2 is applied per element (``noma.capacity``).
+- a chunk's stream and draw order depend on its key alone: one draw of
+  shape (b, 2, M*N) consumes the stream as b trials each drawing the far
+  user's (M, N) envelopes, then the near user's, would;
+- a chunk's sums accumulate in trial order (np.add.accumulate, not
+  pairwise np.sum) and chunks merge in chunk order, wherever they ran;
+- no estimate cancels (``_rate_stats``), so the last-ulp differences of a
+  gain or a log2 between dispatch paths stay below the CSV's 12 digits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,13 +86,14 @@ def non_ris_non_thz_baseline(cfg: ScenarioConfig) -> ScenarioConfig:
 
 @lru_cache(maxsize=16)
 def _deterministic_parts(cfg: ScenarioConfig) -> tuple:
-    """(Dr, Di, Gr, Gi): the real and imaginary parts of the fading-free
-    direct and surface matrices, each (2, M*N) with rows in user order,
-    cached per scenario."""
+    """(|D|^2, c, ||G||^2) per user, c = 2 Re(conj(G)∘D), of the fading-free
+    direct (D) and surface (G) matrices, cached per scenario. With envelopes
+    E a user's gain is ||E∘D + G||^2 = E^2·|D|^2 + E·c + ||G||^2."""
     d = np.stack([direct_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
     g = np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
-    return tuple(np.ascontiguousarray(x, dtype=float)
-                 for x in (d.real, d.imag, g.real, g.imag))
+    return (d.real ** 2 + d.imag ** 2,
+            2.0 * (g.real * d.real + g.imag * d.imag),
+            np.sum(g.real ** 2 + g.imag ** 2, axis=-1))
 
 
 def _law(cfg: ScenarioConfig) -> tuple:
@@ -124,8 +120,8 @@ def _chunk_gains(cfgs: list, rng: np.random.Generator, n: int) -> np.ndarray:
 
     The scenarios share one ``_law``, so one draw serves them all. Each
     trial draws the far user's envelopes, then the near user's; a block of
-    trials takes its draws with one call. Without fading nothing is drawn
-    and every envelope is 1.0.
+    trials takes its draws with one call and forms each user's gains with
+    two matrix-vector products. Without fading every envelope is 1.0.
     """
     fading, shape_m, size = _law(cfgs[0])
     parts = [_deterministic_parts(cfg) for cfg in cfgs]
@@ -133,21 +129,28 @@ def _chunk_gains(cfgs: list, rng: np.random.Generator, n: int) -> np.ndarray:
     for start in range(0, n, BLOCK):
         b = min(BLOCK, n - start)
         env = (sample_nakagami(shape_m, rng, (b, 2, size)) if fading
-               else np.ones((1, 2, 1)))
-        for out, (dr, di, gr, gi) in zip(gains, parts):
-            hr = env * dr
-            hr += gr
-            hr *= hr
-            hi = env * di
-            hi += gi
-            hi *= hi
-            out[:, start:start + b] = (hr.sum(axis=-1) + hi.sum(axis=-1)).T
+               else np.ones((b, 2, size))).transpose(1, 0, 2)
+        sq = env * env
+        for out, (dd, c, gg) in zip(gains, parts):
+            out[:, start:start + b] = ((sq @ dd[:, :, None])[..., 0]
+                                       + (env @ c[:, :, None])[..., 0]
+                                       + gg[:, None])
     return gains
 
 
-def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
-                 cfg: ScenarioConfig) -> tuple:
-    """(near_count, far_count, rate_sum, rate_sumsq) of one scheme.
+def _moments(rate: np.ndarray) -> tuple:
+    """(rate sum, x0, S, Q) of one chunk's rates, each sum in trial order:
+    S and Q sum x - x0 and (x - x0)^2 about the first rate x0."""
+    dev = rate - rate[0]
+    return (float(np.add.accumulate(rate)[-1]), float(rate[0]),
+            float(np.add.accumulate(dev)[-1]),
+            float(np.add.accumulate(dev * dev)[-1]))
+
+
+def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
+                 g_near: np.ndarray, cfg: ScenarioConfig) -> tuple:
+    """One scheme's sums over a chunk: (near_count, far_count) of outage
+    events for ``outage``, ``_moments`` of the sum rate for ``sumrate``.
 
     Both users' target is cfg.target_rate. Power is allocated per the
     scheme from the far user's instantaneous gain. On the feasible fair
@@ -166,19 +169,18 @@ def _scheme_sums(scheme: str, g_far: np.ndarray, g_near: np.ndarray,
     free = ~(feasible & (scheme != allocation.FIXED))
     c_far = np.full(g_far.shape, target)
     c_far[free] = capacity(sinr(g_far[free], a_far[free], a_near[free], p, s2))
-    c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
     c_near = capacity(sinr(g_near, a_near, 0.0, p, s2))
+    if domain == _DOMAIN_SUMRATE:
+        return _moments(c_far + c_near)
+    c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
     near, far = outage_indicators(c_cross, c_near, c_far, target, target,
                                   a_far)
-    rate = c_far + c_near
-    return (int(np.count_nonzero(near)), int(np.count_nonzero(far)),
-            float(np.add.accumulate(rate)[-1]),
-            float(np.add.accumulate(rate * rate)[-1]))
+    return int(np.count_nonzero(near)), int(np.count_nonzero(far))
 
 
 def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
                n: int) -> list:
-    """One {scheme: (near_count, far_count, rate_sum, rate_sumsq)} per point.
+    """One {scheme: ``_scheme_sums``} per point.
 
     ``points`` holds each grid point's ``_point_groups`` result. Gains are
     drawn once, on the first point's scenarios (the swept target or power
@@ -204,7 +206,7 @@ def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
         if not np.all(np.isfinite(g_far)):
             raise ValueError("far_gain must be finite")
         gains.append((g_far, np.where(swap, g[FAR], g[NEAR])))
-    return [{scheme: _scheme_sums(scheme, g_far, g_near, cfg)
+    return [{scheme: _scheme_sums(domain, scheme, g_far, g_near, cfg)
              for (cfg, schemes), (g_far, g_near) in zip(groups, gains)
              for scheme in schemes}
             for groups in points]
@@ -219,43 +221,52 @@ def _point_groups(cfg: ScenarioConfig, schemes: tuple) -> tuple:
     return groups
 
 
-def _point_stats(parts: list, t: int) -> dict:
-    """Outage and sum-rate estimates of one point from its t trials."""
-    # reduce in chunk order so float sums never depend on scheduling
-    near = far = 0
-    rsum = rsumsq = 0.0
-    for pn, pf, ps, pq in parts:
-        near += pn
-        far += pf
-        rsum += ps
-        rsumsq += pq
-    p_near, p_far = near / t, far / t
-    mean = rsum / t
-    var = max(rsumsq / t - mean * mean, 0.0)
+def _outage_stats(parts: list, sizes: list) -> dict:
+    """Near and far outage estimates of one point from its chunks' counts."""
+    t = sum(sizes)
+    p_near = sum(near for near, _ in parts) / t
+    p_far = sum(far for _, far in parts) / t
     return {
         "near_outage": p_near,
         "near_outage_stderr": math.sqrt(p_near * (1.0 - p_near) / t),
         "far_outage": p_far,
         "far_outage_stderr": math.sqrt(p_far * (1.0 - p_far) / t),
-        "sum_rate": mean,
-        "sum_rate_stderr": math.sqrt(var / t),
     }
+
+
+def _rate_stats(parts: list, sizes: list) -> dict:
+    """Mean sum rate of one point and its stderr, its chunks' ``_moments``
+    merged in chunk order by the pairwise update of Chan, Golub and LeVeque
+    (Am. Stat., 1983): nothing cancels, and equal rates give exactly 0."""
+    t = 0
+    rsum = mean = m2 = 0.0
+    for n, (ps, x0, dev, devsq) in zip(sizes, parts):
+        rsum += ps
+        delta = x0 + dev / n - mean
+        mean += delta * (n / (t + n))
+        m2 += devsq - dev * dev / n + delta * delta * (t * n / (t + n))
+        t += n
+    return {"sum_rate": rsum / t,
+            "sum_rate_stderr": math.sqrt(max(m2, 0.0) / t / t)}
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
                swept: str, allowed: tuple) -> dict:
-    """Per scheme: {"near_outage", "far_outage", "sum_rate", and "*_stderr"},
-    each an array over spec.grid. Every scheme must be in ``allowed``."""
+    """Per scheme, each ``_outage_stats`` or ``_rate_stats`` key as an array
+    over spec.grid. Every scheme must be in ``allowed``."""
     for s in spec.schemes:
         if s not in allowed:
             raise ConfigError("schemes", f"one of {allowed}", s)
     points = tuple(_point_groups(cfg.replace(**{swept: float(v)}), spec.schemes)
                    for v in spec.grid)
+    sizes = _chunk_sizes(cfg.trials)
     tasks = [(points, spec.master_seed, domain, ci, n)
-             for ci, n in enumerate(_chunk_sizes(cfg.trials))]
+             for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules cost about 25 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             parts = list(executor.map(_run_chunk, *zip(*tasks), chunksize=1))
@@ -264,21 +275,22 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
             executor.shutdown(cancel_futures=True)
     else:
         parts = [_run_chunk(*t) for t in tasks]
+    point_stats = _rate_stats if domain == _DOMAIN_SUMRATE else _outage_stats
     series = {}
     for scheme in spec.schemes:
-        stats = [_point_stats([c[point][scheme] for c in parts], cfg.trials)
+        stats = [point_stats([c[point][scheme] for c in parts], sizes)
                  for point in range(len(spec.grid))]
         series[scheme] = {k: np.asarray([st[k] for st in stats]) for k in stats[0]}
     return series
 
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:
-    """Near/far outage vs far-user target rate R_m, with R_n = R_m."""
+    """Near/far outage (and stderr) vs far-user target rate R_m = R_n."""
     return _run_sweep(spec, cfg, _DOMAIN_OUTAGE, "target_rate",
                       allocation.SCHEMES)
 
 
 def run_sumrate_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:
-    """Mean achieved sum rate vs transmit power (dBm)."""
+    """Mean achieved sum rate (and stderr) vs transmit power (dBm)."""
     return _run_sweep(spec, cfg, _DOMAIN_SUMRATE, "tx_power_dbm",
                       SUMRATE_SCHEMES)

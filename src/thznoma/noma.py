@@ -8,22 +8,7 @@ receive dimension.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-
-def channel_gain(h: np.ndarray):
-    """Squared Frobenius norm ||H||^2 = trace(H H^H) over the last two axes.
-
-    A stack of matrices (..., M, N) gives one gain per matrix. Each gain is
-    the sum over the M*N entries of one row, which equals np.sum over that
-    matrix alone bit for bit. A single matrix gives a float.
-    """
-    h = np.asarray(h)
-    flat = h.reshape(h.shape[:-2] + (-1,))
-    gain = np.sum(flat.real ** 2, axis=-1) + np.sum(flat.imag ** 2, axis=-1)
-    return float(gain) if gain.ndim == 0 else gain
 
 
 def sinr(gain, alpha, residual, tx_power_w: float, noise_power_w: float):
@@ -39,20 +24,13 @@ def sinr(gain, alpha, residual, tx_power_w: float, noise_power_w: float):
 
 
 def capacity(sinr):
-    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz, elementwise.
-
-    math.log2 is applied to each element: np.log2 differs from it in the
-    last ulp on a small share of inputs, and sweep outputs are pinned to
-    the per-element value. A SINR of exactly 0 gives 0.0 without the call,
-    since log2(1) = 0 exactly; NaN and inf still go through math.log2.
-    """
+    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz, elementwise,
+    a float for a scalar. np.log2 may differ from math.log2, and one CPU
+    dispatch path from another, in the last ulp."""
     s = np.asarray(sinr, dtype=float)
     if np.any(s < 0):
         raise ValueError(f"sinr must be >= 0, got {float(s.min())!r}")
-    out = np.zeros(s.shape)
-    live = s != 0.0
-    values = (1.0 + s[live]).tolist()
-    out[live] = np.fromiter(map(math.log2, values), float, len(values))
+    out = np.log2(1.0 + s)
     return float(out) if s.ndim == 0 else out
 
 

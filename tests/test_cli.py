@@ -1,5 +1,6 @@
 """CLI subcommands: grids, CSV layout, manifests, exit codes, determinism."""
 
+import concurrent.futures
 import functools
 import json
 import os
@@ -31,15 +32,29 @@ def small_config(tmp_path):
     return str(path)
 
 
-def test_import_loads_no_scipy():
-    # scipy costs about 0.75 s of start-up; the package must not pull it in
+def _modules_after_import(packages: tuple) -> str:
+    """The loaded modules of ``packages`` (and their submodules) after
+    ``import thznoma.cli`` in a fresh interpreter, as a printed list."""
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, thznoma.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"m for m in sys.modules for p in {packages!r} "
+         "if m == p or m.startswith(p + '.')))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.75 s of start-up; the package must not pull it in
+    assert _modules_after_import(("scipy",)) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules cost about 25 ms of start-up, so only a sweep
+    # with more than one worker imports them
+    assert _modules_after_import(("multiprocessing",
+                                  "concurrent.futures.process")) == "[]"
 
 
 def test_parse_grid():
@@ -217,7 +232,7 @@ def test_exit_code_noise_underflow(tmp_path, capsys):
 
 def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):
     # every pool worker exits as it starts, which breaks the pool
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", functools.partial(
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
     # two chunks give two tasks, so the sweep still uses the pool
     rc = main(["outage", "--config", small_config, "--grid", "1:2:1",

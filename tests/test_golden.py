@@ -15,7 +15,9 @@ surface, m = 1 without the surface, m = 1 without fading and m = 1 with
 the surface's zero phase profile (the one that raises the mean SNR).
 Every ``.ini`` file in ``tests/golden/`` is a scenario, so adding one
 is its ``.ini`` and its two CSVs. Any change to these files must be
-deliberate and explained.
+deliberate and explained. The CSVs do not depend on numpy's CPU
+dispatch: the ``m3`` sum-rate sweep is rerun with numpy's AVX-512 paths
+switched off.
 
 ``tests/golden/print-config/<name>.txt`` holds the ``thznoma
 print-config`` output of each scenario, and ``default.txt`` that of the
@@ -25,9 +27,13 @@ of every field type stay fixed.
 
 import glob
 import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import thznoma
 from thznoma.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -52,6 +58,44 @@ def test_cli_reproduces_golden_csv(tmp_path, scenario, command):
     with open(os.path.join(GOLDEN, scenario, f"{command}.csv"), "rb") as fh:
         want = fh.read()
     assert got == want
+
+
+# numpy reads this in the child only; these names cover its AVX-512 paths
+NO_AVX512 = "X86_V4,AVX512_ICL,AVX512_SPR"
+
+
+def _has_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return any(__cpu_features__.get(f) for f in ("X86_V4", "AVX512_SKX"))
+
+
+def test_golden_csv_does_not_depend_on_cpu_dispatch(tmp_path):
+    if not _has_avx512():
+        warnings.warn("numpy has no AVX-512 path on this host, so this run "
+                      "takes the same path as test_cli_reproduces_golden_csv")
+    src = os.path.dirname(os.path.dirname(thznoma.__file__))
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-m", "thznoma.cli", "sumrate",
+         "--config", os.path.join(GOLDEN, "m3.ini"), "--trials", "2560",
+         "--seed", "12345", "--out", str(out)] + RUNS["sumrate"],
+        env=dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+        check=True, capture_output=True, timeout=300)
+    with open(os.path.join(GOLDEN, "m3", "sumrate.csv"), "rb") as fh:
+        assert (out / "sumrate.csv").read_bytes() == fh.read()
+
+
+def test_unfaded_sum_rate_has_zero_stderr():
+    # without fading every trial has the same rate, so the stderr is 0
+    # exactly: the variance has no sumsq/t - mean^2 cancellation to leave
+    with open(os.path.join(GOLDEN, "m1-no-fading", "sumrate.csv"),
+              encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    assert len(rows) == 24
+    assert {row[3] for row in rows} == {"0"}
 
 
 @pytest.mark.parametrize("scenario", ["default"] + SCENARIOS)

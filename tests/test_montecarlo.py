@@ -1,5 +1,6 @@
 """Trial engine and sweeps: wiring, determinism, paired-scheme ordering."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -12,10 +13,13 @@ from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
                              sample_nakagami)
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SweepSpec, _chunk_gains,
-                                _chunk_rng, _chunk_sizes, _point_groups,
-                                _run_chunk, non_ris_non_thz_baseline,
-                                run_outage_sweep, run_sumrate_sweep)
-from thznoma.noma import capacity, channel_gain, outage_indicators
+                                _chunk_rng, _chunk_sizes, _moments,
+                                _point_groups, _rate_stats, _run_chunk,
+                                non_ris_non_thz_baseline, run_outage_sweep,
+                                run_sumrate_sweep)
+from thznoma.noma import capacity, outage_indicators
+
+from test_noma import channel_gain
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
 
@@ -60,14 +64,14 @@ def _reference_gains(cfg, rng):
     return gains
 
 
-def _reference_trial(cfg, scheme, targets, rng):
-    """One trial through scalar allocation and the paper's SINR formulas:
+def _reference_trial(cfg, scheme, targets, gains):
+    """One trial with (far, near) gains through scalar allocation and the
+    paper's SINR formulas:
     (near_outage, far_outage, sum_rate, alpha_far, feasible_far).
 
     The SINRs are written out here, not taken from noma.sinr, so the
     kernel is checked against code it does not share."""
     target_far, target_near = targets
-    gains = _reference_gains(cfg, rng)
     g_far, g_near = gains if gains[0] <= gains[1] else gains[::-1]
     p, s2 = cfg.tx_power_w, cfg.noise_power_w
     alpha_far, feasible_far = allocate(
@@ -85,9 +89,10 @@ def _reference_trial(cfg, scheme, targets, rng):
     return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
 
 
-def _chunk(cfg, schemes, target, seed=0, chunk=0, n=8):
+def _chunk(cfg, schemes, target, seed=0, chunk=0, n=8, domain=1):
+    """One point's chunk sums: outage counts, or with domain=2 rate moments."""
     points = (_point_groups(cfg.replace(target_rate=target), schemes),)
-    return _run_chunk(points, seed, 1, chunk, n)[0]
+    return _run_chunk(points, seed, domain, chunk, n)[0]
 
 
 def test_trial_without_fading_is_deterministic():
@@ -96,7 +101,7 @@ def test_trial_without_fading_is_deterministic():
     t1 = _chunk(cfg, schemes, 0.5, seed=1)
     t2 = _chunk(cfg, schemes, 0.5, seed=999)
     assert t1 == t2
-    for near, far, _, _ in t1.values():
+    for near, far in t1.values():
         assert near in (0, 8) and far in (0, 8)
 
 
@@ -110,8 +115,10 @@ def test_trial_matches_manual_noma_chain():
         for u in (FAR, NEAR))
     g_far, g_near = gains
     p, s2 = cfg.tx_power_w, cfg.noise_power_w
-    got = _chunk(cfg, ("fixed", "fair", "improved-fair"), targets[0], n=n)
-    for scheme in ("fixed", "fair", "improved-fair"):
+    schemes = ("fixed", "fair", "improved-fair")
+    got = _chunk(cfg, schemes, targets[0], n=n)
+    moments = _chunk(cfg, schemes, targets[0], n=n, domain=2)
+    for scheme in schemes:
         alpha_far, feasible_far = allocate(scheme, g_far, p, s2, targets[0],
                                            cfg.fixed_alpha_far)
         alpha_near = 1.0 - alpha_far
@@ -126,13 +133,18 @@ def test_trial_matches_manual_noma_chain():
         near = (alpha_far > 0 and c_cross < targets[0]) or c_near < targets[1]
         far = c_far < targets[0]
         rate = c_far + c_near
-        assert got[scheme][:2] == (n * near, n * far)
-        assert_allclose(got[scheme][2:], (n * rate, n * rate * rate), rtol=1e-12)
+        assert got[scheme] == (n * near, n * far)
+        # every trial has the same rate, so its deviations are exactly 0
+        rsum, x0, dev, devsq = moments[scheme]
+        assert_allclose((rsum, x0), (n * rate, rate), rtol=1e-12)
+        assert dev == devsq == 0.0
 
 
 def test_trial_replays_the_documented_draw_order():
     # one stream per chunk; every trial draws far envelopes first, then
-    # near; blocks of trials leave that order and the gains bit-identical
+    # near; blocks of trials leave that order as it is. The kernel forms
+    # the gains as E^2·|D|^2 + E·c + ||G||^2, which rounds differently from
+    # the reference ||E∘D + G||^2 in the last digits only
     n = BLOCK + 5
     for shape_m in (0.5, 1.0, 3.0):
         cfg = SMALL.replace(shape_m=shape_m)
@@ -140,13 +152,14 @@ def test_trial_replays_the_documented_draw_order():
         rng = _chunk_rng(31, 1, 0)
         want = np.array([_reference_gains(cfg, rng) for _ in range(n)]).T
         assert got.shape == (2, n)
-        assert np.array_equal(got, want), shape_m
+        assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=str(shape_m))
 
 
 def test_vanishing_power_fails_both_users():
     cfg = SMALL.replace(tx_power_dbm=-300.0)
-    near, far, rsum, _ = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"]
+    near, far = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"]
     assert near == far == 8
+    rsum = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair"][0]
     assert rsum < 8e-12
 
 
@@ -156,10 +169,10 @@ def test_fair_far_outage_is_the_infeasibility_event():
     cfg = SMALL
     outages = 0
     for chunk in range(200):
-        _, far, _, _ = _chunk(cfg, ("fair",), 0.25, seed=17,
-                              chunk=chunk, n=1)["fair"]
-        rng = _chunk_rng(17, 1, chunk)
-        *_, feasible = _reference_trial(cfg, "fair", (0.25, 0.25), rng)
+        _, far = _chunk(cfg, ("fair",), 0.25, seed=17, chunk=chunk,
+                        n=1)["fair"]
+        gains = _reference_gains(cfg, _chunk_rng(17, 1, chunk))
+        *_, feasible = _reference_trial(cfg, "fair", (0.25, 0.25), gains)
         assert far == (not feasible)
         outages += far
     assert 0 < outages < 200
@@ -185,6 +198,8 @@ def test_outage_sweep_shapes_and_ranges():
     assert set(series) == {"fixed", "fair"}
     for scheme in spec.schemes:
         s = series[scheme]
+        assert list(s) == ["near_outage", "near_outage_stderr", "far_outage",
+                           "far_outage_stderr"]
         for key in ("near_outage", "far_outage"):
             p = s[key]
             assert p.shape == (3,)
@@ -200,6 +215,7 @@ def test_sumrate_sweep_monotone_in_power():
                      master_seed=6)
     series = run_sumrate_sweep(spec, cfg)
     for scheme in spec.schemes:
+        assert list(series[scheme]) == ["sum_rate", "sum_rate_stderr"]
         rates = series[scheme]["sum_rate"]
         assert rates.shape == (3,)
         assert np.all(np.diff(rates) > 0)
@@ -231,29 +247,37 @@ def test_rerun_is_bit_identical():
     SMALL.replace(fading_enabled=False),
 ], ids=["m0.5", "m1", "m3", "no-fading"])
 def test_run_chunk_reduction_matches_trial_loop(cfg):
-    # counts and rate sums equal a trial-by-trial loop in trial order, bit
-    # for bit, across a block boundary; baseline replays the same key.
+    # outage counts equal a trial-by-trial loop over the reference gains,
+    # and rate moments a loop over the kernel's gains in trial order, both
+    # exactly and across a block boundary; baseline replays the same key.
     # At m = 1 and without fading the THz and baseline links share one
     # envelope law and so one draw; at m != 1 each draws its own
     targets = (1.0, 1.0)
     n = BLOCK + 12
     schemes = ("fixed", "fair", "improved-fair", "baseline")
     points = (_point_groups(cfg.replace(target_rate=targets[0]), schemes),)
-    got = _run_chunk(points, 55, 1, 3, n)[0]
-    assert list(got) == list(schemes)
+    counts = _run_chunk(points, 55, 1, 3, n)[0]
+    moments = _run_chunk(points, 55, 2, 3, n)[0]
+    assert list(counts) == list(moments) == list(schemes)
     for scheme in schemes:
         scheme_cfg = non_ris_non_thz_baseline(cfg) if scheme == "baseline" else cfg
         rng = _chunk_rng(55, 1, 3)
         near = far = 0
-        rsum = rsumsq = 0.0
         for _ in range(n):
-            n_out, f_out, rate, _, _ = _reference_trial(scheme_cfg, scheme,
-                                                        targets, rng)
+            n_out, f_out, *_ = _reference_trial(
+                scheme_cfg, scheme, targets, _reference_gains(scheme_cfg, rng))
             near += n_out
             far += f_out
+        assert counts[scheme] == (near, far), scheme
+        gains = _chunk_gains([scheme_cfg], _chunk_rng(55, 2, 3), n)[0]
+        rates = [_reference_trial(scheme_cfg, scheme, targets, g)[2]
+                 for g in gains.T.tolist()]
+        rsum = dev = devsq = 0.0
+        for rate in rates:
             rsum += rate
-            rsumsq += rate * rate
-        assert got[scheme] == (near, far, rsum, rsumsq), scheme
+            dev += rate - rates[0]
+            devsq += (rate - rates[0]) * (rate - rates[0])
+        assert moments[scheme] == (rsum, rates[0], dev, devsq), scheme
 
 
 @pytest.mark.parametrize("shape_m, streams", [(1.0, 1), (3.0, 2)])
@@ -274,6 +298,47 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     _chunk(cfg, ("fixed", "baseline"), 1.0, n=n)
     per_trial = 2 * cfg.user_antennas * cfg.bs_antennas
     assert sum(drawn) == streams * per_trial * n
+
+
+@pytest.mark.parametrize("domain, calls", [(1, 3), (2, 2)],
+                         ids=["outage", "sumrate"])
+def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
+                                                      calls):
+    # per scheme an outage chunk takes the far, SIC-stage (c_cross) and
+    # near capacities; a sumrate chunk only the far and near ones
+    sizes = []
+
+    def counting(s):
+        sizes.append(np.size(s))
+        return capacity(s)
+
+    monkeypatch.setattr(montecarlo, "capacity", counting)
+    n = BLOCK + 12
+    got = _chunk(SMALL, ("fixed", "fair"), 1.0, n=n, domain=domain)
+    assert len(sizes) == 2 * calls
+    # fixed evaluates each of them on every trial
+    assert sizes[:calls] == [n] * calls
+    assert [len(v) for v in got.values()] == [2 if domain == 1 else 4] * 2
+
+
+def test_rate_stats_merge_matches_two_pass_variance():
+    # the merged moments of chunks of 1024, 1024 and 512 rates give np.var
+    # of all of them; with this offset sumsq/t - mean^2 is off by 2e-8
+    rng = np.random.default_rng(4)
+    sizes = [1024, 1024, 512]
+    rates = 7.0 + 1e-3 * rng.exponential(size=sum(sizes))
+    chunks = np.split(rates, np.cumsum(sizes)[:-1])
+    stats = _rate_stats([_moments(c) for c in chunks], sizes)
+    rsum = 0.0
+    for c in chunks:
+        rsum += c.cumsum()[-1]
+    t = sum(sizes)
+    assert stats["sum_rate"] == rsum / t
+    assert_allclose(stats["sum_rate_stderr"] ** 2 * t, np.var(rates),
+                    rtol=1e-12)
+    # equal rates merge to exactly 0
+    flat = _rate_stats([_moments(np.full(k, 0.1)) for k in sizes], sizes)
+    assert flat["sum_rate_stderr"] == 0.0
 
 
 def test_sweeps_check_scheme_names(tmp_path, capsys):
@@ -357,7 +422,8 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     spec = SweepSpec(grid=(1.0, 2.0), schemes=("fair",), master_seed=1)
     for trials in (10, CHUNK + 1):
         run_outage_sweep(spec, SMALL.replace(workers=3, trials=trials))
