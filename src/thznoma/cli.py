@@ -55,10 +55,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _parse_schemes(text: str) -> tuple:
-    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
-    if not schemes:
-        raise ConfigError("schemes", "a non-empty comma list", text)
-    return schemes
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -114,7 +111,7 @@ def _cmd_sweep(args) -> int:
         default, sweep = SUMRATE_SCHEMES, run_sumrate_sweep
         header = "tx_power_dbm,scheme,sum_rate,stderr"
         columns = (([], "sum_rate"),)
-    schemes = _parse_schemes(args.schemes) if args.schemes else default
+    schemes = default if args.schemes is None else _parse_schemes(args.schemes)
     spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
                      master_seed=args.seed)
     series = sweep(spec, cfg)
@@ -210,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo trials per grid point")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default from config)")
-        p.add_argument("--out", default=".", help="output directory")
         if grid_default is not None:
+            p.add_argument("--out", default=".", help="output directory")
             p.add_argument("--grid", default=grid_default,
                            help="start:stop:step (default %(default)s)")
             p.add_argument("--schemes", default=None,

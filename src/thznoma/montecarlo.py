@@ -64,6 +64,8 @@ class SweepSpec:
                 raise ConfigError("grid", "strictly increasing points", (a, b))
         if len(self.schemes) == 0:
             raise ConfigError("schemes", "at least one scheme", self.schemes)
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError("schemes", "distinct scheme names", self.schemes)
 
 
 def non_ris_non_thz_baseline(cfg: ScenarioConfig) -> ScenarioConfig:

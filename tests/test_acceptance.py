@@ -13,9 +13,9 @@ Criteria, tolerances and runtime budgets:
   4. sum-rate trends at the default scenario: fair over fixed gain in
      [10%, 40%] at 30 dBm, fair over the free-space reference >= 100%,
      every scheme monotone across 0-30 dBm, < 10 min.
-  5. E1 within 1e-12 relative of quadrature on a 200-point log grid
-     [1e-6, 50]; Nakagami sampler KS statistic < 0.002 at 1e6 draws for
-     m in {0.5, 1, 3}.
+  5. E1, the closed form at dimension 1, within 1e-12 relative of
+     quadrature on a 200-point log grid [1e-6, 50]; Nakagami sampler KS
+     statistic < 0.002 at 1e6 draws for m in {0.5, 1, 3}.
   6. same seed and any worker count give byte-identical CSV output.
   7. channel invariants: pointing-loss monotone in l_e, attenuation
      monotone in d and kappa, surface global-phase magnitude invariance,
@@ -35,10 +35,11 @@ from thznoma.channel import (los_attenuation, misalignment_factor,
                              ris_element_gain, ris_matrix, sample_nakagami)
 from thznoma.cli import main
 from thznoma.config import ScenarioConfig
-from thznoma.ergodic import (closed_form_capacity, e1_scaled,
-                             ergodic_capacity_mc_oracle, exp_integral_e1)
+from thznoma.ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from thznoma.montecarlo import SweepSpec, run_outage_sweep, run_sumrate_sweep
 from thznoma.noma import capacity, sinr
+
+from test_ergodic import e1_scaled, exp_integral_e1
 
 SEED_ORACLE = 1
 SEED_PA = 7

@@ -69,10 +69,10 @@ def test_parse_grid():
 
 
 def test_parse_schemes():
-    # names are checked by the sweeps (test_montecarlo)
+    # names, their count and repeats are checked by SweepSpec and the
+    # sweeps (test_montecarlo)
     assert _parse_schemes("fair, fixed") == ("fair", "fixed")
-    with pytest.raises(ConfigError):
-        _parse_schemes(" , ")
+    assert _parse_schemes(" , ") == ()
 
 
 def test_outage_csv_layout(tmp_path, small_config):
@@ -191,8 +191,9 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["outage", "--config", str(inf_shape), "--grid", "1",
                  "--trials", "10", "--out", str(tmp_path)]) == 1
     assert "shape_m" in capsys.readouterr().err
-    for command in ("outage", "sumrate", "validate"):
-        assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 1
+    for argv in (["outage", "--out", str(tmp_path)],
+                 ["sumrate", "--out", str(tmp_path)], ["validate"]):
+        assert main(argv + ["--seed", "-1"]) == 1
         assert "config error: config field 'seed'" in capsys.readouterr().err
     # every grid point is a scenario, checked like one; 2^2000 - 1 overflows
     high_target = tmp_path / "target.ini"
@@ -202,11 +203,24 @@ def test_exit_code_config_error(tmp_path, capsys):
                         (["outage", "--grid", "-1"], "target_rate"),
                         (["sumrate", "--config", str(high_target)], "target_rate"),
                         (["outage", "--grid", collapsing], "grid"),
-                        (["sumrate", "--grid", collapsing], "grid")):
+                        (["sumrate", "--grid", collapsing], "grid"),
+                        (["outage", "--grid", "1", "--schemes", ""], "schemes"),
+                        (["outage", "--grid", "1", "--schemes", " , "], "schemes"),
+                        (["outage", "--grid", "1", "--schemes", "fair,fair"],
+                         "schemes")):
         assert main(argv + ["--trials", "10", "--out", str(tmp_path)]) == 1, argv
         err = capsys.readouterr().err
         assert f"config error: config field '{field}'" in err, argv
         assert "Traceback" not in err
+
+
+def test_out_is_a_sweep_only_flag(tmp_path, capsys):
+    # validate and print-config write no file, so --out is a usage error
+    for command in ("validate", "print-config"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):

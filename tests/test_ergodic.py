@@ -1,4 +1,5 @@
-"""Exponential integrals, Erlang log moments, closed-form ergodic capacity."""
+"""Closed-form ergodic capacity, its Monte Carlo oracle, and the
+exponential integral and Erlang log moments it reduces to."""
 
 import math
 
@@ -8,8 +9,8 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
 from thznoma import ergodic
-from thznoma.ergodic import (_spectrum, closed_form_capacity, e1_scaled,
-                             ergodic_capacity_mc_oracle, exp_integral_e1)
+from thznoma.ergodic import (_spectrum, closed_form_capacity,
+                             ergodic_capacity_mc_oracle)
 
 # 40-digit references
 E1_AT_1 = 0.21938393439552027
@@ -17,6 +18,16 @@ E1_AT_HALF = 0.5597735947761608
 E1_AT_10 = 4.156968929685324e-06
 SINGLE_EXP_CAPACITY = 0.8603473822708860  # e * E1(1) / ln 2
 ERLANG_R3_S2 = 1.8268191453023315         # E[ln(1+2Y)], Y ~ Erlang(3,1)
+
+
+def e1_scaled(x: float) -> float:
+    """e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1): the closed form at
+    dimension 1 with signal 1, no interference and noise x."""
+    return closed_form_capacity(np.eye(1), 1.0, 0.0, x) * math.log(2.0)
+
+
+def exp_integral_e1(x: float) -> float:
+    return e1_scaled(x) * math.exp(-x)
 
 
 def test_e1_reference_points():
@@ -27,17 +38,8 @@ def test_e1_reference_points():
 
 def test_e1_against_library():
     x = np.logspace(-6, math.log10(50.0), 200)
-    got = exp_integral_e1(x)
-    assert got.shape == x.shape
+    got = [exp_integral_e1(float(xi)) for xi in x]
     assert_allclose(got, special.exp1(x), rtol=1e-13)
-
-
-def test_e1_input_validation():
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            exp_integral_e1(bad)
-    with pytest.raises(ValueError):
-        exp_integral_e1(np.array([1.0, -2.0]))
 
 
 def test_e1_scaled_consistent_and_bounded():
@@ -76,7 +78,7 @@ def test_erlang_log_moment_against_quadrature(order, scale):
     assert_allclose(_erlang_log_moment(scale, order), val, rtol=5e-9)
 
 
-def test_whitened_covariance_validation():
+def test_covariance_validation():
     closed_form_capacity(np.eye(3), 1.0, 0.0, 1.0)
     ergodic_capacity_mc_oracle(np.eye(3), 1.0, 0.0, 1.0, 10,
                                np.random.default_rng(0))
@@ -101,7 +103,7 @@ def test_link_power_validation():
                                        np.random.default_rng(0))
 
 
-def test_covariance_spectrum_and_sqrt():
+def test_covariance_spectrum():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     r = a @ a.conj().T
@@ -190,6 +192,22 @@ def test_oracle_draw_has_the_complex_gaussian_law(dim, monkeypatch):
     ref = _complex_gaussian_norm_sq(r, n, rng)
     assert stats.ks_2samp(x, ref).pvalue > 1e-3
     assert abs(x.mean() - np.trace(r).real) < 4 * x.std() / math.sqrt(n)
+
+
+def test_oracle_stderr_does_not_cancel(monkeypatch):
+    # every capacity is log2(1 + ~1000) within about 3e-9, so the mean
+    # square less the squared mean cancels to 0; two passes keep the spread
+    n = 100_000
+    recorder = _Log2Recorder()
+    monkeypatch.setattr(ergodic, "np", recorder)
+    mean, se = ergodic_capacity_mc_oracle(np.eye(64), 1.0, 1e-3, 1e-9, n,
+                                          np.random.default_rng(3))
+    c = np.log2(np.concatenate(recorder.args))
+    exact_mean = math.fsum(c) / n
+    exact_se = math.sqrt(math.fsum((c - exact_mean) ** 2) / n / n)
+    assert_allclose(mean, exact_mean, rtol=1e-15)
+    assert se > 0
+    assert_allclose(se, exact_se, rtol=1e-9)
 
 
 def test_near_degenerate_cluster_is_stable():

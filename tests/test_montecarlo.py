@@ -47,7 +47,7 @@ def test_sweep_spec_validation():
     good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1)
     SweepSpec(**good)
     for bad in (dict(grid=()), dict(grid=(1.0, 0.5)), dict(grid=(1e16, 1e16 + 1)),
-                dict(schemes=())):
+                dict(schemes=()), dict(schemes=("fair", "fair"))):
         with pytest.raises(ConfigError) as err:
             SweepSpec(**{**good, **bad})
         assert err.value.field_name == next(iter(bad))
