@@ -2,8 +2,9 @@
 downlink at terahertz carriers.
 
 Submodules:
-    config      scenario parameters, validation, INI grammar, geometry
-    channel     THz LoS/multi-ray/surface gains, matrices, Nakagami fading
+    config      scenario parameters, validation, INI grammar
+    channel     array layout, THz LoS/multi-ray/surface gains, matrices,
+                Nakagami fading
     noma        SIC-ordered SINRs, capacities, outage indicators
     allocation  fixed and fair power-allocation schemes
     ergodic     closed-form ergodic capacity and its Monte Carlo oracle

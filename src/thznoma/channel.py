@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ConfigError, ScenarioConfig, user_geometry
+from .config import FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,29 @@ def sample_nakagami(shape_m: float, rng: np.random.Generator, size):
 # ---------------------------------------------------------------------------
 # matrix assembly
 
+def _distances(axial_m: float, count_a: int, count_b: int,
+               wavelength_m: float) -> np.ndarray:
+    """(count_a, count_b) distances between two centred broadside ULAs.
+
+    Both arrays have half-wavelength spacing and lie in parallel planes
+    axial_m apart. The stated link distances cannot be embedded in a
+    single plane (the BS-RIS, RIS-user, BS-user triple violates the
+    triangle inequality for the far user), so each link is laid out
+    independently at its own axial separation.
+    """
+    a, b = ((np.arange(n) - (n - 1) / 2.0) * (wavelength_m / 2.0)
+            for n in (count_a, count_b))
+    return np.sqrt(axial_m ** 2 + (a[:, None] - b[None, :]) ** 2)
+
+
+def _user_distances(cfg: ScenarioConfig, user: int) -> tuple:
+    """(BS-user, surface-user) axial distances (m) of user 0 (far) or 1 (near)."""
+    if user not in (FAR, NEAR):
+        raise ConfigError("user", "0 (far) or 1 (near)", user)
+    return ((cfg.bs_user_distance_far, cfg.ris_user_distance_far),
+            (cfg.bs_user_distance_near, cfg.ris_user_distance_near))[user]
+
+
 def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
     """(M, N) direct BS-user channel; entry (j, i) covers BS antenna i.
 
@@ -105,23 +128,24 @@ def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
     the propagation phase exp(-j 2 pi d_ij / lambda). Fading is not applied
     here: the sweeps scale the entries by Nakagami envelopes per trial.
 
-    In the free-space reference mode the entry amplitude is the free-space
-    power loss (c / (4 pi f d))^2 at the reference carrier, with no
-    absorption, misalignment or extra rays.
+    In the free-space reference mode the arrays are spaced at the reference
+    carrier and the entry amplitude is the free-space power loss
+    (c / (4 pi f d))^2 there, with no absorption, misalignment or extra rays.
     """
-    geo = user_geometry(cfg, user)
-    d = geo.bs_user_m.T  # (M, N)
+    axial, _ = _user_distances(cfg, user)
     if cfg.freespace_baseline:
         f = cfg.baseline_frequency_hz
-        amp = (SPEED_OF_LIGHT / (4.0 * np.pi * f * d)) ** 2
         lam = SPEED_OF_LIGHT / f
+        d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T  # (M, N)
+        amp = (SPEED_OF_LIGHT / (4.0 * np.pi * f * d)) ** 2
     else:
         f = cfg.frequency_hz
+        lam = cfg.wavelength_m
+        d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T
         mis = misalignment_factor(cfg.aperture_radius_m, cfg.beamwidth_m,
                                   cfg.pointing_error_m)
         amp = multiray_response(los_attenuation(f, cfg.absorption_coeff, d, mis),
                                 cfg.nlos_gains, cfg.nlos_delays, f)
-        lam = cfg.wavelength_m
     h = np.ascontiguousarray(amp * np.exp(-2j * np.pi * d / lam))
     h.setflags(write=False)
     return h
@@ -169,9 +193,10 @@ def ris_matrix(reflection, phases, bs_element_m, element_user_m,
 
 
 def ris_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
-    """(M, N) deterministic surface channel for one user; zeros when R = 0."""
-    geo = user_geometry(cfg, user)
-    return ris_matrix(np.full(cfg.ris_elements, float(cfg.ris_reflection)),
-                      cfg.ris_phases(), geo.bs_element_m, geo.element_user_m,
-                      cfg.wavelength_m, cfg.absorption_coeff)
-
+    """(M, N) surface channel for one user at the THz carrier; zeros when R = 0."""
+    _, axial = _user_distances(cfg, user)
+    lam, r = cfg.wavelength_m, cfg.ris_elements
+    return ris_matrix(np.full(r, float(cfg.ris_reflection)), cfg.ris_phases(),
+                      _distances(cfg.bs_ris_distance, cfg.bs_antennas, r, lam),
+                      _distances(axial, r, cfg.user_antennas, lam),
+                      lam, cfg.absorption_coeff)

@@ -60,9 +60,9 @@ def _parse_schemes(text: str) -> tuple:
 
 def _load_scenario(args) -> ScenarioConfig:
     overrides = {}
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         overrides["trials"] = args.trials
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         overrides["workers"] = args.workers
     if args.seed < 0:
         raise ConfigError("seed", "an integer >= 0", args.seed)

@@ -1,4 +1,4 @@
-"""Scenario configuration: defaults, validation, INI parsing, array geometry.
+"""Scenario configuration: defaults, validation, INI parsing.
 
 The default scenario is a two-user downlink NOMA pair served by a 16x16
 MIMO link at 0.3 THz with a 200-element reflecting surface. The far user
@@ -173,64 +173,9 @@ def _validate(cfg: ScenarioConfig):
                           cfg.target_rate)
     if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
         raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
-
-
-# ---------------------------------------------------------------------------
-# geometry
-
-def ula_offsets(count: int, spacing_m: float) -> np.ndarray:
-    """Element offsets of a centered uniform linear array along one axis."""
-    return (np.arange(count) - (count - 1) / 2.0) * spacing_m
-
-
-def pairwise_distances(axial_m: float, offsets_a: np.ndarray,
-                       offsets_b: np.ndarray) -> np.ndarray:
-    """Exact distances between two broadside ULAs separated axially.
-
-    Arrays sit in parallel planes a distance axial_m apart; element i of
-    array A and element j of array B are offset transversally. Returns
-    shape (len(a), len(b)).
-    """
-    if axial_m <= 0:
-        raise ConfigError("distance", "a link distance > 0", axial_m)
-    return np.sqrt(axial_m ** 2 + (offsets_a[:, None] - offsets_b[None, :]) ** 2)
-
-
-@dataclass(frozen=True)
-class UserGeometry:
-    """Per-user antenna-pair and surface-path distances (m)."""
-    bs_user_m: np.ndarray        # (N, M) BS antenna i to user antenna j
-    bs_element_m: np.ndarray     # (N, R)
-    element_user_m: np.ndarray   # (R, M)
-
-
-def user_geometry(cfg: ScenarioConfig, user: int) -> UserGeometry:
-    """Distance matrices for one user.
-
-    The stated link distances cannot be embedded in a single plane (the
-    BS-RIS, RIS-user, BS-user triple violates the triangle inequality for
-    the far user), so each link is laid out independently: two parallel
-    broadside ULAs at the stated axial separation, half-wavelength spacing.
-    """
-    if user not in (FAR, NEAR):
-        raise ConfigError("user", "0 (far) or 1 (near)", user)
-    lam = SPEED_OF_LIGHT / (
-        cfg.baseline_frequency_hz if cfg.freespace_baseline else cfg.frequency_hz)
-    d_bs = cfg.bs_user_distance_far if user == FAR else cfg.bs_user_distance_near
-    d_ris = cfg.ris_user_distance_far if user == FAR else cfg.ris_user_distance_near
-    ys_bs = ula_offsets(cfg.bs_antennas, lam / 2.0)
-    ys_user = ula_offsets(cfg.user_antennas, lam / 2.0)
-    ys_ris = ula_offsets(max(cfg.ris_elements, 1), lam / 2.0)[:cfg.ris_elements]
-    geo = UserGeometry(
-        bs_user_m=pairwise_distances(d_bs, ys_bs, ys_user),
-        bs_element_m=pairwise_distances(cfg.bs_ris_distance, ys_bs, ys_ris)
-        if cfg.ris_elements else np.zeros((cfg.bs_antennas, 0)),
-        element_user_m=pairwise_distances(d_ris, ys_ris, ys_user)
-        if cfg.ris_elements else np.zeros((0, cfg.user_antennas)),
-    )
-    for arr in (geo.bs_user_m, geo.bs_element_m, geo.element_user_m):
-        arr.setflags(write=False)
-    return geo
+    if cfg.freespace_baseline and cfg.ris_elements > 0:
+        raise ConfigError("freespace_baseline", "false when ris_elements > 0 "
+                          "(the reference link has no surface)", cfg.freespace_baseline)
 
 
 # ---------------------------------------------------------------------------

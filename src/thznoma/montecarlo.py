@@ -203,11 +203,11 @@ def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
     gains = []
     for cfg in cfgs:
         g = drawn[cfg]
+        if not np.all(np.isfinite(g)):
+            raise ValueError("both users' channel gains must be finite")
         swap = g[FAR] > g[NEAR]
-        g_far = np.where(swap, g[NEAR], g[FAR])
-        if not np.all(np.isfinite(g_far)):
-            raise ValueError("far_gain must be finite")
-        gains.append((g_far, np.where(swap, g[FAR], g[NEAR])))
+        gains.append((np.where(swap, g[NEAR], g[FAR]),
+                      np.where(swap, g[FAR], g[NEAR])))
     return [{scheme: _scheme_sums(domain, scheme, g_far, g_near, cfg)
              for (cfg, schemes), (g_far, g_near) in zip(groups, gains)
              for scheme in schemes}

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from thznoma.allocation import FAIR, allocate
-from thznoma.channel import (los_attenuation, misalignment_factor,
+from thznoma.channel import (_distances, los_attenuation, misalignment_factor,
                              ris_element_gain, ris_matrix, sample_nakagami)
 from thznoma.cli import main
 from thznoma.config import ScenarioConfig
@@ -293,11 +293,11 @@ def test_criterion_7_channel_invariants():
 
     # global phase shift leaves surface-channel magnitudes unchanged
     cfg = ScenarioConfig()
-    from thznoma.config import user_geometry
-    geo = user_geometry(cfg, 0)
+    lam, r = cfg.wavelength_m, cfg.ris_elements
+    bs_element = _distances(cfg.bs_ris_distance, cfg.bs_antennas, r, lam)
+    element_user = _distances(cfg.ris_user_distance_far, r, cfg.user_antennas, lam)
     base = cfg.ris_phases()
-    mk = lambda ph: ris_matrix(np.ones(cfg.ris_elements), ph, geo.bs_element_m,
-                               geo.element_user_m, cfg.wavelength_m,
+    mk = lambda ph: ris_matrix(np.ones(r), ph, bs_element, element_user, lam,
                                cfg.absorption_coeff)
     g0 = mk(base)
     phase_inv = all(

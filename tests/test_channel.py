@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thznoma.config import FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig
-from thznoma.channel import (direct_channel_matrix, los_attenuation,
+from thznoma.channel import (_distances, direct_channel_matrix, los_attenuation,
                              misalignment_factor, multiray_response,
                              ris_channel_matrix, ris_element_gain, ris_matrix,
                              sample_nakagami)
@@ -117,12 +117,12 @@ def test_direct_matrix_matches_reference_norms():
 
 def test_direct_matrix_entry_against_scalar_chain():
     # entry (j, i) = multiray(los(d_ij)) * exp(-2j pi d_ij / lambda)
-    from thznoma.config import user_geometry
     cfg = ScenarioConfig()
-    geo = user_geometry(cfg, FAR)
+    bs_user = _distances(cfg.bs_user_distance_far, cfg.bs_antennas,
+                         cfg.user_antennas, cfg.wavelength_m)
     h = direct_channel_matrix(cfg, FAR)
     for i, j in ((0, 0), (3, 11), (15, 15)):
-        d = geo.bs_user_m[i, j]
+        d = bs_user[i, j]
         los = los_attenuation(cfg.frequency_hz, cfg.absorption_coeff, d,
                               misalignment_factor(*DEFAULT_MIS))
         want = (multiray_response(los, cfg.nlos_gains, cfg.nlos_delays,
@@ -149,13 +149,18 @@ def test_direct_matrix_fading_is_seeded_and_magnitude_only():
 
 def test_baseline_entry_is_freespace_power_loss():
     cfg = ScenarioConfig(freespace_baseline=True, ris_elements=0)
-    from thznoma.config import user_geometry
-    geo = user_geometry(cfg, FAR)
-    h = direct_channel_matrix(cfg, FAR)
-    d = geo.bs_user_m[0, 0]
     f = cfg.baseline_frequency_hz
+    lam = SPEED_OF_LIGHT / f
+    h = direct_channel_matrix(cfg, FAR)
+    d = _distances(cfg.bs_user_distance_far, cfg.bs_antennas, cfg.user_antennas,
+                   lam)[0, 0]
     want = (SPEED_OF_LIGHT / (4 * math.pi * f * d)) ** 2
     assert_allclose(abs(h[0, 0]), want, rtol=1e-12)
+    # the arrays are spaced at the reference wavelength: the corner pair is
+    # offset 15 half-wavelengths at 3.5 GHz
+    d = math.hypot(500.0, 15 * lam / 2)
+    assert_allclose(abs(h[0, 15]), (SPEED_OF_LIGHT / (4 * math.pi * f * d)) ** 2,
+                    rtol=1e-12)
 
 
 def test_ris_element_gain_matches_reference():
@@ -203,23 +208,23 @@ def test_ris_matrix_zero_elements():
 
 def test_ris_single_element_reduces_to_element_gain():
     cfg = ScenarioConfig(ris_elements=1, ris_phase_mode="zero")
-    from thznoma.config import user_geometry
-    geo = user_geometry(cfg, NEAR)
+    lam = cfg.wavelength_m
     g = ris_channel_matrix(cfg, NEAR)
-    want = ris_element_gain(cfg.ris_reflection, 0.0, cfg.wavelength_m,
-                            geo.bs_element_m[4, 0], geo.element_user_m[0, 9],
+    want = ris_element_gain(cfg.ris_reflection, 0.0, lam,
+                            _distances(cfg.bs_ris_distance, 16, 1, lam)[4, 0],
+                            _distances(cfg.ris_user_distance_near, 1, 16, lam)[0, 9],
                             cfg.absorption_coeff)
     assert_allclose([g[9, 4].real, g[9, 4].imag], [want.real, want.imag], rtol=1e-12)
 
 
 def test_ris_global_phase_magnitude_invariance():
     cfg = ScenarioConfig()
-    from thznoma.config import user_geometry
-    geo = user_geometry(cfg, FAR)
+    lam, r = cfg.wavelength_m, cfg.ris_elements
+    bs_element = _distances(cfg.bs_ris_distance, cfg.bs_antennas, r, lam)
+    element_user = _distances(cfg.ris_user_distance_far, r, cfg.user_antennas, lam)
     base = cfg.ris_phases()
-    mk = lambda ph: ris_matrix(np.full(cfg.ris_elements, 1.0), ph,
-                               geo.bs_element_m, geo.element_user_m,
-                               cfg.wavelength_m, cfg.absorption_coeff)
+    mk = lambda ph: ris_matrix(np.full(r, 1.0), ph, bs_element, element_user,
+                               lam, cfg.absorption_coeff)
     g0 = mk(base)
     for delta in (0.7, 2.1, np.pi):
         g = mk(base + delta)

@@ -198,10 +198,14 @@ def test_exit_code_config_error(tmp_path, capsys):
     # every grid point is a scenario, checked like one; 2^2000 - 1 overflows
     high_target = tmp_path / "target.ini"
     high_target.write_text("[noma]\ntarget_rate = 2000\n", encoding="utf-8")
+    freespace = tmp_path / "freespace.ini"
+    freespace.write_text("[montecarlo]\nfreespace_baseline = true\n", encoding="utf-8")
     collapsing = "1e16:1.0000000000000004e16:1"  # 1e16 + 1 == 1e16
     for argv, field in ((["outage", "--grid", "2000"], "target_rate"),
                         (["outage", "--grid", "-1"], "target_rate"),
                         (["sumrate", "--config", str(high_target)], "target_rate"),
+                        # the free-space reference link has no surface
+                        (["sumrate", "--config", str(freespace)], "freespace_baseline"),
                         (["outage", "--grid", collapsing], "grid"),
                         (["sumrate", "--grid", collapsing], "grid"),
                         (["outage", "--grid", "1", "--schemes", ""], "schemes"),
@@ -242,6 +246,22 @@ def test_exit_code_noise_underflow(tmp_path, capsys):
         assert rc == 1
         assert ("config error: config field 'noise_power_dbm'"
                 in capsys.readouterr().err)
+
+
+# 1e-200 m squares to 0, so aligned antennas sit 0 m apart: the channel
+# divides by zero and warns on the way to a non-finite gain
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("user", ["far", "near"])
+def test_exit_code_non_finite_gain(tmp_path, capsys, user):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(f"[channel]\nbs_user_distance_{user} = 1e-200\n", encoding="utf-8")
+    for command, grid in (("outage", "1"), ("sumrate", "30")):
+        out = tmp_path / command
+        rc = main([command, "--config", str(ini), "--grid", grid,
+                   "--trials", "200", "--out", str(out)])
+        assert rc == 2
+        assert "channel gains must be finite" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
 
 
 def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):

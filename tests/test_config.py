@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma.config import (FAR, NEAR, SPEED_OF_LIGHT, ConfigError,
-                            ScenarioConfig, parse_config, pairwise_distances,
-                            render_config, ula_offsets, user_geometry)
+from thznoma.channel import _distances, direct_channel_matrix, ris_channel_matrix
+from thznoma.config import ConfigError, ScenarioConfig, parse_config, render_config
 
 
 def test_default_scenario_is_valid():
@@ -56,6 +55,7 @@ def test_noise_override_wins():
     ("noise_figure_db", math.inf),
     ("target_rate", 1024),          # 2 ** 1024 - 1 overflows the target SINR
     ("noise_power_dbm", -5000),     # 10 ** -500 underflows noise_power_w to 0
+    ("freespace_baseline", True),   # the reference link has no surface (R = 200)
 ])
 def test_rejected_fields_are_named(field, value):
     with pytest.raises(ConfigError) as err:
@@ -109,57 +109,42 @@ def test_ris_phases_reproducible_and_in_range():
     assert not np.array_equal(p1, cfg.replace(ris_phase_seed=7).ris_phases())
 
 
-def test_ula_offsets_centered():
-    offs = ula_offsets(16, 0.5e-3)
-    assert offs.shape == (16,)
-    assert_allclose(offs.sum(), 0.0, atol=1e-18)
-    assert_allclose(np.diff(offs), 0.5e-3, rtol=1e-15)
-
-
 def test_pairwise_distances_exact():
-    a = ula_offsets(3, 0.25)
-    b = ula_offsets(2, 0.25)
-    d = pairwise_distances(10.0, a, b)
-    assert d.shape == (3, 2)
-    for i in range(3):
-        for j in range(2):
-            assert_allclose(d[i, j], math.hypot(10.0, a[i] - b[j]), rtol=1e-15)
-    with pytest.raises(ConfigError):
-        pairwise_distances(0.0, a, b)
+    # centred arrays at half-wavelength spacing: offsets (i - (n - 1) / 2) * lam / 2
+    for axial, n_a, n_b, lam in ((10.0, 3, 5, 0.5), (1e-3, 16, 1, 1e-3)):
+        d = _distances(axial, n_a, n_b, lam)
+        assert d.shape == (n_a, n_b)
+        a = [(i - (n_a - 1) / 2) * (lam / 2) for i in range(n_a)]
+        b = [(j - (n_b - 1) / 2) * (lam / 2) for j in range(n_b)]
+        for i in range(n_a):
+            for j in range(n_b):
+                assert_allclose(d[i, j], math.hypot(axial, a[i] - b[j]), rtol=1e-15)
+        # centred: the layout is mirror-symmetric about the array centres
+        assert np.array_equal(d, d[::-1, ::-1])
+    # aligned centre elements sit exactly at the axial separation
+    assert _distances(10.0, 3, 5, 0.5)[1, 2] == 10.0
 
 
 def test_user_geometry_shapes_and_axial_distances():
     cfg = ScenarioConfig()
-    geo = user_geometry(cfg, FAR)
-    assert geo.bs_user_m.shape == (16, 16)
-    assert geo.bs_element_m.shape == (16, 200)
-    assert geo.element_user_m.shape == (200, 16)
+    lam, n, m, r = cfg.wavelength_m, cfg.bs_antennas, cfg.user_antennas, cfg.ris_elements
+    bs_user = _distances(cfg.bs_user_distance_far, n, m, lam)
+    bs_element = _distances(cfg.bs_ris_distance, n, r, lam)
+    element_user = _distances(cfg.ris_user_distance_far, r, m, lam)
+    assert bs_user.shape == (16, 16)
+    assert bs_element.shape == (16, 200)
+    assert element_user.shape == (200, 16)
     # aligned center elements sit exactly at the axial separations
-    assert geo.bs_user_m[7, 7] == 500.0
-    assert np.all(geo.bs_user_m >= 500.0)
-    assert np.all(geo.bs_element_m >= 100.0)
-    assert np.all(geo.element_user_m >= 150.0)
-    near = user_geometry(cfg, NEAR)
-    assert near.bs_user_m[7, 7] == 250.0
-    assert near.element_user_m.min() >= 250.0
-    with pytest.raises(ConfigError):
-        user_geometry(cfg, 2)
-
-
-def test_user_geometry_is_read_only():
-    geo = user_geometry(ScenarioConfig(), FAR)
-    with pytest.raises(ValueError):
-        geo.bs_user_m[0, 0] = 1.0
-
-
-def test_baseline_geometry_uses_reference_wavelength():
-    cfg = ScenarioConfig(freespace_baseline=True, ris_elements=0)
-    geo = user_geometry(cfg, FAR)
-    lam = SPEED_OF_LIGHT / cfg.baseline_frequency_hz
-    # corner pair: transverse offset 15 half-wavelengths at 3.5 GHz
-    assert_allclose(geo.bs_user_m[0, 15], math.hypot(500.0, 15 * lam / 2),
-                    rtol=1e-15)
-    assert geo.bs_element_m.shape == (16, 0)
+    assert bs_user[7, 7] == 500.0
+    assert np.all(bs_user >= 500.0)
+    assert np.all(bs_element >= 100.0)
+    assert np.all(element_user >= 150.0)
+    assert _distances(cfg.bs_user_distance_near, n, m, lam)[7, 7] == 250.0
+    assert _distances(cfg.ris_user_distance_near, r, m, lam).min() >= 250.0
+    for build in (direct_channel_matrix, ris_channel_matrix):
+        with pytest.raises(ConfigError) as err:
+            build(cfg, 2)
+        assert err.value.field_name == "user"
 
 
 def test_ini_round_trip(tmp_path):
