@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thznoma.channel import _distances, direct_channel_matrix, ris_channel_matrix
-from thznoma.config import ConfigError, ScenarioConfig, parse_config, render_config
+from thznoma.config import (FAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig,
+                            parse_config, render_config)
 
 
 def test_default_scenario_is_valid():
@@ -109,20 +110,32 @@ def test_ris_phases_reproducible_and_in_range():
     assert not np.array_equal(p1, cfg.replace(ris_phase_seed=7).ris_phases())
 
 
+def test_ula_offsets_centered():
+    # a 16-element array at 1 mm facing a single element: the transverse
+    # offsets are centred and half a wavelength (0.5 mm) apart
+    axial = 1e-6
+    d = _distances(axial, 16, 1, 1e-3)
+    assert d.shape == (16, 1)
+    assert np.array_equal(d, d[::-1])
+    offs = np.sqrt(d[:, 0] ** 2 - axial ** 2) * np.sign(np.arange(16) - 7.5)
+    assert_allclose(offs.sum(), 0.0, atol=1e-15)
+    assert_allclose(np.diff(offs), 0.5e-3, rtol=1e-9)
+
+
 def test_pairwise_distances_exact():
     # centred arrays at half-wavelength spacing: offsets (i - (n - 1) / 2) * lam / 2
-    for axial, n_a, n_b, lam in ((10.0, 3, 5, 0.5), (1e-3, 16, 1, 1e-3)):
-        d = _distances(axial, n_a, n_b, lam)
-        assert d.shape == (n_a, n_b)
-        a = [(i - (n_a - 1) / 2) * (lam / 2) for i in range(n_a)]
-        b = [(j - (n_b - 1) / 2) * (lam / 2) for j in range(n_b)]
-        for i in range(n_a):
-            for j in range(n_b):
-                assert_allclose(d[i, j], math.hypot(axial, a[i] - b[j]), rtol=1e-15)
-        # centred: the layout is mirror-symmetric about the array centres
-        assert np.array_equal(d, d[::-1, ::-1])
+    axial, n_a, n_b, lam = 10.0, 3, 5, 0.5
+    d = _distances(axial, n_a, n_b, lam)
+    assert d.shape == (n_a, n_b)
+    a = [(i - (n_a - 1) / 2) * (lam / 2) for i in range(n_a)]
+    b = [(j - (n_b - 1) / 2) * (lam / 2) for j in range(n_b)]
+    for i in range(n_a):
+        for j in range(n_b):
+            assert_allclose(d[i, j], math.hypot(axial, a[i] - b[j]), rtol=1e-15)
+    # centred: the layout is mirror-symmetric about the array centres
+    assert np.array_equal(d, d[::-1, ::-1])
     # aligned centre elements sit exactly at the axial separation
-    assert _distances(10.0, 3, 5, 0.5)[1, 2] == 10.0
+    assert d[1, 2] == 10.0
 
 
 def test_user_geometry_shapes_and_axial_distances():
@@ -146,6 +159,17 @@ def test_user_geometry_shapes_and_axial_distances():
             build(cfg, 2)
         assert err.value.field_name == "user"
 
+
+
+def test_baseline_geometry_uses_reference_wavelength():
+    cfg = ScenarioConfig(freespace_baseline=True, ris_elements=0)
+    f = cfg.baseline_frequency_hz
+    lam = SPEED_OF_LIGHT / f
+    h = direct_channel_matrix(cfg, FAR)
+    # corner pair: transverse offset 15 half-wavelengths at 3.5 GHz
+    d = math.hypot(500.0, 15 * lam / 2)
+    assert_allclose(abs(h[0, 15]), (SPEED_OF_LIGHT / (4 * math.pi * f * d)) ** 2,
+                    rtol=1e-12)
 
 def test_ini_round_trip(tmp_path):
     cfg = ScenarioConfig(frequency_hz=0.2e12, ris_elements=32, trials=777,
