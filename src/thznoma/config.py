@@ -181,20 +181,9 @@ def _validate(cfg: ScenarioConfig):
 # ---------------------------------------------------------------------------
 # INI parsing
 #
-# Flat key = value pairs under sections named for the consuming module:
-#
-#   [channel]      frequency_hz, absorption_coeff, aperture_radius_m,
-#                  beamwidth_m, pointing_error_m, bs_antennas, user_antennas,
-#                  ris_elements, ris_reflection, ris_phase_mode, ris_phase_seed,
-#                  bs_user_distance_far/near, ris_user_distance_far/near,
-#                  bs_ris_distance, ray_count, nlos_gains, nlos_delays,
-#                  shape_m, fading_enabled
-#   [noma]         fixed_alpha_far, target_rate
-#   [montecarlo]   tx_power_dbm, bandwidth_hz, noise_figure_db, noise_power_dbm,
-#                  trials, workers, freespace_baseline, baseline_frequency_hz
-#
-# Sequences are comma-separated; booleans are true/false. Unknown sections
-# or keys are rejected.
+# Flat key = value pairs under the sections of _SECTION_FIELDS. Sequences
+# are comma-separated; booleans are true/false. Unknown sections or keys
+# are rejected.
 
 _SECTION_FIELDS = {
     "channel": (

@@ -175,8 +175,7 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
     if domain == _DOMAIN_SUMRATE:
         return _moments(c_far + c_near)
     c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
-    near, far = outage_indicators(c_cross, c_near, c_far, target, target,
-                                  a_far)
+    near, far = outage_indicators(c_cross, c_near, c_far, target, a_far)
     return int(np.count_nonzero(near)), int(np.count_nonzero(far))
 
 

@@ -24,31 +24,30 @@ def sinr(gain, alpha, residual, tx_power_w: float, noise_power_w: float):
 
 
 def capacity(sinr):
-    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz, elementwise,
-    a float for a scalar. np.log2 may differ from math.log2, and one CPU
-    dispatch path from another, in the last ulp."""
+    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz, elementwise.
+    np.log2 may differ from math.log2, and one CPU dispatch path from
+    another, in the last ulp."""
     s = np.asarray(sinr, dtype=float)
     if np.any(s < 0):
         raise ValueError(f"sinr must be >= 0, got {float(s.min())!r}")
-    out = np.log2(1.0 + s)
-    return float(out) if s.ndim == 0 else out
+    return np.log2(1.0 + s)
 
 
-def outage_indicators(c_cross, c_near, c_far, target_far: float,
-                      target_near: float, alpha_far):
-    """(near_outage, far_outage), elementwise over the capacity arrays.
+def outage_indicators(c_cross, c_near, c_far, target: float, alpha_far):
+    """(near_outage, far_outage), elementwise over the capacity arrays, at
+    the one target R = R_m = R_n of both users.
 
-    Near user fails if it cannot decode the far message at the far target
-    (SIC stage) or its own message at its own target:
-        near = (alpha_m > 0 and C_{n->m} < R_m) or (C_n < R_n)
+    Near user fails if it cannot decode the far message at the target
+    (SIC stage) or its own message:
+        near = (alpha_m > 0 and C_{n->m} < R) or (C_n < R)
     The SIC clause is vacuous when the far message carries no power
     (alpha_m = 0): there is nothing to decode. Far user fails on its own
     message alone:
-        far = C_m < R_m
+        far = C_m < R
     """
-    if target_far < 0 or target_near < 0:
-        raise ValueError("target rates must be >= 0")
-    sic_fail = (np.asarray(alpha_far) > 0.0) & (np.asarray(c_cross) < target_far)
-    near = sic_fail | (np.asarray(c_near) < target_near)
-    far = np.asarray(c_far) < target_far
+    if target < 0:
+        raise ValueError(f"target rate must be >= 0, got {target!r}")
+    sic_fail = (np.asarray(alpha_far) > 0.0) & (np.asarray(c_cross) < target)
+    near = sic_fail | (np.asarray(c_near) < target)
+    far = np.asarray(c_far) < target
     return near, far

@@ -55,6 +55,14 @@ def test_target_sinr():
     assert target_sinr(3.0) == 7.0
     with pytest.raises(ValueError):
         target_sinr(-1.0)
+    # elementwise over rates, each element bit-equal to Python's 2.0 ** R - 1
+    rates = np.random.default_rng(8).uniform(0.0, 20.0, (4, 250))
+    got = target_sinr(rates)
+    assert got.shape == rates.shape
+    assert got.tolist() == [[2.0 ** r - 1.0 for r in row] for row in rates.tolist()]
+    assert [target_sinr(r) for r in rates[0].tolist()] == got[0].tolist()
+    with pytest.raises(ValueError):
+        target_sinr(np.array([1.0, -0.5, 2.0]))
 
 
 def test_fixed_split():
@@ -122,13 +130,21 @@ def test_zero_gain_is_infeasible():
     assert _split(alpha) == (1.0, 0.0)
 
 
+def _pair(result):
+    alpha, feasible = result
+    return alpha.item(), feasible.item()
+
+
 def test_allocate_dispatch():
     link = (1.0, P, S2, 1.0)
     assert_allclose(_split(allocate(FIXED, *link, 0.7)[0]), (0.7, 0.3), rtol=1e-15)
-    assert allocate(FAIR, *link) == (float(fair_alpha(*link)), True)
+    assert allocate(FAIR, *link) == (fair_alpha(*link), True)
     assert allocate(IMPROVED, *link) == allocate(FAIR, *link)
-    alpha, feasible = allocate(FAIR, *link)
-    assert type(alpha) is float and type(feasible) is bool
+    # a scalar link gives 0-d results, as numpy's own functions do
+    for scheme in (FIXED, FAIR, IMPROVED):
+        alpha, feasible = allocate(scheme, *link)
+        assert np.ndim(alpha) == np.ndim(feasible) == 0
+        assert np.asarray(alpha).dtype == float and np.asarray(feasible).dtype == bool
     with pytest.raises(ValueError):
         allocate("equal", *link)
     # elementwise over gains on both branches, equal to the scalar calls
@@ -137,7 +153,20 @@ def test_allocate_dispatch():
         alphas, feasibles = allocate(scheme, gains, P, S2, 1.0, 0.7)
         assert alphas.shape == feasibles.shape == gains.shape
         assert list(zip(alphas.tolist(), feasibles.tolist())) == [
-            allocate(scheme, g, P, S2, 1.0, 0.7) for g in gains.tolist()]
+            _pair(allocate(scheme, g, P, S2, 1.0, 0.7)) for g in gains.tolist()]
+    # elementwise over rates too, broadcast against the gains; R = 0 at
+    # zero gain needs no power for the far user and is feasible
+    rates = np.array([0.0, 0.5, 1.0, 3.0, 6.0])
+    for scheme in (FIXED, FAIR, IMPROVED):
+        alphas, feasibles = allocate(scheme, gains[:, None], P, S2, rates, 0.7)
+        assert alphas.shape == feasibles.shape == (gains.size, rates.size)
+        got = [list(zip(a, f)) for a, f in zip(alphas.tolist(), feasibles.tolist())]
+        assert got == [[_pair(allocate(scheme, g, P, S2, r, 0.7)) for r in rates.tolist()]
+                       for g in gains.tolist()]
+        assert _pair(allocate(scheme, 0.0, P, S2, 0.0, 0.7)) == (
+            (0.7, True) if scheme == FIXED else (0.0, True))
+        with pytest.raises(ValueError):
+            allocate(scheme, gains, P, S2, np.array([1.0, 2.0, -1.0, 0.5, 0.0]))
 
 
 def test_far_share_shrinks_with_gain_and_power():

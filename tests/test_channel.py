@@ -1,4 +1,5 @@
-"""Channel gains: frozen reference values, invariants, matrix assembly.
+"""Channel gains: frozen reference values, invariants, array geometry and
+matrix assembly.
 
 Reference constants were computed independently with 40-digit arithmetic
 from the defining formulas; comparisons are at 1e-12 relative, far looser
@@ -104,6 +105,67 @@ def test_nakagami_moments():
         assert abs(np.mean(x ** 2) - 1.0) < 5.0 / math.sqrt(200000)
         assert abs(np.mean(x ** 4) - (m + 1) / m) < 20.0 / math.sqrt(200000)
         assert np.all(x > 0)
+
+
+def test_ula_offsets_centered():
+    # a 16-element array at 1 mm facing a single element: the transverse
+    # offsets are centred and half a wavelength (0.5 mm) apart
+    axial = 1e-6
+    d = _distances(axial, 16, 1, 1e-3)
+    assert d.shape == (16, 1)
+    assert np.array_equal(d, d[::-1])
+    offs = np.sqrt(d[:, 0] ** 2 - axial ** 2) * np.sign(np.arange(16) - 7.5)
+    assert_allclose(offs.sum(), 0.0, atol=1e-15)
+    assert_allclose(np.diff(offs), 0.5e-3, rtol=1e-9)
+
+
+def test_pairwise_distances_exact():
+    # centred arrays at half-wavelength spacing: offsets (i - (n - 1) / 2) * lam / 2
+    axial, n_a, n_b, lam = 10.0, 3, 5, 0.5
+    d = _distances(axial, n_a, n_b, lam)
+    assert d.shape == (n_a, n_b)
+    a = [(i - (n_a - 1) / 2) * (lam / 2) for i in range(n_a)]
+    b = [(j - (n_b - 1) / 2) * (lam / 2) for j in range(n_b)]
+    for i in range(n_a):
+        for j in range(n_b):
+            assert_allclose(d[i, j], math.hypot(axial, a[i] - b[j]), rtol=1e-15)
+    # centred: the layout is mirror-symmetric about the array centres
+    assert np.array_equal(d, d[::-1, ::-1])
+    # aligned centre elements sit exactly at the axial separation
+    assert d[1, 2] == 10.0
+
+
+def test_user_geometry_shapes_and_axial_distances():
+    cfg = ScenarioConfig()
+    lam, n, m, r = cfg.wavelength_m, cfg.bs_antennas, cfg.user_antennas, cfg.ris_elements
+    bs_user = _distances(cfg.bs_user_distance_far, n, m, lam)
+    bs_element = _distances(cfg.bs_ris_distance, n, r, lam)
+    element_user = _distances(cfg.ris_user_distance_far, r, m, lam)
+    assert bs_user.shape == (16, 16)
+    assert bs_element.shape == (16, 200)
+    assert element_user.shape == (200, 16)
+    # aligned center elements sit exactly at the axial separations
+    assert bs_user[7, 7] == 500.0
+    assert np.all(bs_user >= 500.0)
+    assert np.all(bs_element >= 100.0)
+    assert np.all(element_user >= 150.0)
+    assert _distances(cfg.bs_user_distance_near, n, m, lam)[7, 7] == 250.0
+    assert _distances(cfg.ris_user_distance_near, r, m, lam).min() >= 250.0
+    for build in (direct_channel_matrix, ris_channel_matrix):
+        with pytest.raises(ConfigError) as err:
+            build(cfg, 2)
+        assert err.value.field_name == "user"
+
+
+def test_baseline_geometry_uses_reference_wavelength():
+    cfg = ScenarioConfig(freespace_baseline=True, ris_elements=0)
+    f = cfg.baseline_frequency_hz
+    lam = SPEED_OF_LIGHT / f
+    h = direct_channel_matrix(cfg, FAR)
+    # corner pair: transverse offset 15 half-wavelengths at 3.5 GHz
+    d = math.hypot(500.0, 15 * lam / 2)
+    assert_allclose(abs(h[0, 15]), (SPEED_OF_LIGHT / (4 * math.pi * f * d)) ** 2,
+                    rtol=1e-12)
 
 
 def test_direct_matrix_matches_reference_norms():

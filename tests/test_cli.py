@@ -8,6 +8,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from thznoma import cli, montecarlo
@@ -63,7 +64,9 @@ def test_parse_grid():
     assert _parse_grid("3") == (3.0,)
     assert _parse_grid("2:2:1") == (2.0,)
     for bad in ("a:b:c", "1:2", "1:2:0", "5:1:1", "", "0:inf:1", "0:nan:1",
-                "nan", "inf", "-1e308:1e308:1"):
+                "nan", "inf", "-1e308:1e308:1",
+                # distinct points that the CSV prints alike at 12 digits
+                "0.5:0.50000000000005:1e-14"):
         with pytest.raises(ConfigError):
             _parse_grid(bad)
 
@@ -201,6 +204,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     freespace = tmp_path / "freespace.ini"
     freespace.write_text("[montecarlo]\nfreespace_baseline = true\n", encoding="utf-8")
     collapsing = "1e16:1.0000000000000004e16:1"  # 1e16 + 1 == 1e16
+    print_alike = "0.5:0.50000000000005:1e-14"  # five points, one CSV key
     for argv, field in ((["outage", "--grid", "2000"], "target_rate"),
                         (["outage", "--grid", "-1"], "target_rate"),
                         (["sumrate", "--config", str(high_target)], "target_rate"),
@@ -208,6 +212,8 @@ def test_exit_code_config_error(tmp_path, capsys):
                         (["sumrate", "--config", str(freespace)], "freespace_baseline"),
                         (["outage", "--grid", collapsing], "grid"),
                         (["sumrate", "--grid", collapsing], "grid"),
+                        (["outage", "--grid", print_alike], "grid"),
+                        (["sumrate", "--grid", print_alike], "grid"),
                         (["outage", "--grid", "1", "--schemes", ""], "schemes"),
                         (["outage", "--grid", "1", "--schemes", " , "], "schemes"),
                         (["outage", "--grid", "1", "--schemes", "fair,fair"],
@@ -298,7 +304,7 @@ def test_validate_fails_when_fair_share_misses_the_target(small_config, monkeypa
 
     def perturbed(*args):
         alpha, feasible = allocate(*args)
-        return (alpha * (1.0 + 1e-6) if feasible else alpha), feasible
+        return np.where(feasible, alpha * (1.0 + 1e-6), alpha), feasible
 
     monkeypatch.setattr(cli, "allocate", perturbed)
     rc = main(["validate", "--config", small_config, "--seed", "2"])

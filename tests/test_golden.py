@@ -23,6 +23,11 @@ switched off.
 print-config`` output of each scenario, and ``default.txt`` that of the
 default scenario (no ``--config``), so the INI grammar and the rendering
 of every field type stay fixed.
+
+``tests/golden/validate/seed7.txt`` holds the output of ``thznoma
+validate --tolerance-se 5 --seed 7`` on the default scenario: the
+oracle's margins and the power-allocation conformance check, whose 2000
+requests are drawn from the same stream.
 """
 
 import glob
@@ -104,6 +109,14 @@ def test_print_config_is_pinned(scenario, capsys):
         "--config", os.path.join(GOLDEN, f"{scenario}.ini")]
     assert main(["print-config"] + config) == 0
     with open(os.path.join(GOLDEN, "print-config", f"{scenario}.txt"),
+              encoding="utf-8", newline="") as fh:
+        want = fh.read()
+    assert capsys.readouterr().out == want
+
+
+def test_validate_output_is_pinned(capsys):
+    assert main(["validate", "--tolerance-se", "5", "--seed", "7"]) == 0
+    with open(os.path.join(GOLDEN, "validate", "seed7.txt"),
               encoding="utf-8", newline="") as fh:
         want = fh.read()
     assert capsys.readouterr().out == want

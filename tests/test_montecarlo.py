@@ -64,28 +64,26 @@ def _reference_gains(cfg, rng):
     return gains
 
 
-def _reference_trial(cfg, scheme, targets, gains):
-    """One trial with (far, near) gains through scalar allocation and the
-    paper's SINR formulas:
+def _reference_trial(cfg, scheme, target, gains):
+    """One trial with (far, near) gains through one-gain allocation and the
+    paper's SINR formulas, at the target R = R_m = R_n of both users:
     (near_outage, far_outage, sum_rate, alpha_far, feasible_far).
 
     The SINRs are written out here, not taken from noma.sinr, so the
     kernel is checked against code it does not share."""
-    target_far, target_near = targets
     g_far, g_near = gains if gains[0] <= gains[1] else gains[::-1]
     p, s2 = cfg.tx_power_w, cfg.noise_power_w
     alpha_far, feasible_far = allocate(
         allocation.FAIR if scheme == "baseline" else scheme, g_far,
-        p, s2, target_far, cfg.fixed_alpha_far)
+        p, s2, target, cfg.fixed_alpha_far)
     alpha_near = 1.0 - alpha_far
     if scheme != allocation.FIXED and feasible_far:
-        c_far = target_far
+        c_far = target
     else:
         c_far = capacity(p * alpha_far * g_far / (p * g_far * alpha_near + s2))
     c_cross = capacity(p * alpha_far * g_near / (p * g_near * alpha_near + s2))
     c_near = capacity(p * alpha_near * g_near / s2)
-    near, far = outage_indicators(c_cross, c_near, c_far, target_far,
-                                  target_near, alpha_far)
+    near, far = outage_indicators(c_cross, c_near, c_far, target, alpha_far)
     return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
 
 
@@ -172,7 +170,7 @@ def test_fair_far_outage_is_the_infeasibility_event():
         _, far = _chunk(cfg, ("fair",), 0.25, seed=17, chunk=chunk,
                         n=1)["fair"]
         gains = _reference_gains(cfg, _chunk_rng(17, 1, chunk))
-        *_, feasible = _reference_trial(cfg, "fair", (0.25, 0.25), gains)
+        *_, feasible = _reference_trial(cfg, "fair", 0.25, gains)
         assert far == (not feasible)
         outages += far
     assert 0 < outages < 200
@@ -252,10 +250,10 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
     # exactly and across a block boundary; baseline replays the same key.
     # At m = 1 and without fading the THz and baseline links share one
     # envelope law and so one draw; at m != 1 each draws its own
-    targets = (1.0, 1.0)
+    target = 1.0
     n = BLOCK + 12
     schemes = ("fixed", "fair", "improved-fair", "baseline")
-    points = (_point_groups(cfg.replace(target_rate=targets[0]), schemes),)
+    points = (_point_groups(cfg.replace(target_rate=target), schemes),)
     counts = _run_chunk(points, 55, 1, 3, n)[0]
     moments = _run_chunk(points, 55, 2, 3, n)[0]
     assert list(counts) == list(moments) == list(schemes)
@@ -265,12 +263,12 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
         near = far = 0
         for _ in range(n):
             n_out, f_out, *_ = _reference_trial(
-                scheme_cfg, scheme, targets, _reference_gains(scheme_cfg, rng))
+                scheme_cfg, scheme, target, _reference_gains(scheme_cfg, rng))
             near += n_out
             far += f_out
         assert counts[scheme] == (near, far), scheme
         gains = _chunk_gains([scheme_cfg], _chunk_rng(55, 2, 3), n)[0]
-        rates = [_reference_trial(scheme_cfg, scheme, targets, g)[2]
+        rates = [_reference_trial(scheme_cfg, scheme, target, g)[2]
                  for g in gains.T.tolist()]
         rsum = dev = devsq = 0.0
         for rate in rates:

@@ -91,11 +91,12 @@ def test_capacity():
     edge = np.array([0.0, -0.0, 1.0, np.inf, np.nan])
     np.testing.assert_array_equal(capacity(edge),
                                   [math.log2(1.0 + s) for s in edge.tolist()])
+    # a scalar gives a 0-d result, as numpy's own functions do
     zero = capacity(0.0)
-    assert type(zero) is float and zero == 0.0
+    assert np.ndim(zero) == 0 and zero.dtype == float and zero == 0.0
 
 
-# (c_cross, c_near, c_far, want) at targets 1.0, the far message carrying power
+# (c_cross, c_near, c_far, want) at target 1.0, the far message carrying power
 _TABLE = [
     (2.0, 2.0, 2.0, (False, False)),   # everything above target
     (0.5, 2.0, 2.0, (True, False)),    # near fails the SIC stage
@@ -123,19 +124,19 @@ _NO_FAR_POWER = [
       for row in _NO_FAR_POWER),
 ])
 def test_outage_truth_table(c_cross, c_near, c_far, alpha_far, want):
-    assert outage_indicators(c_cross, c_near, c_far, 1.0, 1.0, alpha_far) == want
+    assert outage_indicators(c_cross, c_near, c_far, 1.0, alpha_far) == want
     # elementwise over arrays
     near, far = outage_indicators(*(np.full(3, v) for v in (c_cross, c_near, c_far)),
-                                  1.0, 1.0, np.full(3, alpha_far))
+                                  1.0, np.full(3, alpha_far))
     assert near.tolist() == [want[0]] * 3
     assert far.tolist() == [want[1]] * 3
 
 
 def test_outage_boundary_is_strict():
     # exactly meeting the target is not an outage
-    assert outage_indicators(1.0, 1.0, 1.0, 1.0, 1.0, 0.8) == (False, False)
+    assert outage_indicators(1.0, 1.0, 1.0, 1.0, 0.8) == (False, False)
     with pytest.raises(ValueError):
-        outage_indicators(1.0, 1.0, 1.0, -0.1, 1.0, 0.8)
+        outage_indicators(1.0, 1.0, 1.0, -0.1, 0.8)
 
 
 def test_zero_power_yields_zero_sinr():
