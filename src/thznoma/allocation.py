@@ -7,8 +7,8 @@ that instead diverts all power to the near user when the far target is
 unreachable. ``allocate`` returns (alpha_far, feasible): the far user's
 power share (the near user gets 1 - alpha_far) and whether the far
 target is reachable at the far user's gain ||H_m||^2. Every function is
-elementwise in the far gain and the target rate, broadcast together; a
-scalar input gives numpy 0-d results.
+elementwise in the far gain, the transmit power and the target rate,
+broadcast together; a scalar input gives numpy 0-d results.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ def target_sinr(target_rate):
     return _POW(2.0, r) - 1.0
 
 
-def fair_alpha(far_gain, tx_power_w: float, noise_power_w: float, target_rate):
-    """Un-clipped far coefficient from the rate equation, elementwise.
+def fair_alpha(far_gain, tx_power_w, noise_power_w: float, target_rate):
+    """Un-clipped far coefficient from the rate equation, elementwise in
+    far_gain, tx_power_w and target_rate.
 
     Solving log2(1 + p a g / (p (1-a) g + s2)) = R_m for a gives
     a = xi (p g + s2) / (p (1 + xi) g). Values above 1 (inf at zero gain
@@ -48,10 +49,10 @@ def fair_alpha(far_gain, tx_power_w: float, noise_power_w: float, target_rate):
     return np.where(xi == 0.0, 0.0, np.where(denom == 0.0, np.inf, alpha))
 
 
-def allocate(scheme: str, far_gain, tx_power_w: float, noise_power_w: float,
+def allocate(scheme: str, far_gain, tx_power_w, noise_power_w: float,
              target_rate, fixed_alpha_far: float = 0.8):
-    """(alpha_far, feasible) of one scheme, elementwise in far_gain and
-    target_rate.
+    """(alpha_far, feasible) of one scheme, elementwise in far_gain,
+    tx_power_w and target_rate.
 
     fixed: alpha_m = fixed_alpha_far, always feasible. fair: alpha_m =
     fair_alpha where it is <= 1, which pins the far capacity at R_m
@@ -59,7 +60,7 @@ def allocate(scheme: str, far_gain, tx_power_w: float, noise_power_w: float,
     fair split where feasible, else 0 (all power to the near user).
     """
     if scheme == FIXED:
-        shape = np.broadcast_shapes(np.shape(far_gain),
+        shape = np.broadcast_shapes(np.shape(far_gain), np.shape(tx_power_w),
                                     np.shape(target_sinr(target_rate)))
         return np.full(shape, fixed_alpha_far, float), np.ones(shape, bool)
     if scheme not in (FAIR, IMPROVED):

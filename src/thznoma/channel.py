@@ -151,35 +151,16 @@ def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
     return h
 
 
-def ris_element_gain(reflection, phase_rad, wavelength_m, bs_element_m,
-                     element_user_m, absorption_coeff):
-    """Cascaded gain of one reflecting element for one antenna pair.
-
-    (eta e^{j phi} lambda / (8 sqrt(pi^3) r_ir r_rj))
-      * exp(-kappa (r_ir + r_rj) / 2) * exp(-j 2 pi (r_ir + r_rj) / lambda).
-
-    Broadcasts over array-valued inputs. Absorption acts on the full
-    traversed path r_ir + r_rj.
-    """
-    r1 = np.asarray(bs_element_m, dtype=float)
-    r2 = np.asarray(element_user_m, dtype=float)
-    if np.any(r1 <= 0) or np.any(r2 <= 0):
-        raise ConfigError("element distances", "all distances > 0", "non-positive entry")
-    path = r1 + r2
-    mag = (np.asarray(reflection) * wavelength_m
-           / (8.0 * np.sqrt(np.pi ** 3) * r1 * r2)
-           * np.exp(-absorption_coeff * path / 2.0))
-    return mag * np.exp(1j * (np.asarray(phase_rad) - 2.0 * np.pi * path / wavelength_m))
-
-
 def ris_matrix(reflection, phases, bs_element_m, element_user_m,
                wavelength_m: float, absorption_coeff: float) -> np.ndarray:
     """(M, N) surface channel: per-entry coherent sum over all R elements.
 
     reflection eta_r and phases phi_r (rad) have shape (R,); the distances
-    r_ir and r_rj have shapes (N, R) and (R, M). Evaluated as a matrix
-    product of the BS-side and user-side element factors, which equals the
-    elementwise sum of ris_element_gain over r; R = 0 gives zeros.
+    r_ir and r_rj have shapes (N, R) and (R, M). Element r adds the cascade
+    gain eta_r e^{j phi_r} lambda / (8 sqrt(pi^3) r_ir r_rj)
+    * exp(-kappa (r_ir + r_rj) / 2) * exp(-j 2 pi (r_ir + r_rj) / lambda),
+    with absorption on the full traversed path. Evaluated as a matrix
+    product of the BS-side and user-side element factors; R = 0 gives zeros.
     """
     bs_side = (np.exp(-2j * np.pi * bs_element_m / wavelength_m)
                * np.exp(-absorption_coeff * bs_element_m / 2.0) / bs_element_m)

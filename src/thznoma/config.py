@@ -109,11 +109,10 @@ class ScenarioConfig:
         return dataclasses.asdict(self)
 
 
-_POSITIVE = (
-    "frequency_hz", "aperture_radius_m", "beamwidth_m", "bandwidth_hz",
-    "bs_user_distance_far", "bs_user_distance_near", "ris_user_distance_far",
-    "ris_user_distance_near", "bs_ris_distance", "baseline_frequency_hz",
-)
+_DISTANCES = ("bs_user_distance_far", "bs_user_distance_near",
+              "ris_user_distance_far", "ris_user_distance_near", "bs_ris_distance")
+_POSITIVE = ("frequency_hz", "aperture_radius_m", "beamwidth_m", "bandwidth_hz",
+             *_DISTANCES, "baseline_frequency_hz")
 _NONNEGATIVE = ("absorption_coeff", "pointing_error_m", "target_rate")
 _INT_MINIMUM = {"bs_antennas": 1, "user_antennas": 1, "ris_elements": 0,
                 "ris_phase_seed": 0, "ray_count": 1, "trials": 1, "workers": 1}
@@ -124,6 +123,12 @@ def _validate(cfg: ScenarioConfig):
         v = getattr(cfg, name)
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
             raise ConfigError(name, "a finite value > 0", v)
+    # the channel squares each link distance; below about 1.6e-162 m the
+    # square underflows to 0 and puts aligned antennas 0 m apart
+    for name in _DISTANCES:
+        v = getattr(cfg, name)
+        if not v * v > 0:
+            raise ConfigError(name, "a value whose square is > 0", v)
     for name in _NONNEGATIVE:
         v = getattr(cfg, name)
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):

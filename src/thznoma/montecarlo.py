@@ -2,20 +2,23 @@
 
 Every grid point is a ScenarioConfig: the sweep's scenario with one field
 replaced, the target rate R_m = R_n for ``outage`` and the transmit power
-for ``sumrate``. Trials are partitioned into fixed-size chunks; every
-chunk owns an RNG stream spawned from the master seed by (domain, 0,
-chunk) key, so results are identical for any worker count and workers
-only decide which chunks run where. Neither swept field enters the
-channel, so a chunk draws its gains once and every grid point and scheme
-is evaluated on them (common random numbers): each point's estimate is
-still its own marginal one, while differences between points and between
-schemes are paired. The baseline scheme has its own scenario. Its stream
-has the same key, so where its envelope law equals the THz link's (the
-default m = 1) it shares the THz link's draw; otherwise it draws its own.
+for ``sumrate``, validated like any scenario. Neither swept field enters
+the channel, so the grid is an array axis of the kernel: a task holds the
+first point's scenarios and two (P, 1) columns, every point's target rate
+and transmit power, and a chunk draws its gains once and evaluates each
+scheme once over all P points (common random numbers), giving a (P, k)
+array with a row per point. Each point's estimate is still its own
+marginal one, while differences between points and between schemes are
+paired. The baseline scheme has its own scenario. Its stream has the same
+key, so where its envelope law equals the THz link's (the default m = 1)
+it shares the THz link's draw; otherwise it draws its own.
 
-One chunk is evaluated as arrays, its channels formed in blocks of BLOCK
-trials. A sweep gives the same bits for any worker count, rerun and CPU
-dispatch path:
+Trials are partitioned into fixed-size chunks; every chunk owns an RNG
+stream spawned from the master seed by (domain, 0, chunk) key, so results
+are identical for any worker count and workers only decide which chunks
+run where. A chunk's channels are formed in blocks of BLOCK trials. A
+sweep gives the same bits for any worker count, rerun and CPU dispatch
+path:
 
 - a chunk's stream and draw order depend on its key alone: one draw of
   shape (b, 2, M*N) consumes the stream as b trials each drawing the far
@@ -28,7 +31,6 @@ dispatch path:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,77 +142,73 @@ def _chunk_gains(cfgs: list, rng: np.random.Generator, n: int) -> np.ndarray:
     return gains
 
 
-def _moments(rate: np.ndarray) -> tuple:
-    """(rate sum, x0, S, Q) of one chunk's rates, each sum in trial order:
-    S and Q sum x - x0 and (x - x0)^2 about the first rate x0."""
-    dev = rate - rate[0]
-    return (float(np.add.accumulate(rate)[-1]), float(rate[0]),
-            float(np.add.accumulate(dev)[-1]),
-            float(np.add.accumulate(dev * dev)[-1]))
+def _moments(rate: np.ndarray) -> np.ndarray:
+    """(..., 4) moments (rate sum, x0, S, Q) of rates along the last axis,
+    each sum in trial order: S and Q sum x - x0 and (x - x0)^2 about the
+    first rate x0."""
+    x0 = rate[..., :1]
+    dev = rate - x0
+    return np.stack([np.add.accumulate(rate, axis=-1)[..., -1], x0[..., 0],
+                     np.add.accumulate(dev, axis=-1)[..., -1],
+                     np.add.accumulate(dev * dev, axis=-1)[..., -1]], axis=-1)
 
 
 def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
-                 g_near: np.ndarray, cfg: ScenarioConfig) -> tuple:
-    """One scheme's sums over a chunk: (near_count, far_count) of outage
-    events for ``outage``, ``_moments`` of the sum rate for ``sumrate``.
+                 g_near: np.ndarray, cfg: ScenarioConfig, target: np.ndarray,
+                 power: np.ndarray) -> np.ndarray:
+    """One scheme's sums over a chunk, a row per grid point: (P, 2) counts
+    (near, far) of outage events for ``outage``, (P, 4) ``_moments`` of the
+    sum rate for ``sumrate``. The (n,) gains broadcast against the (P, 1)
+    columns ``target`` (R = R_m = R_n) and ``power`` (W).
 
-    Both users' target is cfg.target_rate. Power is allocated per the
-    scheme from the far user's instantaneous gain. On the feasible fair
-    branch the far capacity is R_m identically (the coefficient is the
-    exact solution of the rate equation), so that value is used directly
-    rather than re-rounded through the SINR chain; the far outage event is
-    then exactly the infeasibility event.
+    Power is allocated per the scheme from the far user's instantaneous
+    gain. On the feasible fair branch the far capacity is R_m identically
+    (the coefficient is the exact solution of the rate equation), so that
+    value is used directly rather than re-rounded through the SINR chain;
+    the far outage event is then exactly the infeasibility event.
     """
-    target = cfg.target_rate
-    p, s2 = cfg.tx_power_w, cfg.noise_power_w
+    s2 = cfg.noise_power_w
     # the baseline link is allocated like fair
     a_far, feasible = allocation.allocate(
-        allocation.FAIR if scheme == "baseline" else scheme, g_far, p, s2,
+        allocation.FAIR if scheme == "baseline" else scheme, g_far, power, s2,
         target, cfg.fixed_alpha_far)
     a_near = 1.0 - a_far
-    free = ~(feasible & (scheme != allocation.FIXED))
-    c_far = np.full(g_far.shape, target)
-    c_far[free] = capacity(sinr(g_far[free], a_far[free], a_near[free], p, s2))
-    c_near = capacity(sinr(g_near, a_near, 0.0, p, s2))
+    c_far = np.where(feasible & (scheme != allocation.FIXED), target,
+                     capacity(sinr(g_far, a_far, a_near, power, s2)))
+    c_near = capacity(sinr(g_near, a_near, 0.0, power, s2))
     if domain == _DOMAIN_SUMRATE:
         return _moments(c_far + c_near)
-    c_cross = capacity(sinr(g_near, a_far, a_near, p, s2))
-    near, far = outage_indicators(c_cross, c_near, c_far, target, a_far)
-    return int(np.count_nonzero(near)), int(np.count_nonzero(far))
+    c_cross = capacity(sinr(g_near, a_far, a_near, power, s2))
+    events = outage_indicators(c_cross, c_near, c_far, target, a_far)
+    return np.stack([np.count_nonzero(e, axis=-1) for e in events], axis=-1)
 
 
-def _run_chunk(points: tuple, master_seed: int, domain: int, chunk: int,
-               n: int) -> list:
-    """One {scheme: ``_scheme_sums``} per point.
+def _run_chunk(groups: tuple, target: np.ndarray, power: np.ndarray,
+               master_seed: int, domain: int, chunk: int, n: int) -> dict:
+    """{scheme: ``_scheme_sums``}, a (P, k) array with a row per point.
 
-    ``points`` holds each grid point's ``_point_groups`` result. Gains are
-    drawn once, on the first point's scenarios (the swept target or power
-    does not enter the gains), and every point evaluates its schemes on
-    them. Every scenario's stream has the chunk's key, so scenarios with
-    one envelope law would draw the same envelopes: each law opens the
-    stream once and its scenarios share the draw. SIC roles go by
-    ascending gain, ties to the nominal far user.
+    ``groups`` is the first point's ``_point_groups``; ``target`` and
+    ``power`` are every point's (P, 1) columns. Every scenario's stream
+    has the chunk's key, so scenarios with one envelope law would draw the
+    same envelopes: each law opens the stream once and its scenarios share
+    the draw. SIC roles go by ascending gain; tied gains are equal.
     """
-    cfgs = [cfg for cfg, _ in points[0]]
     laws = {}
-    for cfg in cfgs:
+    for cfg, _ in groups:
         laws.setdefault(_law(cfg), []).append(cfg)
     drawn = {}
     for group in laws.values():
         drawn.update(zip(group, _chunk_gains(
             group, _chunk_rng(master_seed, domain, chunk), n)))
-    gains = []
-    for cfg in cfgs:
-        g = drawn[cfg]
-        if not np.all(np.isfinite(g)):
+    sums = {}
+    for cfg, schemes in groups:
+        if not np.all(np.isfinite(drawn[cfg])):
             raise ValueError("both users' channel gains must be finite")
-        swap = g[FAR] > g[NEAR]
-        gains.append((np.where(swap, g[NEAR], g[FAR]),
-                      np.where(swap, g[FAR], g[NEAR])))
-    return [{scheme: _scheme_sums(domain, scheme, g_far, g_near, cfg)
-             for (cfg, schemes), (g_far, g_near) in zip(groups, gains)
-             for scheme in schemes}
-            for groups in points]
+        g_far, g_near = np.sort(drawn[cfg], axis=0)
+        for scheme in schemes:
+            sums[scheme] = _scheme_sums(domain, scheme, g_far, g_near, cfg,
+                                        target, power)
+    return sums
 
 
 def _point_groups(cfg: ScenarioConfig, schemes: tuple) -> tuple:
@@ -223,32 +221,34 @@ def _point_groups(cfg: ScenarioConfig, schemes: tuple) -> tuple:
 
 
 def _outage_stats(parts: list, sizes: list) -> dict:
-    """Near and far outage estimates of one point from its chunks' counts."""
+    """Near and far outage estimates, arrays over the grid, from the
+    chunks' (P, 2) counts."""
     t = sum(sizes)
-    p_near = sum(near for near, _ in parts) / t
-    p_far = sum(far for _, far in parts) / t
+    p_near, p_far = sum(parts).T / t
     return {
         "near_outage": p_near,
-        "near_outage_stderr": math.sqrt(p_near * (1.0 - p_near) / t),
+        "near_outage_stderr": np.sqrt(p_near * (1.0 - p_near) / t),
         "far_outage": p_far,
-        "far_outage_stderr": math.sqrt(p_far * (1.0 - p_far) / t),
+        "far_outage_stderr": np.sqrt(p_far * (1.0 - p_far) / t),
     }
 
 
 def _rate_stats(parts: list, sizes: list) -> dict:
-    """Mean sum rate of one point and its stderr, its chunks' ``_moments``
-    merged in chunk order by the pairwise update of Chan, Golub and LeVeque
-    (Am. Stat., 1983): nothing cancels, and equal rates give exactly 0."""
+    """Mean sum rate and its stderr, arrays over the grid, the chunks'
+    (P, 4) ``_moments`` merged in chunk order by the pairwise update of
+    Chan, Golub and LeVeque (Am. Stat., 1983): nothing cancels, and equal
+    rates give exactly 0."""
     t = 0
     rsum = mean = m2 = 0.0
-    for n, (ps, x0, dev, devsq) in zip(sizes, parts):
+    for n, part in zip(sizes, parts):
+        ps, x0, dev, devsq = part.T
         rsum += ps
         delta = x0 + dev / n - mean
         mean += delta * (n / (t + n))
         m2 += devsq - dev * dev / n + delta * delta * (t * n / (t + n))
         t += n
     return {"sum_rate": rsum / t,
-            "sum_rate_stderr": math.sqrt(max(m2, 0.0) / t / t)}
+            "sum_rate_stderr": np.sqrt(np.maximum(m2, 0.0) / t / t)}
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
@@ -258,10 +258,12 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     for s in spec.schemes:
         if s not in allowed:
             raise ConfigError("schemes", f"one of {allowed}", s)
-    points = tuple(_point_groups(cfg.replace(**{swept: float(v)}), spec.schemes)
-                   for v in spec.grid)
+    points = [cfg.replace(**{swept: float(v)}) for v in spec.grid]
+    target = np.array([[p.target_rate] for p in points], dtype=float)
+    power = np.array([[p.tx_power_w] for p in points], dtype=float)
+    groups = _point_groups(points[0], spec.schemes)
     sizes = _chunk_sizes(cfg.trials)
-    tasks = [(points, spec.master_seed, domain, ci, n)
+    tasks = [(groups, target, power, spec.master_seed, domain, ci, n)
              for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(cfg.workers, len(tasks))
@@ -276,13 +278,9 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
             executor.shutdown(cancel_futures=True)
     else:
         parts = [_run_chunk(*t) for t in tasks]
-    point_stats = _rate_stats if domain == _DOMAIN_SUMRATE else _outage_stats
-    series = {}
-    for scheme in spec.schemes:
-        stats = [point_stats([c[point][scheme] for c in parts], sizes)
-                 for point in range(len(spec.grid))]
-        series[scheme] = {k: np.asarray([st[k] for st in stats]) for k in stats[0]}
-    return series
+    stats = _rate_stats if domain == _DOMAIN_SUMRATE else _outage_stats
+    return {scheme: stats([c[scheme] for c in parts], sizes)
+            for scheme in spec.schemes}
 
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def sinr(gain, alpha, residual, tx_power_w: float, noise_power_w: float):
-    """SINR of a message with power share alpha, elementwise.
+def sinr(gain, alpha, residual, tx_power_w, noise_power_w: float):
+    """SINR of a message with power share alpha, elementwise in every
+    argument but the noise power.
 
     zeta = p alpha g / (p g residual + s2), where residual is the power
     share of the messages still undecoded at this receiver. Far message at
@@ -33,9 +34,9 @@ def capacity(sinr):
     return np.log2(1.0 + s)
 
 
-def outage_indicators(c_cross, c_near, c_far, target: float, alpha_far):
-    """(near_outage, far_outage), elementwise over the capacity arrays, at
-    the one target R = R_m = R_n of both users.
+def outage_indicators(c_cross, c_near, c_far, target, alpha_far):
+    """(near_outage, far_outage), elementwise over the capacity arrays and
+    the target R = R_m = R_n of both users.
 
     Near user fails if it cannot decode the far message at the target
     (SIC stage) or its own message:
@@ -45,8 +46,8 @@ def outage_indicators(c_cross, c_near, c_far, target: float, alpha_far):
     message alone:
         far = C_m < R
     """
-    if target < 0:
-        raise ValueError(f"target rate must be >= 0, got {target!r}")
+    if np.any(np.asarray(target) < 0):
+        raise ValueError(f"target rate must be >= 0, got {float(np.min(target))!r}")
     sic_fail = (np.asarray(alpha_far) > 0.0) & (np.asarray(c_cross) < target)
     near = sic_fail | (np.asarray(c_near) < target)
     far = np.asarray(c_far) < target

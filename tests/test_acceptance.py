@@ -32,13 +32,14 @@ from scipy import integrate, special, stats
 
 from thznoma.allocation import FAIR, allocate
 from thznoma.channel import (_distances, los_attenuation, misalignment_factor,
-                             ris_element_gain, ris_matrix, sample_nakagami)
+                             ris_matrix, sample_nakagami)
 from thznoma.cli import main
 from thznoma.config import ScenarioConfig
 from thznoma.ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from thznoma.montecarlo import SweepSpec, run_outage_sweep, run_sumrate_sweep
 from thznoma.noma import capacity, sinr
 
+from test_channel import ris_element_gain
 from test_ergodic import e1_scaled, exp_integral_e1
 
 SEED_ORACLE = 1

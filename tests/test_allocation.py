@@ -167,6 +167,15 @@ def test_allocate_dispatch():
             (0.7, True) if scheme == FIXED else (0.0, True))
         with pytest.raises(ValueError):
             allocate(scheme, gains, P, S2, np.array([1.0, 2.0, -1.0, 0.5, 0.0]))
+    # and over powers: a power column broadcasts against the gains, as the
+    # sweeps' grid column does; zero power leaves the far target infeasible
+    powers = np.array([[0.0], [0.5], [2.0]])
+    for scheme in (FIXED, FAIR, IMPROVED):
+        alphas, feasibles = allocate(scheme, gains, powers, S2, 1.0, 0.7)
+        assert alphas.shape == feasibles.shape == (powers.size, gains.size)
+        got = [list(zip(a, f)) for a, f in zip(alphas.tolist(), feasibles.tolist())]
+        assert got == [[_pair(allocate(scheme, g, p, S2, 1.0, 0.7)) for g in gains.tolist()]
+                       for p in powers.ravel().tolist()]
 
 
 def test_far_share_shrinks_with_gain_and_power():

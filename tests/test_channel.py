@@ -1,5 +1,5 @@
 """Channel gains: frozen reference values, invariants, array geometry and
-matrix assembly.
+matrix assembly, and the per-element reference of the surface channel.
 
 Reference constants were computed independently with 40-digit arithmetic
 from the defining formulas; comparisons are at 1e-12 relative, far looser
@@ -15,8 +15,7 @@ from numpy.testing import assert_allclose
 from thznoma.config import FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig
 from thznoma.channel import (_distances, direct_channel_matrix, los_attenuation,
                              misalignment_factor, multiray_response,
-                             ris_channel_matrix, ris_element_gain, ris_matrix,
-                             sample_nakagami)
+                             ris_channel_matrix, ris_matrix, sample_nakagami)
 
 # 40-digit recomputation of the default-scenario scalar gains
 DELTA3_DEFAULT = 0.35445968927743256      # a=0.1, w=0.2, l_e=0.05
@@ -28,6 +27,28 @@ DIRECT_NORM_FAR = 4.5474954319471590e-07
 DIRECT_NORM_NEAR = 1.3738798085265875e-06
 
 DEFAULT_MIS = (0.1, 0.2, 0.05)  # aperture radius, beamwidth, pointing error
+
+
+def ris_element_gain(reflection, phase_rad, wavelength_m, bs_element_m,
+                     element_user_m, absorption_coeff):
+    """Cascaded gain of one reflecting element for one antenna pair.
+
+    (eta e^{j phi} lambda / (8 sqrt(pi^3) r_ir r_rj))
+      * exp(-kappa (r_ir + r_rj) / 2) * exp(-j 2 pi (r_ir + r_rj) / lambda).
+
+    The tests' per-element reference for ris_matrix, which forms the same
+    sum as a matrix product. Broadcasts over array-valued inputs.
+    Absorption acts on the full traversed path r_ir + r_rj.
+    """
+    r1 = np.asarray(bs_element_m, dtype=float)
+    r2 = np.asarray(element_user_m, dtype=float)
+    if np.any(r1 <= 0) or np.any(r2 <= 0):
+        raise ConfigError("element distances", "all distances > 0", "non-positive entry")
+    path = r1 + r2
+    mag = (np.asarray(reflection) * wavelength_m
+           / (8.0 * np.sqrt(np.pi ** 3) * r1 * r2)
+           * np.exp(-absorption_coeff * path / 2.0))
+    return mag * np.exp(1j * (np.asarray(phase_rad) - 2.0 * np.pi * path / wavelength_m))
 
 
 def test_misalignment_factor_matches_reference():

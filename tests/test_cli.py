@@ -203,6 +203,9 @@ def test_exit_code_config_error(tmp_path, capsys):
     high_target.write_text("[noma]\ntarget_rate = 2000\n", encoding="utf-8")
     freespace = tmp_path / "freespace.ini"
     freespace.write_text("[montecarlo]\nfreespace_baseline = true\n", encoding="utf-8")
+    # 1e-200 m squares to 0, which would put aligned antennas 0 m apart
+    tiny = tmp_path / "tiny.ini"
+    tiny.write_text("[channel]\nbs_user_distance_near = 1e-200\n", encoding="utf-8")
     collapsing = "1e16:1.0000000000000004e16:1"  # 1e16 + 1 == 1e16
     print_alike = "0.5:0.50000000000005:1e-14"  # five points, one CSV key
     for argv, field in ((["outage", "--grid", "2000"], "target_rate"),
@@ -210,6 +213,8 @@ def test_exit_code_config_error(tmp_path, capsys):
                         (["sumrate", "--config", str(high_target)], "target_rate"),
                         # the free-space reference link has no surface
                         (["sumrate", "--config", str(freespace)], "freespace_baseline"),
+                        (["outage", "--config", str(tiny)], "bs_user_distance_near"),
+                        (["sumrate", "--config", str(tiny)], "bs_user_distance_near"),
                         (["outage", "--grid", collapsing], "grid"),
                         (["sumrate", "--grid", collapsing], "grid"),
                         (["outage", "--grid", print_alike], "grid"),
@@ -254,13 +259,14 @@ def test_exit_code_noise_underflow(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
-# 1e-200 m squares to 0, so aligned antennas sit 0 m apart: the channel
-# divides by zero and warns on the way to a non-finite gain
+# 1e-160 m squares to a subnormal, not to 0, so the config takes it; the
+# aligned antennas' entry amplitude is then about 3e155 and its square
+# overflows: the channel warns on the way to a non-finite gain
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("user", ["far", "near"])
 def test_exit_code_non_finite_gain(tmp_path, capsys, user):
     ini = tmp_path / "tiny.ini"
-    ini.write_text(f"[channel]\nbs_user_distance_{user} = 1e-200\n", encoding="utf-8")
+    ini.write_text(f"[channel]\nbs_user_distance_{user} = 1e-160\n", encoding="utf-8")
     for command, grid in (("outage", "1"), ("sumrate", "30")):
         out = tmp_path / command
         rc = main([command, "--config", str(ini), "--grid", grid,

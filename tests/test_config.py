@@ -55,6 +55,8 @@ def test_noise_override_wins():
     ("target_rate", 1024),          # 2 ** 1024 - 1 overflows the target SINR
     ("noise_power_dbm", -5000),     # 10 ** -500 underflows noise_power_w to 0
     ("freespace_baseline", True),   # the reference link has no surface (R = 200)
+    ("ris_user_distance_far", 1e-200),  # a distance whose square underflows to 0
+    ("bs_ris_distance", 1e-163),
 ])
 def test_rejected_fields_are_named(field, value):
     with pytest.raises(ConfigError) as err:

@@ -24,6 +24,11 @@ print-config`` output of each scenario, and ``default.txt`` that of the
 default scenario (no ``--config``), so the INI grammar and the rendering
 of every field type stay fixed.
 
+Without the surface at m = 1 a user's gain is ``sum_j |D_j|^2 E_j`` with
+``E_j`` iid Exp(1), the law the ergodic library integrates, so the
+``m1-no-ris`` fixed-allocation sum-rate rows are checked against its
+closed form as well.
+
 ``tests/golden/validate/seed7.txt`` holds the output of ``thznoma
 validate --tolerance-se 5 --seed 7`` on the default scenario: the
 oracle's margins and the power-allocation conformance check, whose 2000
@@ -36,10 +41,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import thznoma
+from thznoma.channel import direct_channel_matrix
 from thznoma.cli import main
+from thznoma.config import FAR, NEAR, parse_config
+from thznoma.ergodic import closed_form_capacity
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = sorted(os.path.basename(p)[:-len(".ini")]
@@ -101,6 +110,27 @@ def test_unfaded_sum_rate_has_zero_stderr():
         rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     assert len(rows) == 24
     assert {row[3] for row in rows} == {"0"}
+
+
+def test_no_surface_fixed_sum_rate_matches_closed_form():
+    # no surface, m = 1: the far user's rate is the capacity of SINR
+    # a p X / ((1 - a) p X + s2) and the near user's of (1 - a) p X / s2,
+    # with X = ||D∘E||^2 and diag|D|^2 as covariance. SIC roles never swap
+    # here: the mean gains differ 9-fold and each is a sum of 256 terms
+    base = parse_config(os.path.join(GOLDEN, "m1-no-ris.ini"))
+    with open(os.path.join(GOLDEN, "m1-no-ris", "sumrate.csv"),
+              encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    fixed = [row for row in rows if row[1] == "fixed"]
+    assert len(fixed) == 6
+    for dbm, _, rate, stderr in fixed:
+        cfg = base.replace(tx_power_dbm=float(dbm))
+        p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
+        cov = [np.diag(np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2)
+               for u in (FAR, NEAR)]
+        exact = (closed_form_capacity(cov[FAR], a * p, (1.0 - a) * p, s2)
+                 + closed_form_capacity(cov[NEAR], (1.0 - a) * p, 0.0, s2))
+        assert abs(float(rate) - exact) <= 4.0 * float(stderr), dbm
 
 
 @pytest.mark.parametrize("scenario", ["default"] + SCENARIOS)

@@ -87,20 +87,25 @@ def _reference_trial(cfg, scheme, target, gains):
     return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
 
 
-def _chunk(cfg, schemes, target, seed=0, chunk=0, n=8, domain=1):
-    """One point's chunk sums: outage counts, or with domain=2 rate moments."""
-    points = (_point_groups(cfg.replace(target_rate=target), schemes),)
-    return _run_chunk(points, seed, domain, chunk, n)[0]
+def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
+    """A chunk's {scheme: (P, k) sums} at P target rates (one or a sequence)
+    and cfg's power: outage counts, or with domain=2 rate moments."""
+    target = np.array(targets, dtype=float).reshape(-1, 1)
+    power = np.full_like(target, cfg.tx_power_w)
+    return _run_chunk(_point_groups(cfg, schemes), target, power, seed, domain,
+                      chunk, n)
 
 
 def test_trial_without_fading_is_deterministic():
     cfg = SMALL.replace(fading_enabled=False)
     schemes = ("fixed", "fair", "improved-fair")
-    t1 = _chunk(cfg, schemes, 0.5, seed=1)
-    t2 = _chunk(cfg, schemes, 0.5, seed=999)
-    assert t1 == t2
-    for near, far in t1.values():
-        assert near in (0, 8) and far in (0, 8)
+    t1 = _chunk(cfg, schemes, (0.5, 2.0), seed=1)
+    t2 = _chunk(cfg, schemes, (0.5, 2.0), seed=999)
+    assert list(t1) == list(t2) == list(schemes)
+    for scheme in schemes:
+        assert t1[scheme].shape == (2, 2)
+        assert np.array_equal(t1[scheme], t2[scheme])
+        assert set(t1[scheme].ravel().tolist()) <= {0, 8}
 
 
 def test_trial_matches_manual_noma_chain():
@@ -131,9 +136,9 @@ def test_trial_matches_manual_noma_chain():
         near = (alpha_far > 0 and c_cross < targets[0]) or c_near < targets[1]
         far = c_far < targets[0]
         rate = c_far + c_near
-        assert got[scheme] == (n * near, n * far)
+        assert got[scheme].tolist() == [[n * near, n * far]]
         # every trial has the same rate, so its deviations are exactly 0
-        rsum, x0, dev, devsq = moments[scheme]
+        rsum, x0, dev, devsq = moments[scheme][0]
         assert_allclose((rsum, x0), (n * rate, rate), rtol=1e-12)
         assert dev == devsq == 0.0
 
@@ -155,9 +160,9 @@ def test_trial_replays_the_documented_draw_order():
 
 def test_vanishing_power_fails_both_users():
     cfg = SMALL.replace(tx_power_dbm=-300.0)
-    near, far = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"]
+    near, far = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"][0]
     assert near == far == 8
-    rsum = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair"][0]
+    rsum = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair"][0, 0]
     assert rsum < 8e-12
 
 
@@ -168,7 +173,7 @@ def test_fair_far_outage_is_the_infeasibility_event():
     outages = 0
     for chunk in range(200):
         _, far = _chunk(cfg, ("fair",), 0.25, seed=17, chunk=chunk,
-                        n=1)["fair"]
+                        n=1)["fair"][0]
         gains = _reference_gains(cfg, _chunk_rng(17, 1, chunk))
         *_, feasible = _reference_trial(cfg, "fair", 0.25, gains)
         assert far == (not feasible)
@@ -184,8 +189,8 @@ def test_improved_never_worse_for_near_user():
     for chunk in range(300):
         got = _chunk(cfg, ("fair", "improved-fair"), 0.25, seed=1000,
                      chunk=chunk, n=1)
-        assert got["improved-fair"][0] <= got["fair"][0]
-        better += got["improved-fair"][0] < got["fair"][0]
+        assert got["improved-fair"][0, 0] <= got["fair"][0, 0]
+        better += got["improved-fair"][0, 0] < got["fair"][0, 0]
     assert better > 0
 
 
@@ -221,6 +226,18 @@ def test_sumrate_sweep_monotone_in_power():
     assert np.all(series["fixed"]["sum_rate"] > series["baseline"]["sum_rate"])
 
 
+def test_integer_target_rate_gives_the_float_rows():
+    # a scenario built in Python may carry an int rate; the far rate the
+    # fair scheme pins must not turn the capacities into integers
+    spec = SweepSpec(grid=(30.0,), schemes=("fair",), master_seed=1)
+    cfg = SMALL.replace(trials=500)
+    got = run_sumrate_sweep(spec, cfg.replace(target_rate=1))["fair"]
+    want = run_sumrate_sweep(spec, cfg.replace(target_rate=1.0))["fair"]
+    assert want["sum_rate"][0] > 0.0
+    for key, vals in want.items():
+        assert np.array_equal(got[key], vals), key
+
+
 def test_sweep_results_identical_across_worker_counts():
     cfg = SMALL.replace(trials=2100)
     spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), master_seed=9)
@@ -245,44 +262,54 @@ def test_rerun_is_bit_identical():
     SMALL.replace(fading_enabled=False),
 ], ids=["m0.5", "m1", "m3", "no-fading"])
 def test_run_chunk_reduction_matches_trial_loop(cfg):
-    # outage counts equal a trial-by-trial loop over the reference gains,
-    # and rate moments a loop over the kernel's gains in trial order, both
-    # exactly and across a block boundary; baseline replays the same key.
-    # At m = 1 and without fading the THz and baseline links share one
-    # envelope law and so one draw; at m != 1 each draws its own
-    target = 1.0
+    # each point's row of outage counts equals a trial-by-trial loop over
+    # the reference gains at that point's target and power, and its rate
+    # moments a loop over the kernel's gains in trial order, both exactly
+    # and across a block boundary; baseline replays the same key. At m = 1
+    # and without fading the THz and baseline links share one envelope law
+    # and so one draw; at m != 1 each draws its own
     n = BLOCK + 12
     schemes = ("fixed", "fair", "improved-fair", "baseline")
-    points = (_point_groups(cfg.replace(target_rate=target), schemes),)
-    counts = _run_chunk(points, 55, 1, 3, n)[0]
-    moments = _run_chunk(points, 55, 2, 3, n)[0]
+    points = [cfg.replace(target_rate=r, tx_power_dbm=dbm)
+              for r, dbm in ((0.5, 30.0), (1.0, 30.0), (1.0, 40.0))]
+    target = np.array([[point.target_rate] for point in points])
+    power = np.array([[point.tx_power_w] for point in points])
+    groups = _point_groups(cfg, schemes)
+    counts = _run_chunk(groups, target, power, 55, 1, 3, n)
+    moments = _run_chunk(groups, target, power, 55, 2, 3, n)
     assert list(counts) == list(moments) == list(schemes)
     for scheme in schemes:
-        scheme_cfg = non_ris_non_thz_baseline(cfg) if scheme == "baseline" else cfg
-        rng = _chunk_rng(55, 1, 3)
-        near = far = 0
-        for _ in range(n):
-            n_out, f_out, *_ = _reference_trial(
-                scheme_cfg, scheme, target, _reference_gains(scheme_cfg, rng))
-            near += n_out
-            far += f_out
-        assert counts[scheme] == (near, far), scheme
-        gains = _chunk_gains([scheme_cfg], _chunk_rng(55, 2, 3), n)[0]
-        rates = [_reference_trial(scheme_cfg, scheme, target, g)[2]
-                 for g in gains.T.tolist()]
-        rsum = dev = devsq = 0.0
-        for rate in rates:
-            rsum += rate
-            dev += rate - rates[0]
-            devsq += (rate - rates[0]) * (rate - rates[0])
-        assert moments[scheme] == (rsum, rates[0], dev, devsq), scheme
+        assert counts[scheme].shape == (len(points), 2)
+        assert moments[scheme].shape == (len(points), 4)
+        for i, point in enumerate(points):
+            scheme_cfg = (non_ris_non_thz_baseline(point) if scheme == "baseline"
+                          else point)
+            rng = _chunk_rng(55, 1, 3)
+            near = far = 0
+            for _ in range(n):
+                n_out, f_out, *_ = _reference_trial(
+                    scheme_cfg, scheme, point.target_rate,
+                    _reference_gains(scheme_cfg, rng))
+                near += n_out
+                far += f_out
+            assert counts[scheme][i].tolist() == [near, far], (scheme, i)
+            gains = _chunk_gains([scheme_cfg], _chunk_rng(55, 2, 3), n)[0]
+            rates = [_reference_trial(scheme_cfg, scheme, point.target_rate, g)[2]
+                     for g in gains.T.tolist()]
+            rsum = dev = devsq = 0.0
+            for rate in rates:
+                rsum += rate
+                dev += rate - rates[0]
+                devsq += (rate - rates[0]) * (rate - rates[0])
+            assert moments[scheme][i].tolist() == [rsum, rates[0], dev, devsq], (
+                scheme, i)
 
 
 @pytest.mark.parametrize("shape_m, streams", [(1.0, 1), (3.0, 2)])
 def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     # fixed and baseline at m = 1 share one law, so one draw of 2*M*N
     # envelopes per trial serves both; at m = 3 the baseline (m = 1)
-    # draws its own
+    # draws its own. The grid points share the draw too
     drawn = []
 
     def counting(*args):
@@ -293,7 +320,7 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     monkeypatch.setattr(montecarlo, "sample_nakagami", counting)
     cfg = SMALL.replace(shape_m=shape_m)
     n = BLOCK + 12
-    _chunk(cfg, ("fixed", "baseline"), 1.0, n=n)
+    _chunk(cfg, ("fixed", "baseline"), (0.5, 1.0, 2.0), n=n)
     per_trial = 2 * cfg.user_antennas * cfg.bs_antennas
     assert sum(drawn) == streams * per_trial * n
 
@@ -303,7 +330,8 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
 def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
                                                       calls):
     # per scheme an outage chunk takes the far, SIC-stage (c_cross) and
-    # near capacities; a sumrate chunk only the far and near ones
+    # near capacities; a sumrate chunk only the far and near ones, each
+    # once over every trial of every grid point
     sizes = []
 
     def counting(s):
@@ -312,11 +340,9 @@ def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
 
     monkeypatch.setattr(montecarlo, "capacity", counting)
     n = BLOCK + 12
-    got = _chunk(SMALL, ("fixed", "fair"), 1.0, n=n, domain=domain)
-    assert len(sizes) == 2 * calls
-    # fixed evaluates each of them on every trial
-    assert sizes[:calls] == [n] * calls
-    assert [len(v) for v in got.values()] == [2 if domain == 1 else 4] * 2
+    got = _chunk(SMALL, ("fixed", "fair"), (0.5, 1.0, 2.0), n=n, domain=domain)
+    assert sizes == [3 * n] * (2 * calls)
+    assert [v.shape for v in got.values()] == [(3, 2 if domain == 1 else 4)] * 2
 
 
 def test_rate_stats_merge_matches_two_pass_variance():
@@ -337,6 +363,12 @@ def test_rate_stats_merge_matches_two_pass_variance():
     # equal rates merge to exactly 0
     flat = _rate_stats([_moments(np.full(k, 0.1)) for k in sizes], sizes)
     assert flat["sum_rate_stderr"] == 0.0
+    # a stack of rate rows, one per grid point, merges row by row
+    rows = _rate_stats([_moments(np.stack([c, c[::-1]])) for c in chunks], sizes)
+    for i, row in enumerate((chunks, [c[::-1] for c in chunks])):
+        one = _rate_stats([_moments(c) for c in row], sizes)
+        assert rows["sum_rate"][i] == one["sum_rate"]
+        assert rows["sum_rate_stderr"][i] == one["sum_rate_stderr"]
 
 
 def test_sweeps_check_scheme_names(tmp_path, capsys):

@@ -137,6 +137,13 @@ def test_outage_boundary_is_strict():
     assert outage_indicators(1.0, 1.0, 1.0, 1.0, 0.8) == (False, False)
     with pytest.raises(ValueError):
         outage_indicators(1.0, 1.0, 1.0, -0.1, 0.8)
+    # a column of targets broadcasts against the capacities, one row each
+    near, far = outage_indicators(np.full(2, 1.0), np.full(2, 1.0),
+                                  np.array([1.0, 2.0]), np.array([[1.0], [1.5]]), 0.8)
+    assert near.tolist() == [[False, False], [True, True]]
+    assert far.tolist() == [[False, False], [True, False]]
+    with pytest.raises(ValueError):
+        outage_indicators(1.0, 1.0, 1.0, np.array([[1.0], [-0.1]]), 0.8)
 
 
 def test_zero_power_yields_zero_sinr():
