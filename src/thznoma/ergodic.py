@@ -26,8 +26,9 @@ import numpy as np
 _STEP = 1.0 / 16.0
 _U_LO = -40.0
 _U_HI = 4.0
-# oracle draws per block, which bounds its (block, d) temporaries
-_ORACLE_CHUNK = 65536
+# oracle draws per block, which bounds its (block, d) temporaries and so
+# its peak memory, whatever the trial count
+_ORACLE_CHUNK = 8192
 
 
 def _log_moment_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -89,20 +90,29 @@ def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,
 
     For h = R^(1/2) hbar, hbar ~ CN(0, I), and R = U diag(w) U^H,
     ||h||^2 = sum_i w_i |(U^H hbar)_i|^2 with U^H hbar ~ CN(0, I), so X is
-    drawn as sum_i w_i E_i, E_i iid Exp(1), into the same SINR. Returns
-    (mean, std_error) in bits/s/Hz.
+    drawn as sum_i w_i E_i, E_i iid Exp(1), into the same SINR. The draw
+    streams in blocks of ``_ORACLE_CHUNK`` trials, which consume the
+    generator as one draw of all trials would, and no capacity outlives
+    its block. Returns (mean, std_error) in bits/s/Hz.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     w = _spectrum(cov, signal_w, interference_w, noise_power_w)
     if not np.any(w > 0):
         return 0.0, 0.0
-    c = np.empty(trials)
+    # S and Q sum each capacity's deviation from the first one, x0, and its
+    # square: about one shift the variance Q - S^2/t does not cancel to 0
+    # on a near-constant link, as a mean square less the squared mean does
+    s = q = 0.0
     for done in range(0, trials, _ORACLE_CHUNK):
         n = min(_ORACLE_CHUNK, trials - done)
         x = rng.standard_exponential((n, w.size)) @ w
         zeta = signal_w * x / (interference_w * x + noise_power_w)
-        c[done:done + n] = np.log2(1.0 + zeta)
-    # two passes over the stored capacities: a one-pass mean square less
-    # the squared mean cancels to 0 on a near-constant link
-    return float(c.mean()), float(c.std()) / math.sqrt(trials)
+        c = np.log2(1.0 + zeta)
+        if done == 0:
+            x0 = float(c[0])
+        dev = c - x0
+        s += float(np.sum(dev))
+        q += float(np.sum(dev * dev))
+    var = max(q - s * s / trials, 0.0) / trials
+    return x0 + s / trials, math.sqrt(var) / math.sqrt(trials)

@@ -6,12 +6,14 @@ for ``sumrate``, validated like any scenario. Neither swept field enters
 the channel, so the grid is an array axis of the kernel: a task holds the
 first point's scenarios and two (P, 1) columns, every point's target rate
 and transmit power, and a chunk draws its gains once and evaluates each
-scheme once over all P points (common random numbers), giving a (P, k)
-array with a row per point. Each point's estimate is still its own
-marginal one, while differences between points and between schemes are
-paired. The baseline scheme has its own scenario. Its stream has the same
-key, so where its envelope law equals the THz link's (the default m = 1)
-it shares the THz link's draw; otherwise it draws its own.
+scheme over all P points (common random numbers), giving a (P, k) array
+with a row per point. It takes the grid in slabs of at most SLAB points,
+so its temporaries are (SLAB, n) however long the grid is. Each point's
+estimate is still its own marginal one, while differences between points
+and between schemes are paired. The baseline scheme has its own scenario.
+Its stream has the same key, so where its envelope law equals the THz
+link's (the default m = 1) it shares the THz link's draw; otherwise it
+draws its own.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the master seed by (domain, 0, chunk) key, so results
@@ -43,6 +45,7 @@ from .noma import capacity, outage_indicators, sinr
 
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
 BLOCK = 32    # trials whose channels are formed at once; temporaries stay in cache
+SLAB = 64     # grid points a scheme is evaluated on at once; bounds peak memory
 
 _DOMAIN_OUTAGE = 1
 _DOMAIN_SUMRATE = 2
@@ -191,7 +194,9 @@ def _run_chunk(groups: tuple, target: np.ndarray, power: np.ndarray,
     ``power`` are every point's (P, 1) columns. Every scenario's stream
     has the chunk's key, so scenarios with one envelope law would draw the
     same envelopes: each law opens the stream once and its scenarios share
-    the draw. SIC roles go by ascending gain; tied gains are equal.
+    the draw. SIC roles go by ascending gain; tied gains are equal. Every
+    row is the same elementwise computation, so taking the grid in slabs
+    of SLAB rows changes no bit.
     """
     laws = {}
     for cfg, _ in groups:
@@ -206,8 +211,10 @@ def _run_chunk(groups: tuple, target: np.ndarray, power: np.ndarray,
             raise ValueError("both users' channel gains must be finite")
         g_far, g_near = np.sort(drawn[cfg], axis=0)
         for scheme in schemes:
-            sums[scheme] = _scheme_sums(domain, scheme, g_far, g_near, cfg,
-                                        target, power)
+            sums[scheme] = np.concatenate([
+                _scheme_sums(domain, scheme, g_far, g_near, cfg,
+                             target[i:i + SLAB], power[i:i + SLAB])
+                for i in range(0, len(target), SLAB)])
     return sums
 
 

@@ -2,6 +2,7 @@
 exponential integral and Erlang log moments it reduces to."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,7 +197,8 @@ def test_oracle_draw_has_the_complex_gaussian_law(dim, monkeypatch):
 
 def test_oracle_stderr_does_not_cancel(monkeypatch):
     # every capacity is log2(1 + ~1000) within about 3e-9, so the mean
-    # square less the squared mean cancels to 0; two passes keep the spread
+    # square less the squared mean cancels to 0; deviations from the first
+    # capacity, summed over the whole call, keep the spread
     n = 100_000
     recorder = _Log2Recorder()
     monkeypatch.setattr(ergodic, "np", recorder)
@@ -208,6 +210,20 @@ def test_oracle_stderr_does_not_cancel(monkeypatch):
     assert_allclose(mean, exact_mean, rtol=1e-15)
     assert se > 0
     assert_allclose(se, exact_se, rtol=1e-9)
+
+
+def test_oracle_memory_does_not_grow_with_trials():
+    # the draw streams in blocks and no capacity outlives its block, so a
+    # million trials peak at one block's (8192, 5) draw and its capacities
+    link = (np.diag([0.5, 1.0, 2.0, 3.0, 4.0]), 1.0, 0.2, 1.0)
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        ergodic_capacity_mc_oracle(*link, 1_000_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_near_degenerate_cluster_is_stable():

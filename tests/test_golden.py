@@ -41,14 +41,13 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
 import thznoma
-from thznoma.channel import direct_channel_matrix
 from thznoma.cli import main
-from thznoma.config import FAR, NEAR, parse_config
-from thznoma.ergodic import closed_form_capacity
+from thznoma.config import parse_config
+
+from test_montecarlo import fixed_sum_rate_closed_form
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = sorted(os.path.basename(p)[:-len(".ini")]
@@ -113,10 +112,8 @@ def test_unfaded_sum_rate_has_zero_stderr():
 
 
 def test_no_surface_fixed_sum_rate_matches_closed_form():
-    # no surface, m = 1: the far user's rate is the capacity of SINR
-    # a p X / ((1 - a) p X + s2) and the near user's of (1 - a) p X / s2,
-    # with X = ||D∘E||^2 and diag|D|^2 as covariance. SIC roles never swap
-    # here: the mean gains differ 9-fold and each is a sum of 256 terms
+    # no surface, m = 1: SIC roles never swap here, since the mean gains
+    # differ 9-fold and each is a sum of 256 terms
     base = parse_config(os.path.join(GOLDEN, "m1-no-ris.ini"))
     with open(os.path.join(GOLDEN, "m1-no-ris", "sumrate.csv"),
               encoding="utf-8") as fh:
@@ -124,12 +121,7 @@ def test_no_surface_fixed_sum_rate_matches_closed_form():
     fixed = [row for row in rows if row[1] == "fixed"]
     assert len(fixed) == 6
     for dbm, _, rate, stderr in fixed:
-        cfg = base.replace(tx_power_dbm=float(dbm))
-        p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
-        cov = [np.diag(np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2)
-               for u in (FAR, NEAR)]
-        exact = (closed_form_capacity(cov[FAR], a * p, (1.0 - a) * p, s2)
-                 + closed_form_capacity(cov[NEAR], (1.0 - a) * p, 0.0, s2))
+        exact = fixed_sum_rate_closed_form(base.replace(tx_power_dbm=float(dbm)))
         assert abs(float(rate) - exact) <= 4.0 * float(stderr), dbm
 
 

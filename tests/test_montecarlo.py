@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from thznoma.allocation import allocate
 from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
                              sample_nakagami)
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
-from thznoma.montecarlo import (BLOCK, CHUNK, SweepSpec, _chunk_gains,
+from thznoma.ergodic import closed_form_capacity
+from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SweepSpec, _chunk_gains,
                                 _chunk_rng, _chunk_sizes, _moments,
                                 _point_groups, _rate_stats, _run_chunk,
                                 non_ris_non_thz_baseline, run_outage_sweep,
@@ -345,6 +347,26 @@ def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
     assert [v.shape for v in got.values()] == [(3, 2 if domain == 1 else 4)] * 2
 
 
+def _chunk_peak_bytes(points):
+    """Peak traced bytes of one full sum-rate chunk over a grid of points."""
+    schemes = montecarlo.SUMRATE_SCHEMES
+    targets = np.linspace(0.5, 3.0, points)
+    _chunk(SMALL, schemes, targets[:1], n=CHUNK, domain=2)  # warm the caches
+    tracemalloc.start()
+    try:
+        _chunk(SMALL, schemes, targets, n=CHUNK, domain=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_chunk_memory_does_not_grow_with_the_grid():
+    # a scheme takes the grid in slabs of SLAB points, so a chunk's
+    # temporaries are (SLAB, CHUNK) however many points it evaluates
+    assert _chunk_peak_bytes(1000) < 1.5 * _chunk_peak_bytes(SLAB)
+
+
 def test_rate_stats_merge_matches_two_pass_variance():
     # the merged moments of chunks of 1024, 1024 and 512 rates give np.var
     # of all of them; with this offset sumsq/t - mean^2 is off by 2e-8
@@ -461,22 +483,61 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     assert chunksizes == [1]
 
 
-@pytest.mark.parametrize("run, schemes, grid", [
-    (run_outage_sweep, ("fixed", "fair", "improved-fair"), (0.25, 0.5, 2.0)),
+@pytest.mark.parametrize("run, schemes, grid, rows", [
+    (run_outage_sweep, ("fixed", "fair", "improved-fair"), (0.25, 0.5, 2.0),
+     (0, 1, 2)),
     (run_sumrate_sweep, ("fixed", "fair", "improved-fair", "baseline"),
-     (0.0, 15.0, 30.0)),
-], ids=["outage", "sumrate"])
-def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid):
+     (0.0, 15.0, 30.0), (0, 1, 2)),
+    (run_sumrate_sweep, ("fixed", "fair", "improved-fair", "baseline"),
+     tuple(0.5 * i for i in range(SLAB + 2)), (0, SLAB - 1, SLAB, SLAB + 1)),
+], ids=["outage", "sumrate", "sumrate-slabs"])
+def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
+                                                           rows):
     # every point is evaluated on its chunk's shared gains, so a one-point
-    # sweep reproduces that point's row of a longer sweep bit for bit
+    # sweep reproduces that point's row of a longer sweep bit for bit, also
+    # on either side of a slab boundary
     cfg = SMALL.replace(trials=CHUNK + 100)
     full = run(SweepSpec(grid=grid, schemes=schemes, master_seed=3), cfg)
-    for i, value in enumerate(grid):
+    for i in rows:
+        value = grid[i]
         one = run(SweepSpec(grid=(value,), schemes=schemes, master_seed=3), cfg)
         for scheme in schemes:
             for key, vals in one[scheme].items():
                 assert vals.tolist() == [full[scheme][key][i]], (
                     value, scheme, key)
+
+
+def fixed_sum_rate_closed_form(cfg):
+    """Mean fixed-allocation sum rate of a scenario without the surface, at
+    integer m, from two closed-form capacities.
+
+    The far user's rate is the capacity of SINR a p X / ((1 - a) p X + s2)
+    and the near user's of (1 - a) p X / s2, with X = ||D∘E||^2. E^2 ~
+    Gamma(m, 1/m) is a sum of m iid Exp(1/m), so X has the spectrum
+    |D|^2 / m, each entry repeated m times. SIC roles are taken never to
+    swap, which holds where the mean gains differ many-fold and each gain
+    is a sum of many terms.
+    """
+    m = int(cfg.shape_m)
+    assert m == cfg.shape_m and cfg.ris_elements == 0
+    p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
+    cov = [np.diag(np.repeat(
+        np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2 / m, m))
+        for u in (FAR, NEAR)]
+    return (closed_form_capacity(cov[FAR], a * p, (1.0 - a) * p, s2)
+            + closed_form_capacity(cov[NEAR], (1.0 - a) * p, 0.0, s2))
+
+
+def test_no_surface_m3_fixed_sum_rate_matches_closed_form():
+    # the mean gains differ 9-fold and each is a sum of 256 terms, so SIC
+    # roles never swap; every row lies within 4 SE of the closed form
+    cfg = ScenarioConfig(ris_elements=0, shape_m=3.0, trials=4096)
+    grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
+    out = run_sumrate_sweep(
+        SweepSpec(grid=grid, schemes=("fixed",), master_seed=1), cfg)["fixed"]
+    for dbm, rate, se in zip(grid, out["sum_rate"], out["sum_rate_stderr"]):
+        exact = fixed_sum_rate_closed_form(cfg.replace(tx_power_dbm=dbm))
+        assert abs(rate - exact) <= 4.0 * se, dbm
 
 
 def test_baseline_link_is_far_weaker_than_composite():
