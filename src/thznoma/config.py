@@ -141,12 +141,13 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("ris_reflection", "a value in [0, 1]", cfg.ris_reflection)
     if cfg.ris_phase_mode not in ("random", "zero"):
         raise ConfigError("ris_phase_mode", "'random' or 'zero'", cfg.ris_phase_mode)
-    if len(cfg.nlos_gains) != cfg.ray_count - 1:
-        raise ConfigError("nlos_gains", f"length ray_count-1 = {cfg.ray_count - 1}",
-                          list(cfg.nlos_gains))
-    if len(cfg.nlos_delays) != cfg.ray_count - 1:
-        raise ConfigError("nlos_delays", f"length ray_count-1 = {cfg.ray_count - 1}",
-                          list(cfg.nlos_delays))
+    for name in ("nlos_gains", "nlos_delays"):
+        v = getattr(cfg, name)
+        # a list is unhashable (the channel cache) and renders unparseably
+        if not (isinstance(v, tuple) and all(isinstance(x, (int, float)) for x in v)):
+            raise ConfigError(name, "a tuple of numbers", v)
+        if len(v) != cfg.ray_count - 1:
+            raise ConfigError(name, f"length ray_count-1 = {cfg.ray_count - 1}", list(v))
     if not all(map(math.isfinite, cfg.nlos_gains)):
         raise ConfigError("nlos_gains", "finite gains", list(cfg.nlos_gains))
     if not all(math.isfinite(d) and d >= 0 for d in cfg.nlos_delays):

@@ -3,24 +3,26 @@
 Every grid point is a ScenarioConfig: the sweep's scenario with one field
 replaced, the target rate R_m = R_n for ``outage`` and the transmit power
 for ``sumrate``, validated like any scenario. Neither swept field enters
-the channel, so the grid is an array axis of the kernel: a task holds the
-first point's scenarios and two (P, 1) columns, every point's target rate
-and transmit power, and a chunk draws its gains once and evaluates each
-scheme over all P points (common random numbers), giving a (P, k) array
-with a row per point. It takes the grid in slabs of at most SLAB points,
-so its temporaries are (SLAB, n) however long the grid is. Each point's
+the channel, so the grid is an array axis of the kernel. The sweep groups
+the first point's links (the THz link, and the baseline link when asked
+for) with their schemes by envelope law, once (``_plan``). A task holds
+that plan and two (P, 1) columns, every point's target rate and transmit
+power, and a chunk draws each law's gains once and evaluates each scheme
+over all P points (common random numbers), giving a (P, k) array with a
+row per point. It takes the grid in slabs of at most SLAB points, so its
+temporaries are (SLAB, n) however long the grid is. Each point's
 estimate is still its own marginal one, while differences between points
-and between schemes are paired. The baseline scheme has its own scenario.
-Its stream has the same key, so where its envelope law equals the THz
-link's (the default m = 1) it shares the THz link's draw; otherwise it
-draws its own.
+and between schemes are paired. Every link's stream has the chunk's key,
+so where the baseline's law equals the THz link's (the default m = 1) it
+shares the THz link's draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the master seed by (domain, 0, chunk) key, so results
 are identical for any worker count and workers only decide which chunks
-run where. A chunk's channels are formed in blocks of BLOCK trials. A
-sweep gives the same bits for any worker count, rerun and CPU dispatch
-path:
+run where. With a pool the workers build the channels, the parent none,
+and a dead pool is the sweep's ValueError. A chunk's channels are formed
+in blocks of BLOCK trials. A sweep gives the same bits for any worker
+count, rerun and CPU dispatch path:
 
 - a chunk's stream and draw order depend on its key alone: one draw of
   shape (b, 2, M*N) consumes the stream as b trials each drawing the far
@@ -103,11 +105,6 @@ def _deterministic_parts(cfg: ScenarioConfig) -> tuple:
             np.sum(g.real ** 2 + g.imag ** 2, axis=-1))
 
 
-def _law(cfg: ScenarioConfig) -> tuple:
-    """What a scenario's envelope draw depends on: (fading, m, M*N)."""
-    return cfg.fading_enabled, cfg.shape_m, cfg.user_antennas * cfg.bs_antennas
-
-
 def _chunk_sizes(trials: int):
     full, rest = divmod(trials, CHUNK)
     return [CHUNK] * full + ([rest] if rest else [])
@@ -122,15 +119,17 @@ def _chunk_rng(master_seed: int, domain: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _chunk_gains(cfgs: list, rng: np.random.Generator, n: int) -> np.ndarray:
+def _chunk_gains(law: tuple, cfgs: list, rng: np.random.Generator,
+                 n: int) -> np.ndarray:
     """(len(cfgs), 2, n) squared Frobenius gains of n trials, rows in user order.
 
-    The scenarios share one ``_law``, so one draw serves them all. Each
-    trial draws the far user's envelopes, then the near user's; a block of
-    trials takes its draws with one call and forms each user's gains with
-    two matrix-vector products. Without fading every envelope is 1.0.
+    The scenarios share the envelope ``law`` (fading, m, M*N), so one draw
+    serves them all. Each trial draws the far user's envelopes, then the
+    near user's; a block of trials takes its draws with one call and forms
+    each user's gains with two matrix-vector products. Without fading every
+    envelope is 1.0.
     """
-    fading, shape_m, size = _law(cfgs[0])
+    fading, shape_m, size = law
     parts = [_deterministic_parts(cfg) for cfg in cfgs]
     gains = np.empty((len(cfgs), 2, n))
     for start in range(0, n, BLOCK):
@@ -186,45 +185,46 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
     return np.stack([np.count_nonzero(e, axis=-1) for e in events], axis=-1)
 
 
-def _run_chunk(groups: tuple, target: np.ndarray, power: np.ndarray,
+def _plan(cfg: ScenarioConfig, schemes: tuple) -> tuple:
+    """One grid point's links, (cfg, schemes) pairs, grouped by envelope
+    law (fading, m, M*N), THz link first: ((law, [link, ...]), ...). Every
+    link's stream has the chunk's key, so the links of one law share one
+    draw."""
+    thz = tuple(s for s in schemes if s != "baseline")
+    links = [(cfg, thz)] if thz else []
+    if "baseline" in schemes:
+        links.append((non_ris_non_thz_baseline(cfg), ("baseline",)))
+    plan = {}
+    for c, s in links:
+        law = (c.fading_enabled, c.shape_m, c.user_antennas * c.bs_antennas)
+        plan.setdefault(law, []).append((c, s))
+    return tuple(plan.items())
+
+
+def _run_chunk(plan: tuple, target: np.ndarray, power: np.ndarray,
                master_seed: int, domain: int, chunk: int, n: int) -> dict:
     """{scheme: ``_scheme_sums``}, a (P, k) array with a row per point.
 
-    ``groups`` is the first point's ``_point_groups``; ``target`` and
-    ``power`` are every point's (P, 1) columns. Every scenario's stream
-    has the chunk's key, so scenarios with one envelope law would draw the
-    same envelopes: each law opens the stream once and its scenarios share
-    the draw. SIC roles go by ascending gain; tied gains are equal. Every
-    row is the same elementwise computation, so taking the grid in slabs
-    of SLAB rows changes no bit.
+    ``plan`` is the first point's ``_plan``; ``target`` and ``power`` are
+    every point's (P, 1) columns. Each law group opens the chunk's stream
+    once. SIC roles go by ascending gain; tied gains are equal. Every row
+    is the same elementwise computation, so taking the grid in slabs of
+    SLAB rows changes no bit.
     """
-    laws = {}
-    for cfg, _ in groups:
-        laws.setdefault(_law(cfg), []).append(cfg)
-    drawn = {}
-    for group in laws.values():
-        drawn.update(zip(group, _chunk_gains(
-            group, _chunk_rng(master_seed, domain, chunk), n)))
     sums = {}
-    for cfg, schemes in groups:
-        if not np.all(np.isfinite(drawn[cfg])):
-            raise ValueError("both users' channel gains must be finite")
-        g_far, g_near = np.sort(drawn[cfg], axis=0)
-        for scheme in schemes:
-            sums[scheme] = np.concatenate([
-                _scheme_sums(domain, scheme, g_far, g_near, cfg,
-                             target[i:i + SLAB], power[i:i + SLAB])
-                for i in range(0, len(target), SLAB)])
+    for law, links in plan:
+        gains = _chunk_gains(law, [cfg for cfg, _ in links],
+                             _chunk_rng(master_seed, domain, chunk), n)
+        for (cfg, schemes), g in zip(links, gains):
+            if not np.all(np.isfinite(g)):
+                raise ValueError("both users' channel gains must be finite")
+            g_far, g_near = np.sort(g, axis=0)
+            for scheme in schemes:
+                sums[scheme] = np.concatenate([
+                    _scheme_sums(domain, scheme, g_far, g_near, cfg,
+                                 target[i:i + SLAB], power[i:i + SLAB])
+                    for i in range(0, len(target), SLAB)])
     return sums
-
-
-def _point_groups(cfg: ScenarioConfig, schemes: tuple) -> tuple:
-    """Pair one grid point's scenarios with their schemes."""
-    thz = tuple(s for s in schemes if s != "baseline")
-    groups = ((cfg, thz),) if thz else ()
-    if "baseline" in schemes:
-        groups += ((non_ris_non_thz_baseline(cfg), ("baseline",)),)
-    return groups
 
 
 def _outage_stats(parts: list, sizes: list) -> dict:
@@ -268,18 +268,21 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     points = [cfg.replace(**{swept: float(v)}) for v in spec.grid]
     target = np.array([[p.target_rate] for p in points], dtype=float)
     power = np.array([[p.tx_power_w] for p in points], dtype=float)
-    groups = _point_groups(points[0], spec.schemes)
+    plan = _plan(points[0], spec.schemes)
     sizes = _chunk_sizes(cfg.trials)
-    tasks = [(groups, target, power, spec.master_seed, domain, ci, n)
+    tasks = [(plan, target, power, spec.master_seed, domain, ci, n)
              for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         # imported here: the pool's modules cost about 25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             parts = list(executor.map(_run_chunk, *zip(*tasks), chunksize=1))
+        except BrokenProcessPool as exc:
+            raise ValueError(f"worker pool failed: {exc}") from exc
         finally:
             # also on KeyboardInterrupt: drop the queued chunks
             executor.shutdown(cancel_futures=True)

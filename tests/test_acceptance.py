@@ -92,12 +92,13 @@ def test_criterion_1_closed_form_matches_oracle():
     assert elapsed < 300.0
 
 
-def _mgf_gap_quadrature(a, b) -> float:
+def _mgf_gap_quadrature(a, b, m=1.0) -> float:
     """int_0^inf (M_b(s) - M_a(s)) e^(-s) / s ds by adaptive quadrature,
-    split at s = 1, with M_c(s) = prod_i (1 + c_i s)^(-1)."""
+    split at s = 1, with M_c(s) = prod_i (1 + c_i s / m)^(-m), the MGF of
+    sum_i c_i Y_i with Y_i iid Gamma(m, 1/m); m = 1 is Exp(1)."""
     def integrand(s):
-        return (np.prod(1.0 / (1.0 + b * s))
-                - np.prod(1.0 / (1.0 + a * s))) * math.exp(-s) / s
+        return (np.prod((1.0 + b * s / m) ** -m)
+                - np.prod((1.0 + a * s / m) ** -m)) * math.exp(-s) / s
     head = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
                           limit=200)[0]
     tail = integrate.quad(integrand, 1.0, math.inf, epsabs=0.0, epsrel=1e-13,

@@ -325,3 +325,13 @@ def test_validate_exit_code_on_impossible_tolerance(small_config, capsys):
                "--tolerance-se", "1e-9"])
     assert rc == 3
     assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_positive(
+        small_config, tolerance, capsys):
+    # NaN or a negative bound fails every case, an infinite one none
+    rc = main(["validate", "--config", small_config,
+               f"--tolerance-se={tolerance}"])
+    assert rc == 1
+    assert "tolerance_se" in capsys.readouterr().err

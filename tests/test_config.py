@@ -77,6 +77,11 @@ def test_nlos_lengths_must_match_ray_count():
     ("nlos_gains", (0.25, math.inf, 0.12)),
     ("nlos_delays", (1.3e-11, math.inf, 4.7e-11)),
     ("nlos_delays", (math.nan, 2.9e-11, 4.7e-11)),
+    # a list would pass the other checks, then break the channel cache
+    # (unhashable) and render a config that does not parse back
+    ("nlos_gains", [0.25, 0.18, 0.12]),
+    ("nlos_delays", [1.3e-11, 2.9e-11, 4.7e-11]),
+    ("nlos_gains", ("0.25", 0.18, 0.12)),
 ])
 def test_nlos_values_must_be_finite(field, value):
     with pytest.raises(ConfigError) as err:

@@ -27,7 +27,7 @@ of every field type stay fixed.
 Without the surface at m = 1 a user's gain is ``sum_j |D_j|^2 E_j`` with
 ``E_j`` iid Exp(1), the law the ergodic library integrates, so the
 ``m1-no-ris`` fixed-allocation sum-rate rows are checked against its
-closed form as well.
+closed form as well, and its outage rows against exact bounds.
 
 ``tests/golden/validate/seed7.txt`` holds the output of ``thznoma
 validate --tolerance-se 5 --seed 7`` on the default scenario: the
@@ -41,11 +41,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from scipy.special import gammainc
 
 import thznoma
+from thznoma.channel import direct_channel_matrix
 from thznoma.cli import main
-from thznoma.config import parse_config
+from thznoma.config import FAR, NEAR, parse_config
 
 from test_montecarlo import fixed_sum_rate_closed_form
 
@@ -123,6 +126,63 @@ def test_no_surface_fixed_sum_rate_matches_closed_form():
     for dbm, _, rate, stderr in fixed:
         exact = fixed_sum_rate_closed_form(base.replace(tx_power_dbm=float(dbm)))
         assert abs(float(rate) - exact) <= 4.0 * float(stderr), dbm
+
+
+def test_no_surface_outage_rows_lie_in_exact_brackets():
+    """Without the surface at m = 1 a user's gain X = sum_j w_j E_j, w =
+    |D|^2, lies between w_min G and w_max G with G ~ Gamma(MN, 1), so
+    P(X < x) lies between the Gamma CDF at x / w_max and at x / w_min.
+    The users are independent: the far (min) gain's CDF is 1 - S0 S1 and
+    the near (max) gain's F0 F1. Each outage checked here is a threshold
+    on one gain, with xi = 2^R - 1:
+
+    - fair and improved-fair far outage: g < xi s2 / p;
+    - fixed far outage: g p (a - (1 - a) xi) < xi s2, always when
+      (1 - a) xi >= a;
+    - fixed near outage: g below the larger of that SIC-stage threshold
+      and the own-rate one, xi s2 / ((1 - a) p).
+
+    The fair near rows need the joint law of both gains and are left out.
+    """
+    base = parse_config(os.path.join(GOLDEN, "m1-no-ris.ini"))
+    p, s2, a = base.tx_power_w, base.noise_power_w, base.fixed_alpha_far
+    w = [np.abs(direct_channel_matrix(base, u).ravel()) ** 2 for u in (FAR, NEAR)]
+
+    def bracket(x, user):
+        # (low, high) of P(g < x) for the far (min) or near (max) gain
+        ends = []
+        for scale in (max, min):
+            f0, f1 = (gammainc(wu.size, x / scale(wu)) for wu in w)
+            ends.append(1.0 - (1.0 - f0) * (1.0 - f1) if user == "far" else f0 * f1)
+        return ends
+
+    with open(os.path.join(GOLDEN, "m1-no-ris", "outage.csv"),
+              encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    trials = 2560
+    checked = 0
+    for rate, scheme, user, outage, stderr in rows:
+        xi = 2.0 ** float(rate) - 1.0
+        if scheme != "fixed":
+            if user == "near":
+                continue
+            x = xi * s2 / p
+        else:
+            margin = a - (1.0 - a) * xi
+            x = xi * s2 / (p * margin) if margin > 0 else np.inf
+            if user == "near":
+                x = max(x, xi * s2 / ((1.0 - a) * p))
+        low, high = bracket(x, user)
+        value, se = float(outage), float(stderr)
+        if value == 0.0:
+            assert high <= 10.0 / trials, (rate, scheme, user)
+        elif value == 1.0:
+            assert low >= 1.0 - 10.0 / trials, (rate, scheme, user)
+        else:
+            assert abs(value - low) <= 4.0 * se, (rate, scheme, user)
+            assert abs(value - high) <= 4.0 * se, (rate, scheme, user)
+        checked += 1
+    assert checked == 48
 
 
 @pytest.mark.parametrize("scenario", ["default"] + SCENARIOS)

@@ -1,26 +1,30 @@
 """Trial engine and sweeps: wiring, determinism, paired-scheme ordering."""
 
 import concurrent.futures
+import functools
 import math
+import os
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma import allocation, cli, montecarlo
+from thznoma import allocation, channel, cli, montecarlo
 from thznoma.allocation import allocate
 from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
                              sample_nakagami)
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.ergodic import closed_form_capacity
-from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SweepSpec, _chunk_gains,
-                                _chunk_rng, _chunk_sizes, _moments,
-                                _point_groups, _rate_stats, _run_chunk,
+from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SUMRATE_SCHEMES, SweepSpec,
+                                _chunk_gains, _chunk_rng, _chunk_sizes,
+                                _moments, _plan, _rate_stats, _run_chunk,
                                 non_ris_non_thz_baseline, run_outage_sweep,
                                 run_sumrate_sweep)
 from thznoma.noma import capacity, outage_indicators
 
+from test_acceptance import _mgf_gap_quadrature
 from test_noma import channel_gain
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
@@ -66,6 +70,12 @@ def _reference_gains(cfg, rng):
     return gains
 
 
+def _link_gains(cfg, rng, n):
+    """(2, n) kernel gains of cfg's link alone, drawn under its own law."""
+    ((law, [(link, _)]),) = _plan(cfg, ("fixed",))
+    return _chunk_gains(law, [link], rng, n)[0]
+
+
 def _reference_trial(cfg, scheme, target, gains):
     """One trial with (far, near) gains through one-gain allocation and the
     paper's SINR formulas, at the target R = R_m = R_n of both users:
@@ -94,8 +104,7 @@ def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
     and cfg's power: outage counts, or with domain=2 rate moments."""
     target = np.array(targets, dtype=float).reshape(-1, 1)
     power = np.full_like(target, cfg.tx_power_w)
-    return _run_chunk(_point_groups(cfg, schemes), target, power, seed, domain,
-                      chunk, n)
+    return _run_chunk(_plan(cfg, schemes), target, power, seed, domain, chunk, n)
 
 
 def test_trial_without_fading_is_deterministic():
@@ -153,7 +162,7 @@ def test_trial_replays_the_documented_draw_order():
     n = BLOCK + 5
     for shape_m in (0.5, 1.0, 3.0):
         cfg = SMALL.replace(shape_m=shape_m)
-        got = _chunk_gains([cfg], _chunk_rng(31, 1, 0), n)[0]
+        got = _link_gains(cfg, _chunk_rng(31, 1, 0), n)
         rng = _chunk_rng(31, 1, 0)
         want = np.array([_reference_gains(cfg, rng) for _ in range(n)]).T
         assert got.shape == (2, n)
@@ -276,9 +285,9 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
               for r, dbm in ((0.5, 30.0), (1.0, 30.0), (1.0, 40.0))]
     target = np.array([[point.target_rate] for point in points])
     power = np.array([[point.tx_power_w] for point in points])
-    groups = _point_groups(cfg, schemes)
-    counts = _run_chunk(groups, target, power, 55, 1, 3, n)
-    moments = _run_chunk(groups, target, power, 55, 2, 3, n)
+    plan = _plan(cfg, schemes)
+    counts = _run_chunk(plan, target, power, 55, 1, 3, n)
+    moments = _run_chunk(plan, target, power, 55, 2, 3, n)
     assert list(counts) == list(moments) == list(schemes)
     for scheme in schemes:
         assert counts[scheme].shape == (len(points), 2)
@@ -295,7 +304,7 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
                 near += n_out
                 far += f_out
             assert counts[scheme][i].tolist() == [near, far], (scheme, i)
-            gains = _chunk_gains([scheme_cfg], _chunk_rng(55, 2, 3), n)[0]
+            gains = _link_gains(scheme_cfg, _chunk_rng(55, 2, 3), n)
             rates = [_reference_trial(scheme_cfg, scheme, point.target_rate, g)[2]
                      for g in gains.T.tolist()]
             rsum = dev = devsq = 0.0
@@ -322,6 +331,7 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     monkeypatch.setattr(montecarlo, "sample_nakagami", counting)
     cfg = SMALL.replace(shape_m=shape_m)
     n = BLOCK + 12
+    assert len(_plan(cfg, ("fixed", "baseline"))) == streams
     _chunk(cfg, ("fixed", "baseline"), (0.5, 1.0, 2.0), n=n)
     per_trial = 2 * cfg.user_antennas * cfg.bs_antennas
     assert sum(drawn) == streams * per_trial * n
@@ -483,6 +493,41 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     assert chunksizes == [1]
 
 
+def test_pooled_parent_builds_no_channel(monkeypatch):
+    # the workers build the channel; a parent that built it would load
+    # numpy.random for the surface's phases and grow the pooled run's peak
+    # memory. Calls are counted in this process only: the forked workers
+    # count in their own copies
+    calls = []
+    for module in (channel, montecarlo):
+        for name in ("direct_channel_matrix", "ris_channel_matrix"):
+            def counting(*args, _real=getattr(module, name)):
+                calls.append(args)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+    montecarlo._deterministic_parts.cache_clear()
+    spec = SweepSpec(grid=(0.0, 30.0), schemes=SUMRATE_SCHEMES, master_seed=4)
+    cfg = SMALL.replace(trials=CHUNK + 10)
+    pooled = run_sumrate_sweep(spec, cfg.replace(workers=2))
+    assert calls == []
+    # the count does see an in-process build, and the pool ran the sweep
+    alone = run_sumrate_sweep(spec, cfg)
+    assert calls
+    for scheme in spec.schemes:
+        for key, vals in alone[scheme].items():
+            assert np.array_equal(pooled[scheme][key], vals), (scheme, key)
+
+
+def test_dead_pool_is_a_value_error(monkeypatch):
+    # the sweep reports its own pool's failure, chained from the pool's error
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
+    spec = SweepSpec(grid=(1.0,), schemes=("fair",), master_seed=1)
+    with pytest.raises(ValueError, match="worker pool failed") as err:
+        run_outage_sweep(spec, SMALL.replace(workers=2, trials=CHUNK + 1))
+    assert isinstance(err.value.__cause__, BrokenProcessPool)
+
+
 @pytest.mark.parametrize("run, schemes, grid, rows", [
     (run_outage_sweep, ("fixed", "fair", "improved-fair"), (0.25, 0.5, 2.0),
      (0, 1, 2)),
@@ -508,30 +553,38 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
 
 
 def fixed_sum_rate_closed_form(cfg):
-    """Mean fixed-allocation sum rate of a scenario without the surface, at
-    integer m, from two closed-form capacities.
+    """Mean fixed-allocation sum rate of a scenario without the surface.
 
     The far user's rate is the capacity of SINR a p X / ((1 - a) p X + s2)
-    and the near user's of (1 - a) p X / s2, with X = ||D∘E||^2. E^2 ~
-    Gamma(m, 1/m) is a sum of m iid Exp(1/m), so X has the spectrum
-    |D|^2 / m, each entry repeated m times. SIC roles are taken never to
-    swap, which holds where the mean gains differ many-fold and each gain
-    is a sum of many terms.
+    and the near user's of (1 - a) p X / s2, with X = ||D∘E||^2 =
+    sum_j |D_j|^2 E_j^2 and E_j^2 iid Gamma(m, 1/m): each rate is an MGF
+    integral over prod_j (1 + c_j s / m)^(-m). At integer m, E_j^2 is a
+    sum of m iid Exp(1/m), so X has the spectrum |D|^2 / m, each entry
+    repeated m times, and the ergodic library's closed form gives the
+    rates; at other m scipy's quadrature does. SIC roles are taken never
+    to swap, which holds where the mean gains differ many-fold and each
+    gain is a sum of many terms.
     """
-    m = int(cfg.shape_m)
-    assert m == cfg.shape_m and cfg.ris_elements == 0
+    m = cfg.shape_m
+    assert cfg.ris_elements == 0
     p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
-    cov = [np.diag(np.repeat(
-        np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2 / m, m))
-        for u in (FAR, NEAR)]
-    return (closed_form_capacity(cov[FAR], a * p, (1.0 - a) * p, s2)
-            + closed_form_capacity(cov[NEAR], (1.0 - a) * p, 0.0, s2))
+    w = [np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2 for u in (FAR, NEAR)]
+    # (spectrum, signal, interference) of the far and the near user's rate
+    links = ((w[FAR], a * p, (1.0 - a) * p), (w[NEAR], (1.0 - a) * p, 0.0))
+    if m == int(m):
+        return sum(closed_form_capacity(np.diag(np.repeat(wu / m, int(m))),
+                                        signal, interference, s2)
+                   for wu, signal, interference in links)
+    return sum(_mgf_gap_quadrature((signal + interference) / s2 * wu,
+                                   interference / s2 * wu, m)
+               for wu, signal, interference in links) / math.log(2.0)
 
 
-def test_no_surface_m3_fixed_sum_rate_matches_closed_form():
+@pytest.mark.parametrize("shape_m", [0.5, 3.0], ids=["m0.5", "m3"])
+def test_no_surface_sweep_fixed_sum_rate_matches_closed_form(shape_m):
     # the mean gains differ 9-fold and each is a sum of 256 terms, so SIC
-    # roles never swap; every row lies within 4 SE of the closed form
-    cfg = ScenarioConfig(ris_elements=0, shape_m=3.0, trials=4096)
+    # roles never swap; every row lies within 4 SE of the exact value
+    cfg = ScenarioConfig(ris_elements=0, shape_m=shape_m, trials=4096)
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
     out = run_sumrate_sweep(
         SweepSpec(grid=grid, schemes=("fixed",), master_seed=1), cfg)["fixed"]
