@@ -2,9 +2,9 @@
 
 Deterministic pieces: a line-of-sight gain with spreading, molecular
 absorption and beam-misalignment factors; a multi-ray correction for the
-direct BS-user path; and a cascaded per-element gain for the reflecting
-surface. Stochastic piece: independent Nakagami-m envelopes on the direct
-matrix entries.
+direct BS-user path; a cascaded per-element gain for the reflecting
+surface; and the free-space reference link. Stochastic piece: independent
+Nakagami-m envelopes on the direct matrix entries.
 
 All gains are amplitude (not power) quantities. The LoS scalar is
 real-positive; propagation phase exp(-j 2 pi d / lambda) enters when
@@ -121,34 +121,43 @@ def _user_distances(cfg: ScenarioConfig, user: int) -> tuple:
             (cfg.bs_user_distance_near, cfg.ris_user_distance_near))[user]
 
 
+def _phased(amp, d: np.ndarray, wavelength_m: float) -> np.ndarray:
+    """Read-only amp * exp(-j 2 pi d / lambda), the propagation phase applied."""
+    h = np.ascontiguousarray(amp * np.exp(-2j * np.pi * d / wavelength_m))
+    h.setflags(write=False)
+    return h
+
+
 def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
     """(M, N) direct BS-user channel; entry (j, i) covers BS antenna i.
 
     Deterministic entry: multiray_response of the pairwise LoS gain times
     the propagation phase exp(-j 2 pi d_ij / lambda). Fading is not applied
     here: the sweeps scale the entries by Nakagami envelopes per trial.
-
-    In the free-space reference mode the arrays are spaced at the reference
-    carrier and the entry amplitude is the free-space power loss
-    (c / (4 pi f d))^2 there, with no absorption, misalignment or extra rays.
     """
     axial, _ = _user_distances(cfg, user)
-    if cfg.freespace_baseline:
-        f = cfg.baseline_frequency_hz
-        lam = SPEED_OF_LIGHT / f
-        d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T  # (M, N)
-        amp = (SPEED_OF_LIGHT / (4.0 * np.pi * f * d)) ** 2
-    else:
-        f = cfg.frequency_hz
-        lam = cfg.wavelength_m
-        d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T
-        mis = misalignment_factor(cfg.aperture_radius_m, cfg.beamwidth_m,
-                                  cfg.pointing_error_m)
-        amp = multiray_response(los_attenuation(f, cfg.absorption_coeff, d, mis),
-                                cfg.nlos_gains, cfg.nlos_delays, f)
-    h = np.ascontiguousarray(amp * np.exp(-2j * np.pi * d / lam))
-    h.setflags(write=False)
-    return h
+    f, lam = cfg.frequency_hz, cfg.wavelength_m
+    d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T  # (M, N)
+    mis = misalignment_factor(cfg.aperture_radius_m, cfg.beamwidth_m,
+                              cfg.pointing_error_m)
+    amp = multiray_response(los_attenuation(f, cfg.absorption_coeff, d, mis),
+                            cfg.nlos_gains, cfg.nlos_delays, f)
+    return _phased(amp, d, lam)
+
+
+def baseline_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
+    """(M, N) reference BS-user channel: no surface and no THz carrier.
+
+    The arrays are spaced at cfg.baseline_frequency_hz, and the entry
+    amplitude is the free-space power loss (c / (4 pi f d))^2 there, so
+    the path loss counts twice; no absorption, misalignment or extra rays.
+    The sweeps fade it with Rayleigh envelopes.
+    """
+    axial, _ = _user_distances(cfg, user)
+    f = cfg.baseline_frequency_hz
+    lam = SPEED_OF_LIGHT / f
+    d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T  # (M, N)
+    return _phased((SPEED_OF_LIGHT / (4.0 * np.pi * f * d)) ** 2, d, lam)
 
 
 def ris_matrix(reflection, phases, bs_element_m, element_user_m,

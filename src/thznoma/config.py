@@ -29,6 +29,10 @@ class ConfigError(ValueError):
         self.value = value
         super().__init__(f"config field '{field_name}': expected {constraint}, got {value!r}")
 
+    def __reduce__(self):
+        # rebuilt from its fields, so a pool worker's error unpickles in the parent
+        return type(self), (self.field_name, self.constraint, self.value)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -71,8 +75,7 @@ class ScenarioConfig:
     # Monte Carlo
     trials: int = 100000
     workers: int = 1
-    # sub-6GHz free-space reference link (no surface, no absorption)
-    freespace_baseline: bool = False
+    # carrier of the sub-6GHz free-space reference link
     baseline_frequency_hz: float = 3.5e9
 
     def __post_init__(self):
@@ -179,9 +182,6 @@ def _validate(cfg: ScenarioConfig):
                           cfg.target_rate)
     if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
         raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
-    if cfg.freespace_baseline and cfg.ris_elements > 0:
-        raise ConfigError("freespace_baseline", "false when ris_elements > 0 "
-                          "(the reference link has no surface)", cfg.freespace_baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ _SECTION_FIELDS = {
     "noma": ("fixed_alpha_far", "target_rate"),
     "montecarlo": (
         "tx_power_dbm", "bandwidth_hz", "noise_figure_db", "noise_power_dbm",
-        "trials", "workers", "freespace_baseline", "baseline_frequency_hz",
+        "trials", "workers", "baseline_frequency_hz",
     ),
 }
 

@@ -3,10 +3,12 @@
 Every grid point is a ScenarioConfig: the sweep's scenario with one field
 replaced, the target rate R_m = R_n for ``outage`` and the transmit power
 for ``sumrate``, validated like any scenario. Neither swept field enters
-the channel, so the grid is an array axis of the kernel. The sweep groups
-the first point's links (the THz link, and the baseline link when asked
-for) with their schemes by envelope law, once (``_plan``). A task holds
-that plan and two (P, 1) columns, every point's target rate and transmit
+the channel, so the grid is an array axis of the kernel. A link is a
+channel builder and an envelope law: ``"thz"`` is the direct THz channel
+plus the surface's, Nakagami-m faded, and ``"baseline"`` the free-space
+reference channel, Rayleigh faded. The sweep groups the links its schemes
+need by law, once (``_plan``). A task holds that plan, the first point's
+scenario and two (P, 1) columns, every point's target rate and transmit
 power, and a chunk draws each law's gains once and evaluates each scheme
 over all P points (common random numbers), giving a (P, k) array with a
 row per point. It takes the grid in slabs of at most SLAB points, so its
@@ -41,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import allocation
-from .channel import direct_channel_matrix, ris_channel_matrix, sample_nakagami
+from .channel import (baseline_channel_matrix, direct_channel_matrix,
+                      ris_channel_matrix, sample_nakagami)
 from .config import FAR, NEAR, ConfigError, ScenarioConfig
 from .noma import capacity, outage_indicators, sinr
 
@@ -75,31 +78,16 @@ class SweepSpec:
             raise ConfigError("schemes", "distinct scheme names", self.schemes)
 
 
-def non_ris_non_thz_baseline(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Reference link without the surface and without THz propagation.
-
-    Free-space loss at the sub-6GHz reference carrier, Rayleigh fading,
-    no molecular absorption, no misalignment, single ray. Geometry, array
-    sizes and the power/noise budget carry over.
-    """
-    return cfg.replace(
-        freespace_baseline=True,
-        ris_elements=0,
-        shape_m=1.0,
-        absorption_coeff=0.0,
-        ray_count=1,
-        nlos_gains=(),
-        nlos_delays=(),
-    )
-
-
 @lru_cache(maxsize=16)
-def _deterministic_parts(cfg: ScenarioConfig) -> tuple:
-    """(|D|^2, c, ||G||^2) per user, c = 2 Re(conj(G)∘D), of the fading-free
-    direct (D) and surface (G) matrices, cached per scenario. With envelopes
-    E a user's gain is ||E∘D + G||^2 = E^2·|D|^2 + E·c + ||G||^2."""
-    d = np.stack([direct_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
-    g = np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
+def _deterministic_parts(cfg: ScenarioConfig, link: str) -> tuple:
+    """(|D|^2, c, ||G||^2) per user, c = 2 Re(conj(G)∘D), of the link's
+    fading-free direct (D) and surface (G) matrices, cached per scenario and
+    link. With envelopes E a user's gain is ||E∘D + G||^2 = E^2·|D|^2 + E·c
+    + ||G||^2. The baseline link has no surface: G = 0."""
+    build = direct_channel_matrix if link == "thz" else baseline_channel_matrix
+    d = np.stack([build(cfg, u).ravel() for u in (FAR, NEAR)])
+    g = (np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
+         if link == "thz" else np.zeros_like(d))
     return (d.real ** 2 + d.imag ** 2,
             2.0 * (g.real * d.real + g.imag * d.imag),
             np.sum(g.real ** 2 + g.imag ** 2, axis=-1))
@@ -119,19 +107,20 @@ def _chunk_rng(master_seed: int, domain: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _chunk_gains(law: tuple, cfgs: list, rng: np.random.Generator,
-                 n: int) -> np.ndarray:
-    """(len(cfgs), 2, n) squared Frobenius gains of n trials, rows in user order.
+def _chunk_gains(law: tuple, cfg: ScenarioConfig, links: list,
+                 rng: np.random.Generator, n: int) -> np.ndarray:
+    """(len(links), 2, n) squared Frobenius gains of n trials of cfg's named
+    links, rows in user order.
 
-    The scenarios share the envelope ``law`` (fading, m, M*N), so one draw
+    The links share the envelope ``law`` (fading, m, M*N), so one draw
     serves them all. Each trial draws the far user's envelopes, then the
     near user's; a block of trials takes its draws with one call and forms
     each user's gains with two matrix-vector products. Without fading every
     envelope is 1.0.
     """
     fading, shape_m, size = law
-    parts = [_deterministic_parts(cfg) for cfg in cfgs]
-    gains = np.empty((len(cfgs), 2, n))
+    parts = [_deterministic_parts(cfg, link) for link in links]
+    gains = np.empty((len(links), 2, n))
     for start in range(0, n, BLOCK):
         b = min(BLOCK, n - start)
         env = (sample_nakagami(shape_m, rng, (b, 2, size)) if fading
@@ -186,36 +175,37 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
 
 
 def _plan(cfg: ScenarioConfig, schemes: tuple) -> tuple:
-    """One grid point's links, (cfg, schemes) pairs, grouped by envelope
-    law (fading, m, M*N), THz link first: ((law, [link, ...]), ...). Every
-    link's stream has the chunk's key, so the links of one law share one
-    draw."""
+    """The links the schemes need, (name, schemes) pairs, grouped by
+    envelope law (fading, m, M*N), ``"thz"`` first: ((law, [link, ...]),
+    ...). The ``"baseline"`` link is Rayleigh faded (m = 1). Every link's
+    stream has the chunk's key, so the links of one law share one draw."""
     thz = tuple(s for s in schemes if s != "baseline")
-    links = [(cfg, thz)] if thz else []
-    if "baseline" in schemes:
-        links.append((non_ris_non_thz_baseline(cfg), ("baseline",)))
+    size = cfg.user_antennas * cfg.bs_antennas
     plan = {}
-    for c, s in links:
-        law = (c.fading_enabled, c.shape_m, c.user_antennas * c.bs_antennas)
-        plan.setdefault(law, []).append((c, s))
+    if thz:
+        plan[cfg.fading_enabled, cfg.shape_m, size] = [("thz", thz)]
+    if "baseline" in schemes:
+        plan.setdefault((cfg.fading_enabled, 1.0, size), []).append(
+            ("baseline", ("baseline",)))
     return tuple(plan.items())
 
 
-def _run_chunk(plan: tuple, target: np.ndarray, power: np.ndarray,
-               master_seed: int, domain: int, chunk: int, n: int) -> dict:
+def _run_chunk(cfg: ScenarioConfig, plan: tuple, target: np.ndarray,
+               power: np.ndarray, master_seed: int, domain: int, chunk: int,
+               n: int) -> dict:
     """{scheme: ``_scheme_sums``}, a (P, k) array with a row per point.
 
-    ``plan`` is the first point's ``_plan``; ``target`` and ``power`` are
-    every point's (P, 1) columns. Each law group opens the chunk's stream
-    once. SIC roles go by ascending gain; tied gains are equal. Every row
-    is the same elementwise computation, so taking the grid in slabs of
-    SLAB rows changes no bit.
+    ``cfg`` is the first point's scenario and ``plan`` its ``_plan``;
+    ``target`` and ``power`` are every point's (P, 1) columns. Each law
+    group opens the chunk's stream once. SIC roles go by ascending gain;
+    tied gains are equal. Every row is the same elementwise computation,
+    so taking the grid in slabs of SLAB rows changes no bit.
     """
     sums = {}
     for law, links in plan:
-        gains = _chunk_gains(law, [cfg for cfg, _ in links],
+        gains = _chunk_gains(law, cfg, [link for link, _ in links],
                              _chunk_rng(master_seed, domain, chunk), n)
-        for (cfg, schemes), g in zip(links, gains):
+        for (_, schemes), g in zip(links, gains):
             if not np.all(np.isfinite(g)):
                 raise ValueError("both users' channel gains must be finite")
             g_far, g_near = np.sort(g, axis=0)
@@ -270,7 +260,7 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     power = np.array([[p.tx_power_w] for p in points], dtype=float)
     plan = _plan(points[0], spec.schemes)
     sizes = _chunk_sizes(cfg.trials)
-    tasks = [(plan, target, power, spec.master_seed, domain, ci, n)
+    tasks = [(points[0], plan, target, power, spec.master_seed, domain, ci, n)
              for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(cfg.workers, len(tasks))

@@ -13,7 +13,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thznoma.config import FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig
-from thznoma.channel import (_distances, direct_channel_matrix, los_attenuation,
+from thznoma.channel import (_distances, baseline_channel_matrix,
+                             direct_channel_matrix, los_attenuation,
                              misalignment_factor, multiray_response,
                              ris_channel_matrix, ris_matrix, sample_nakagami)
 
@@ -172,17 +173,18 @@ def test_user_geometry_shapes_and_axial_distances():
     assert np.all(element_user >= 150.0)
     assert _distances(cfg.bs_user_distance_near, n, m, lam)[7, 7] == 250.0
     assert _distances(cfg.ris_user_distance_near, r, m, lam).min() >= 250.0
-    for build in (direct_channel_matrix, ris_channel_matrix):
+    for build in (direct_channel_matrix, ris_channel_matrix,
+                  baseline_channel_matrix):
         with pytest.raises(ConfigError) as err:
             build(cfg, 2)
         assert err.value.field_name == "user"
 
 
 def test_baseline_geometry_uses_reference_wavelength():
-    cfg = ScenarioConfig(freespace_baseline=True, ris_elements=0)
+    cfg = ScenarioConfig()
     f = cfg.baseline_frequency_hz
     lam = SPEED_OF_LIGHT / f
-    h = direct_channel_matrix(cfg, FAR)
+    h = baseline_channel_matrix(cfg, FAR)
     # corner pair: transverse offset 15 half-wavelengths at 3.5 GHz
     d = math.hypot(500.0, 15 * lam / 2)
     assert_allclose(abs(h[0, 15]), (SPEED_OF_LIGHT / (4 * math.pi * f * d)) ** 2,
@@ -231,10 +233,10 @@ def test_direct_matrix_fading_is_seeded_and_magnitude_only():
 
 
 def test_baseline_entry_is_freespace_power_loss():
-    cfg = ScenarioConfig(freespace_baseline=True, ris_elements=0)
+    cfg = ScenarioConfig()
     f = cfg.baseline_frequency_hz
     lam = SPEED_OF_LIGHT / f
-    h = direct_channel_matrix(cfg, FAR)
+    h = baseline_channel_matrix(cfg, FAR)
     d = _distances(cfg.bs_user_distance_far, cfg.bs_antennas, cfg.user_antennas,
                    lam)[0, 0]
     want = (SPEED_OF_LIGHT / (4 * math.pi * f * d)) ** 2
@@ -313,6 +315,7 @@ def test_ris_global_phase_magnitude_invariance():
 
 def test_channel_matrices_are_read_only():
     cfg = ScenarioConfig()
-    for mat in (direct_channel_matrix(cfg, FAR), ris_channel_matrix(cfg, FAR)):
+    for mat in (direct_channel_matrix(cfg, FAR), ris_channel_matrix(cfg, FAR),
+                baseline_channel_matrix(cfg, FAR)):
         with pytest.raises(ValueError):
             mat[0, 0] = 0

@@ -201,8 +201,9 @@ def test_exit_code_config_error(tmp_path, capsys):
     # every grid point is a scenario, checked like one; 2^2000 - 1 overflows
     high_target = tmp_path / "target.ini"
     high_target.write_text("[noma]\ntarget_rate = 2000\n", encoding="utf-8")
+    # the reference link is a channel, not a scenario mode
     freespace = tmp_path / "freespace.ini"
-    freespace.write_text("[montecarlo]\nfreespace_baseline = true\n", encoding="utf-8")
+    freespace.write_text("[montecarlo]\nfreespace_baseline = false\n", encoding="utf-8")
     # 1e-200 m squares to 0, which would put aligned antennas 0 m apart
     tiny = tmp_path / "tiny.ini"
     tiny.write_text("[channel]\nbs_user_distance_near = 1e-200\n", encoding="utf-8")
@@ -211,7 +212,6 @@ def test_exit_code_config_error(tmp_path, capsys):
     for argv, field in ((["outage", "--grid", "2000"], "target_rate"),
                         (["outage", "--grid", "-1"], "target_rate"),
                         (["sumrate", "--config", str(high_target)], "target_rate"),
-                        # the free-space reference link has no surface
                         (["sumrate", "--config", str(freespace)], "freespace_baseline"),
                         (["outage", "--config", str(tiny)], "bs_user_distance_near"),
                         (["sumrate", "--config", str(tiny)], "bs_user_distance_near"),
@@ -274,6 +274,19 @@ def test_exit_code_non_finite_gain(tmp_path, capsys, user):
         assert rc == 2
         assert "channel gains must be finite" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
+
+
+def test_exit_code_config_error_in_a_pool_worker(tmp_path, capsys):
+    # the beamwidth is checked where a worker builds the channel; the error
+    # crosses the pool as itself, so it is exit 1 at any worker count
+    ini = tmp_path / "beam.ini"
+    ini.write_text("[channel]\nbeamwidth_m = 1e-170\n", encoding="utf-8")
+    for workers in ("1", "2"):
+        rc = main(["outage", "--config", str(ini), "--grid", "1", "--trials",
+                   "2048", "--workers", workers, "--out", str(tmp_path / workers)])
+        assert rc == 1, workers
+        assert ("config error: config field 'beamwidth_m'"
+                in capsys.readouterr().err), workers
 
 
 def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -54,7 +55,6 @@ def test_noise_override_wins():
     ("noise_figure_db", math.inf),
     ("target_rate", 1024),          # 2 ** 1024 - 1 overflows the target SINR
     ("noise_power_dbm", -5000),     # 10 ** -500 underflows noise_power_w to 0
-    ("freespace_baseline", True),   # the reference link has no surface (R = 200)
     ("ris_user_distance_far", 1e-200),  # a distance whose square underflows to 0
     ("bs_ris_distance", 1e-163),
 ])
@@ -64,6 +64,16 @@ def test_rejected_fields_are_named(field, value):
     assert err.value.field_name == field
     assert field in str(err.value)
     assert err.value.value == value
+
+
+def test_config_error_survives_pickling():
+    # a pool worker's error reaches the parent pickled
+    err = ConfigError("beamwidth_m", "a finite value > 0", 1e-170)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ConfigError
+    assert (back.field_name, back.constraint, back.value) == (
+        "beamwidth_m", "a finite value > 0", 1e-170)
+    assert str(back) == str(err)
 
 
 def test_nlos_lengths_must_match_ray_count():

@@ -22,7 +22,17 @@ switched off.
 ``tests/golden/print-config/<name>.txt`` holds the ``thznoma
 print-config`` output of each scenario, and ``default.txt`` that of the
 default scenario (no ``--config``), so the INI grammar and the rendering
-of every field type stay fixed.
+of every field type stay fixed. They are written by
+
+    thznoma print-config --config tests/golden/<name>.ini \
+        > tests/golden/print-config/<name>.txt
+
+and ``thznoma print-config > tests/golden/print-config/default.txt``.
+
+Without fading every trial has the same gains, so each ``m1-no-fading``
+row is one trial's value and is checked exactly. The reference link
+reads no THz-only field, so the ``baseline`` rows of every faded
+scenario are the same.
 
 Without the surface at m = 1 a user's gain is ``sum_j |D_j|^2 E_j`` with
 ``E_j`` iid Exp(1), the law the ergodic library integrates, so the
@@ -43,14 +53,17 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.special import gammainc
 
 import thznoma
-from thznoma.channel import direct_channel_matrix
+from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
+                             ris_channel_matrix)
 from thznoma.cli import main
 from thznoma.config import FAR, NEAR, parse_config
 
-from test_montecarlo import fixed_sum_rate_closed_form
+from test_montecarlo import _reference_trial, fixed_sum_rate_closed_form
+from test_noma import channel_gain
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = sorted(os.path.basename(p)[:-len(".ini")]
@@ -112,6 +125,49 @@ def test_unfaded_sum_rate_has_zero_stderr():
         rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     assert len(rows) == 24
     assert {row[3] for row in rows} == {"0"}
+
+
+def _golden_rows(scenario, command):
+    with open(os.path.join(GOLDEN, scenario, f"{command}.csv"),
+              encoding="utf-8") as fh:
+        return [line.split(",") for line in fh.read().splitlines()[1:]]
+
+
+def test_unfaded_rows_are_exact():
+    # every trial has the gains ||D + G||^2 (THz link) and ||D_ref||^2
+    # (baseline link), so each row is one trial through the paper's SINRs:
+    # an outage of exactly 0 or 1, which no row's target rate within 0.57%
+    # nor gain within 2% would flip, and a sum rate equal up to the CSV's
+    # 12 digits (3.3e-12 relative at most)
+    base = parse_config(os.path.join(GOLDEN, "m1-no-fading.ini"))
+    thz = [channel_gain(direct_channel_matrix(base, u) + ris_channel_matrix(base, u))
+           for u in (FAR, NEAR)]
+    ref = [channel_gain(baseline_channel_matrix(base, u)) for u in (FAR, NEAR)]
+    outage = _golden_rows("m1-no-fading", "outage")
+    assert len(outage) == 72
+    for rate, scheme, user, value, stderr in outage:
+        near, far, *_ = _reference_trial(base, scheme, float(rate), thz)
+        want = near if user == "near" else far
+        assert (float(value), float(stderr)) == (want, 0.0), (rate, scheme, user)
+    sumrate = _golden_rows("m1-no-fading", "sumrate")
+    assert len(sumrate) == 24
+    for dbm, scheme, rate, _ in sumrate:
+        point = base.replace(tx_power_dbm=float(dbm))
+        gains = ref if scheme == "baseline" else thz
+        want = _reference_trial(point, scheme, point.target_rate, gains)[2]
+        assert_allclose(float(rate), want, rtol=1e-10, atol=0, err_msg=(dbm, scheme))
+
+
+def test_baseline_rows_of_faded_scenarios_are_identical():
+    # the reference link reads no THz-only field (m, surface, phases) and
+    # replays the chunk's key at m = 1 in every scenario
+    faded = [s for s in SCENARIOS
+             if parse_config(os.path.join(GOLDEN, f"{s}.ini")).fading_enabled]
+    assert len(faded) == 5
+    rows = [[row for row in _golden_rows(s, "sumrate") if row[1] == "baseline"]
+            for s in faded]
+    assert len(rows[0]) == 6
+    assert all(r == rows[0] for r in rows), faded
 
 
 def test_no_surface_fixed_sum_rate_matches_closed_form():

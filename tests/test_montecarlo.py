@@ -13,14 +13,14 @@ from numpy.testing import assert_allclose
 
 from thznoma import allocation, channel, cli, montecarlo
 from thznoma.allocation import allocate
-from thznoma.channel import (direct_channel_matrix, ris_channel_matrix,
-                             sample_nakagami)
+from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
+                             ris_channel_matrix, sample_nakagami)
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.ergodic import closed_form_capacity
 from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SUMRATE_SCHEMES, SweepSpec,
                                 _chunk_gains, _chunk_rng, _chunk_sizes,
-                                _moments, _plan, _rate_stats, _run_chunk,
-                                non_ris_non_thz_baseline, run_outage_sweep,
+                                _deterministic_parts, _moments, _plan,
+                                _rate_stats, _run_chunk, run_outage_sweep,
                                 run_sumrate_sweep)
 from thznoma.noma import capacity, outage_indicators
 
@@ -59,21 +59,27 @@ def test_sweep_spec_validation():
         assert err.value.field_name == next(iter(bad))
 
 
-def _reference_gains(cfg, rng):
-    """(far, near) gains of one trial: far envelopes drawn first, then near."""
+def _reference_gains(cfg, rng, link="thz"):
+    """(far, near) gains of one trial of cfg's link: far envelopes drawn
+    first, then near. The baseline link is Rayleigh faded, without a surface."""
     gains = []
     for user in (FAR, NEAR):
-        h = direct_channel_matrix(cfg, user)
+        if link == "thz":
+            h, g, m = (direct_channel_matrix(cfg, user),
+                       ris_channel_matrix(cfg, user), cfg.shape_m)
+        else:
+            h, g, m = baseline_channel_matrix(cfg, user), 0.0, 1.0
         if cfg.fading_enabled:
-            h = sample_nakagami(cfg.shape_m, rng, h.shape) * h
-        gains.append(channel_gain(h + ris_channel_matrix(cfg, user)))
+            h = sample_nakagami(m, rng, h.shape) * h
+        gains.append(channel_gain(h + g))
     return gains
 
 
-def _link_gains(cfg, rng, n):
-    """(2, n) kernel gains of cfg's link alone, drawn under its own law."""
-    ((law, [(link, _)]),) = _plan(cfg, ("fixed",))
-    return _chunk_gains(law, [link], rng, n)[0]
+def _link_gains(cfg, rng, n, scheme="fixed"):
+    """(2, n) kernel gains of the link serving the scheme alone, drawn under
+    its own law."""
+    ((law, [(link, _)]),) = _plan(cfg, (scheme,))
+    return _chunk_gains(law, cfg, [link], rng, n)[0]
 
 
 def _reference_trial(cfg, scheme, target, gains):
@@ -104,7 +110,8 @@ def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
     and cfg's power: outage counts, or with domain=2 rate moments."""
     target = np.array(targets, dtype=float).reshape(-1, 1)
     power = np.full_like(target, cfg.tx_power_w)
-    return _run_chunk(_plan(cfg, schemes), target, power, seed, domain, chunk, n)
+    return _run_chunk(cfg, _plan(cfg, schemes), target, power, seed, domain,
+                      chunk, n)
 
 
 def test_trial_without_fading_is_deterministic():
@@ -286,26 +293,25 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
     target = np.array([[point.target_rate] for point in points])
     power = np.array([[point.tx_power_w] for point in points])
     plan = _plan(cfg, schemes)
-    counts = _run_chunk(plan, target, power, 55, 1, 3, n)
-    moments = _run_chunk(plan, target, power, 55, 2, 3, n)
+    counts = _run_chunk(cfg, plan, target, power, 55, 1, 3, n)
+    moments = _run_chunk(cfg, plan, target, power, 55, 2, 3, n)
     assert list(counts) == list(moments) == list(schemes)
     for scheme in schemes:
         assert counts[scheme].shape == (len(points), 2)
         assert moments[scheme].shape == (len(points), 4)
         for i, point in enumerate(points):
-            scheme_cfg = (non_ris_non_thz_baseline(point) if scheme == "baseline"
-                          else point)
+            link = "baseline" if scheme == "baseline" else "thz"
             rng = _chunk_rng(55, 1, 3)
             near = far = 0
             for _ in range(n):
                 n_out, f_out, *_ = _reference_trial(
-                    scheme_cfg, scheme, point.target_rate,
-                    _reference_gains(scheme_cfg, rng))
+                    point, scheme, point.target_rate,
+                    _reference_gains(point, rng, link))
                 near += n_out
                 far += f_out
             assert counts[scheme][i].tolist() == [near, far], (scheme, i)
-            gains = _link_gains(scheme_cfg, _chunk_rng(55, 2, 3), n)
-            rates = [_reference_trial(scheme_cfg, scheme, point.target_rate, g)[2]
+            gains = _link_gains(point, _chunk_rng(55, 2, 3), n, scheme)
+            rates = [_reference_trial(point, scheme, point.target_rate, g)[2]
                      for g in gains.T.tolist()]
             rsum = dev = devsq = 0.0
             for rate in rates:
@@ -421,26 +427,29 @@ def test_sweeps_check_scheme_names(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_baseline_scenario_construction():
-    base = non_ris_non_thz_baseline(ScenarioConfig())
-    assert base.freespace_baseline
-    assert base.ris_elements == 0
-    assert base.absorption_coeff == 0.0
-    assert base.ray_count == 1 and base.nlos_gains == ()
-    assert base.shape_m == 1.0
-    # power budget and geometry carry over
-    assert base.tx_power_dbm == 30.0
-    assert base.bs_user_distance_far == 500.0
-    assert np.all(ris_channel_matrix(base, FAR) == 0)
+def test_baseline_link_reads_no_thz_field():
+    # the reference link is Rayleigh faded at any m, has no surface, and
+    # reads neither the THz carrier nor absorption, rays or misalignment
+    cfg = ScenarioConfig()
+    other = cfg.replace(frequency_hz=0.1e12, absorption_coeff=0.0,
+                        pointing_error_m=0.0, ray_count=1, nlos_gains=(),
+                        nlos_delays=(), ris_elements=0, shape_m=3.0)
+    d = np.stack([baseline_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
+    for c in (cfg, other):
+        ((law, [(link, _)]),) = _plan(c, ("baseline",))
+        assert (law, link) == ((True, 1.0, 256), "baseline")
+        dd, cross, gg = _deterministic_parts(c, "baseline")
+        assert np.array_equal(dd, d.real ** 2 + d.imag ** 2)
+        assert not np.any(cross) and not np.any(gg)
 
 
 def test_baseline_mean_snr_counts_path_loss_twice():
     # the baseline entry amplitude is the free-space power loss, so its
     # mean SNR p ||D||^2 / s2 (E[x^2] = 1, no surface) is far below the
     # THz link's; criterion 4's fair >= 2x baseline rests on it
-    base = non_ris_non_thz_baseline(ScenarioConfig())
+    base = ScenarioConfig()
     snr_db = [10.0 * math.log10(base.tx_power_w / base.noise_power_w
-                                * channel_gain(direct_channel_matrix(base, u)))
+                                * channel_gain(baseline_channel_matrix(base, u)))
               for u in (FAR, NEAR)]
     assert_allclose(snr_db, [-38.3, -26.3], atol=0.05)
 
@@ -596,6 +605,5 @@ def test_no_surface_sweep_fixed_sum_rate_matches_closed_form(shape_m):
 def test_baseline_link_is_far_weaker_than_composite():
     cfg = ScenarioConfig()
     thz = channel_gain(direct_channel_matrix(cfg, FAR) + ris_channel_matrix(cfg, FAR))
-    base = non_ris_non_thz_baseline(cfg)
-    ref = channel_gain(direct_channel_matrix(base, FAR))
+    ref = channel_gain(baseline_channel_matrix(cfg, FAR))
     assert thz > 100.0 * ref
