@@ -1,10 +1,10 @@
 """THz MIMO channel assembly.
 
 Deterministic pieces: a line-of-sight gain with spreading, molecular
-absorption and beam-misalignment factors; a multi-ray correction for the
-direct BS-user path; a cascaded per-element gain for the reflecting
-surface; and the free-space reference link. Stochastic piece: independent
-Nakagami-m envelopes on the direct matrix entries.
+absorption and the scenario's own misalignment factor; a multi-ray
+correction for the direct BS-user path; a cascaded per-element gain for
+the surface; and the free-space reference link. Stochastic piece:
+independent Nakagami-m envelopes on the direct matrix entries.
 
 All gains are amplitude (not power) quantities. The LoS scalar is
 real-positive; propagation phase exp(-j 2 pi d / lambda) enters when
@@ -24,42 +24,14 @@ from .config import FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig
 # ---------------------------------------------------------------------------
 # scalar link gains
 
-def misalignment_factor(aperture_radius_m: float, beamwidth_m: float,
-                        pointing_error_m: float) -> float:
-    """Delta3 = erf(u)^2 exp(-2 l_e^2 / w_e^2), the pointing-loss factor.
-
-    a = aperture_radius_m, w = beamwidth_m (beam waist at the receiver
-    plane), l_e = pointing_error_m.
-    u = sqrt(pi) a / (sqrt(2) w); w_e^2 = w^2 sqrt(pi) erf(u) / (2 u exp(-u^2)).
-    Always in (0, 1]; strictly decreasing in |l_e|. For a >> w the erf
-    saturates, w_e^2 diverges and the factor tends to 1 when l_e = 0.
-    """
-    u = math.sqrt(math.pi) * aperture_radius_m / (math.sqrt(2.0) * beamwidth_m)
-    erf_u = math.erf(u)
-    # exp(u^2) overflows past u ~ 26.6; the factor saturates long before
-    try:
-        w_eq_sq = (beamwidth_m ** 2 * math.sqrt(math.pi) * erf_u
-                   * math.exp(u * u) / (2.0 * u))
-    except OverflowError:
-        w_eq_sq = math.inf
-    if not w_eq_sq > 0:
-        raise ConfigError("beamwidth_m", "parameters giving a positive equivalent beamwidth",
-                          beamwidth_m)
-    if math.isinf(w_eq_sq):
-        loss = 1.0 if math.isfinite(pointing_error_m) else 0.0
-    else:
-        loss = math.exp(-2.0 * pointing_error_m ** 2 / w_eq_sq)
-    return erf_u * erf_u * loss
-
-
 def los_attenuation(frequency_hz: float, absorption_coeff: float, distance_m,
                     misalignment: float):
     """Direct-path amplitude gain Delta1 * Delta2 * Delta3, elementwise in d.
 
     Delta1 = c/(4 pi f d) spreading, Delta2 = exp(-kappa d / 2) molecular
     absorption (amplitude half of the power law), Delta3 = misalignment,
-    the distance-free misalignment_factor. Real-positive, returned as
-    complex with zero phase.
+    the distance-free ScenarioConfig.misalignment. Real-positive, returned
+    as complex with zero phase.
     """
     return (SPEED_OF_LIGHT / (4.0 * np.pi * frequency_hz * distance_m)
             * np.exp(-absorption_coeff * distance_m / 2.0) * misalignment + 0j)
@@ -138,10 +110,8 @@ def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
     axial, _ = _user_distances(cfg, user)
     f, lam = cfg.frequency_hz, cfg.wavelength_m
     d = _distances(axial, cfg.bs_antennas, cfg.user_antennas, lam).T  # (M, N)
-    mis = misalignment_factor(cfg.aperture_radius_m, cfg.beamwidth_m,
-                              cfg.pointing_error_m)
-    amp = multiray_response(los_attenuation(f, cfg.absorption_coeff, d, mis),
-                            cfg.nlos_gains, cfg.nlos_delays, f)
+    los = los_attenuation(f, cfg.absorption_coeff, d, cfg.misalignment)
+    amp = multiray_response(los, cfg.nlos_gains, cfg.nlos_delays, f)
     return _phased(amp, d, lam)
 
 

@@ -4,6 +4,9 @@ The default scenario is a two-user downlink NOMA pair served by a 16x16
 MIMO link at 0.3 THz with a 200-element reflecting surface. The far user
 (index 0) sits 500 m from the BS and 150 m from the surface; the near
 user (index 1) at 250 m / 250 m. The surface is 100 m from the BS.
+
+Building a ScenarioConfig validates every field and the powers and
+pointing loss derived from them, so every command takes the same scenarios.
 """
 
 from __future__ import annotations
@@ -98,6 +101,32 @@ class ScenarioConfig:
             dbm = -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
         return 10.0 ** (dbm / 10.0) * 1e-3
 
+    @property
+    def misalignment(self) -> float:
+        """Delta3 = erf(u)^2 exp(-2 l_e^2 / w_e^2), the pointing-loss factor.
+
+        a = aperture_radius_m, w = beamwidth_m (beam waist at the receiver
+        plane), l_e = pointing_error_m, u = sqrt(pi) a / (sqrt(2) w) and
+        w_e^2 = w^2 sqrt(pi) erf(u) / (2 u exp(-u^2)). In [0, 1] and falling
+        in l_e; for a >> w, w_e^2 diverges and the factor tends to 1.
+        """
+        w = self.beamwidth_m
+        u = math.sqrt(math.pi) * self.aperture_radius_m / (math.sqrt(2.0) * w)
+        erf_u = math.erf(u)
+        # exp(u^2) overflows past u ~ 26.6 (saturated); u is 0 below a / w ~ 1e-308
+        try:
+            w_eq_sq = w ** 2 * math.sqrt(math.pi) * erf_u * math.exp(u * u) / (2.0 * u)
+        except (OverflowError, ZeroDivisionError):
+            w_eq_sq = math.inf
+        if not w_eq_sq > 0:
+            raise ConfigError("beamwidth_m", "parameters giving a positive equivalent beamwidth", w)
+        if math.isinf(w_eq_sq):
+            return erf_u * erf_u
+        try:
+            return erf_u * erf_u * math.exp(-2.0 * self.pointing_error_m ** 2 / w_eq_sq)
+        except OverflowError:  # l_e^2 leaves the float range past ~1.3e154 m
+            return 0.0
+
     def ris_phases(self) -> np.ndarray:
         """Phase profile phi_r of the surface, radians, shape (R,)."""
         if self.ris_phase_mode == "zero":
@@ -182,6 +211,7 @@ def _validate(cfg: ScenarioConfig):
                           cfg.target_rate)
     if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
         raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
+    cfg.misalignment  # raises for a beam that gives no positive w_e^2
 
 
 # ---------------------------------------------------------------------------

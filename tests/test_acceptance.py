@@ -23,7 +23,6 @@ Criteria, tolerances and runtime budgets:
 """
 
 import math
-import os
 import time
 import warnings
 
@@ -31,16 +30,14 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from thznoma.allocation import FAIR, allocate
-from thznoma.channel import (_distances, los_attenuation, misalignment_factor,
-                             ris_matrix, sample_nakagami)
+from thznoma.channel import _distances, los_attenuation, ris_matrix, sample_nakagami
 from thznoma.cli import main
 from thznoma.config import ScenarioConfig
 from thznoma.ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from thznoma.montecarlo import SweepSpec, run_outage_sweep, run_sumrate_sweep
 from thznoma.noma import capacity, sinr
 
-from test_channel import ris_element_gain
-from test_ergodic import e1_scaled, exp_integral_e1
+from exact import _mgf_gap_quadrature, e1_scaled, exp_integral_e1, ris_element_gain
 
 SEED_ORACLE = 1
 SEED_PA = 7
@@ -90,20 +87,6 @@ def test_criterion_1_closed_form_matches_oracle():
     _report(1, ok, f"{cases} cases, worst margin {worst:.2f} SE, {elapsed:.0f} s")
     assert worst <= 3.0, f"worst oracle disagreement {worst:.2f} SE"
     assert elapsed < 300.0
-
-
-def _mgf_gap_quadrature(a, b, m=1.0) -> float:
-    """int_0^inf (M_b(s) - M_a(s)) e^(-s) / s ds by adaptive quadrature,
-    split at s = 1, with M_c(s) = prod_i (1 + c_i s / m)^(-m), the MGF of
-    sum_i c_i Y_i with Y_i iid Gamma(m, 1/m); m = 1 is Exp(1)."""
-    def integrand(s):
-        return (np.prod((1.0 + b * s / m) ** -m)
-                - np.prod((1.0 + a * s / m) ** -m)) * math.exp(-s) / s
-    head = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
-                          limit=200)[0]
-    tail = integrate.quad(integrand, 1.0, math.inf, epsabs=0.0, epsrel=1e-13,
-                          limit=200)[0]
-    return head + tail
 
 
 def test_closed_form_matches_quadrature():
@@ -280,12 +263,14 @@ def test_criterion_6_worker_count_determinism(tmp_path):
 
 def test_criterion_7_channel_invariants():
     # pointing loss monotone in l_e
-    d3 = [misalignment_factor(0.1, 0.2, le)
+    d3 = [ScenarioConfig(aperture_radius_m=0.1, beamwidth_m=0.2,
+                         pointing_error_m=le).misalignment
           for le in np.linspace(0.0, 0.5, 26)]
     mono_le = all(b < a for a, b in zip(d3, d3[1:]))
 
     # attenuation monotone in distance and in absorption
-    mis = misalignment_factor(0.1, 0.2, 0.05)
+    mis = ScenarioConfig(aperture_radius_m=0.1, beamwidth_m=0.2,
+                         pointing_error_m=0.05).misalignment
     att_d = [los_attenuation(0.3e12, 0.0033, d, mis).real
              for d in np.linspace(50.0, 1000.0, 20)]
     att_k = [los_attenuation(0.3e12, k, 300.0, mis).real

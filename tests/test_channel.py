@@ -1,5 +1,6 @@
 """Channel gains: frozen reference values, invariants, array geometry and
-matrix assembly, and the per-element reference of the surface channel.
+matrix assembly, the surface channel against its per-element reference
+(exact.ris_element_gain), and the scenario's pointing-loss factor.
 
 Reference constants were computed independently with 40-digit arithmetic
 from the defining formulas; comparisons are at 1e-12 relative, far looser
@@ -15,8 +16,10 @@ from numpy.testing import assert_allclose
 from thznoma.config import FAR, NEAR, SPEED_OF_LIGHT, ConfigError, ScenarioConfig
 from thznoma.channel import (_distances, baseline_channel_matrix,
                              direct_channel_matrix, los_attenuation,
-                             misalignment_factor, multiray_response,
-                             ris_channel_matrix, ris_matrix, sample_nakagami)
+                             multiray_response, ris_channel_matrix, ris_matrix,
+                             sample_nakagami)
+
+from exact import ris_element_gain
 
 # 40-digit recomputation of the default-scenario scalar gains
 DELTA3_DEFAULT = 0.35445968927743256      # a=0.1, w=0.2, l_e=0.05
@@ -30,34 +33,19 @@ DIRECT_NORM_NEAR = 1.3738798085265875e-06
 DEFAULT_MIS = (0.1, 0.2, 0.05)  # aperture radius, beamwidth, pointing error
 
 
-def ris_element_gain(reflection, phase_rad, wavelength_m, bs_element_m,
-                     element_user_m, absorption_coeff):
-    """Cascaded gain of one reflecting element for one antenna pair.
-
-    (eta e^{j phi} lambda / (8 sqrt(pi^3) r_ir r_rj))
-      * exp(-kappa (r_ir + r_rj) / 2) * exp(-j 2 pi (r_ir + r_rj) / lambda).
-
-    The tests' per-element reference for ris_matrix, which forms the same
-    sum as a matrix product. Broadcasts over array-valued inputs.
-    Absorption acts on the full traversed path r_ir + r_rj.
-    """
-    r1 = np.asarray(bs_element_m, dtype=float)
-    r2 = np.asarray(element_user_m, dtype=float)
-    if np.any(r1 <= 0) or np.any(r2 <= 0):
-        raise ConfigError("element distances", "all distances > 0", "non-positive entry")
-    path = r1 + r2
-    mag = (np.asarray(reflection) * wavelength_m
-           / (8.0 * np.sqrt(np.pi ** 3) * r1 * r2)
-           * np.exp(-absorption_coeff * path / 2.0))
-    return mag * np.exp(1j * (np.asarray(phase_rad) - 2.0 * np.pi * path / wavelength_m))
+def misalignment(a, w, l_e):
+    """Delta3 of a scenario with aperture radius a, beamwidth w and
+    pointing error l_e."""
+    return ScenarioConfig(aperture_radius_m=a, beamwidth_m=w,
+                          pointing_error_m=l_e).misalignment
 
 
 def test_misalignment_factor_matches_reference():
-    assert_allclose(misalignment_factor(*DEFAULT_MIS), DELTA3_DEFAULT, rtol=1e-12)
+    assert_allclose(misalignment(*DEFAULT_MIS), DELTA3_DEFAULT, rtol=1e-12)
 
 
 def test_misalignment_factor_monotone_in_pointing_error():
-    vals = [misalignment_factor(0.1, 0.2, le)
+    vals = [misalignment(0.1, 0.2, le)
             for le in np.linspace(0.0, 1.0, 21)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= 1.0 for v in vals)
@@ -65,12 +53,12 @@ def test_misalignment_factor_monotone_in_pointing_error():
 
 def test_misalignment_factor_saturates_for_wide_aperture():
     # a >> w: erf -> 1, equivalent beamwidth diverges, perfect collection
-    assert_allclose(misalignment_factor(100.0, 0.1, 5.0),
+    assert_allclose(misalignment(100.0, 0.1, 5.0),
                     1.0, rtol=1e-12)
 
 
 def test_los_attenuation_matches_reference():
-    h = los_attenuation(0.3e12, 0.0033, 100.0, misalignment_factor(*DEFAULT_MIS))
+    h = los_attenuation(0.3e12, 0.0033, 100.0, misalignment(*DEFAULT_MIS))
     assert isinstance(h, complex)
     assert h.imag == 0.0
     assert_allclose(h.real, LOS_100M, rtol=1e-12)
@@ -78,14 +66,14 @@ def test_los_attenuation_matches_reference():
 
 def test_los_spreading_term_alone():
     # kappa=0 and a saturating aperture isolate c/(4 pi f d)
-    mis = misalignment_factor(100.0, 0.1, 0.0)
+    mis = misalignment(100.0, 0.1, 0.0)
     h = los_attenuation(0.3e12, 0.0, 100.0, mis)
     assert_allclose(h.real, SPEED_OF_LIGHT / (4 * math.pi * 0.3e12 * 100.0),
                     rtol=1e-12)
 
 
 def test_los_attenuation_monotone_in_distance_and_absorption():
-    mis = misalignment_factor(*DEFAULT_MIS)
+    mis = misalignment(*DEFAULT_MIS)
     link = lambda d, k: los_attenuation(0.3e12, k, d, mis).real
     ds = [link(d, 0.0033) for d in np.linspace(50.0, 800.0, 16)]
     assert all(b < a for a, b in zip(ds, ds[1:]))
@@ -94,7 +82,7 @@ def test_los_attenuation_monotone_in_distance_and_absorption():
 
 
 def test_spreading_halves_when_distance_doubles():
-    mis = misalignment_factor(100.0, 0.1, 0.0)  # saturated, distance-free
+    mis = misalignment(100.0, 0.1, 0.0)  # saturated, distance-free
     h1 = los_attenuation(0.3e12, 0.0, 100.0, mis)
     h2 = los_attenuation(0.3e12, 0.0, 200.0, mis)
     assert_allclose(h1.real / h2.real, 2.0, rtol=1e-12)
@@ -209,7 +197,7 @@ def test_direct_matrix_entry_against_scalar_chain():
     for i, j in ((0, 0), (3, 11), (15, 15)):
         d = bs_user[i, j]
         los = los_attenuation(cfg.frequency_hz, cfg.absorption_coeff, d,
-                              misalignment_factor(*DEFAULT_MIS))
+                              misalignment(*DEFAULT_MIS))
         want = (multiray_response(los, cfg.nlos_gains, cfg.nlos_delays,
                                   cfg.frequency_hz)
                 * np.exp(-2j * np.pi * d / cfg.wavelength_m))

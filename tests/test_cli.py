@@ -26,6 +26,29 @@ trials = 400
 """
 
 
+# an INI per field that makes a scenario invalid; every command rejects each
+BAD_INIS = {
+    "frequency_hz": "[channel]\nfrequency_hz = -1\n",
+    "noise_figure_db": "[montecarlo]\nnoise_figure_db = nan\n",
+    # a non-finite channel field is named before any channel is built
+    "shape_m": "[channel]\nshape_m = inf\n",
+    # 1e-200 m squares to 0, which would put aligned antennas 0 m apart
+    "bs_user_distance_near": "[channel]\nbs_user_distance_near = 1e-200\n",
+    # every grid point is a scenario, checked like one; 2^2000 - 1 overflows
+    "target_rate": "[noma]\ntarget_rate = 2000\n",
+    # no positive equivalent beamwidth, so no pointing loss Delta3
+    "beamwidth_m": "[channel]\nbeamwidth_m = 1e-170\n",
+    # the reference link is a channel, not a scenario mode
+    "freespace_baseline": "[montecarlo]\nfreespace_baseline = false\n",
+}
+
+
+def _bad_ini(tmp_path, field):
+    path = tmp_path / f"{field}.ini"
+    path.write_text(BAD_INIS[field], encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "small.ini"
@@ -171,11 +194,7 @@ def test_print_config_round_trips(tmp_path, small_config, capsys):
 
 
 def test_exit_code_config_error(tmp_path, capsys):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[channel]\nfrequency_hz = -1\n", encoding="utf-8")
-    assert main(["outage", "--config", str(bad)]) == 1
-    assert "frequency_hz" in capsys.readouterr().err
-
+    # a bad flag is exit 1, as a bad INI is in every command (see below);
     # a non-finite grid is rejected before it reaches the sweep
     assert main(["outage", "--grid", "0:inf:1"]) == 1
     assert "config error: config field 'grid'" in capsys.readouterr().err
@@ -183,38 +202,15 @@ def test_exit_code_config_error(tmp_path, capsys):
     # a power that overflows tx_power_w is a config error, not a traceback
     assert main(["sumrate", "--grid", "4000", "--out", str(tmp_path)]) == 1
     assert "tx_power_dbm" in capsys.readouterr().err
-    nan_noise = tmp_path / "nan.ini"
-    nan_noise.write_text("[montecarlo]\nnoise_figure_db = nan\n", encoding="utf-8")
-    assert main(["outage", "--config", str(nan_noise)]) == 1
-    assert "noise_figure_db" in capsys.readouterr().err
     assert main(["print-config", "--config", str(tmp_path / "missing.ini")]) == 1
-    # a non-finite channel field is named before any channel is built
-    inf_shape = tmp_path / "inf.ini"
-    inf_shape.write_text("[channel]\nshape_m = inf\n", encoding="utf-8")
-    assert main(["outage", "--config", str(inf_shape), "--grid", "1",
-                 "--trials", "10", "--out", str(tmp_path)]) == 1
-    assert "shape_m" in capsys.readouterr().err
     for argv in (["outage", "--out", str(tmp_path)],
                  ["sumrate", "--out", str(tmp_path)], ["validate"]):
         assert main(argv + ["--seed", "-1"]) == 1
         assert "config error: config field 'seed'" in capsys.readouterr().err
-    # every grid point is a scenario, checked like one; 2^2000 - 1 overflows
-    high_target = tmp_path / "target.ini"
-    high_target.write_text("[noma]\ntarget_rate = 2000\n", encoding="utf-8")
-    # the reference link is a channel, not a scenario mode
-    freespace = tmp_path / "freespace.ini"
-    freespace.write_text("[montecarlo]\nfreespace_baseline = false\n", encoding="utf-8")
-    # 1e-200 m squares to 0, which would put aligned antennas 0 m apart
-    tiny = tmp_path / "tiny.ini"
-    tiny.write_text("[channel]\nbs_user_distance_near = 1e-200\n", encoding="utf-8")
     collapsing = "1e16:1.0000000000000004e16:1"  # 1e16 + 1 == 1e16
     print_alike = "0.5:0.50000000000005:1e-14"  # five points, one CSV key
     for argv, field in ((["outage", "--grid", "2000"], "target_rate"),
                         (["outage", "--grid", "-1"], "target_rate"),
-                        (["sumrate", "--config", str(high_target)], "target_rate"),
-                        (["sumrate", "--config", str(freespace)], "freespace_baseline"),
-                        (["outage", "--config", str(tiny)], "bs_user_distance_near"),
-                        (["sumrate", "--config", str(tiny)], "bs_user_distance_near"),
                         (["outage", "--grid", collapsing], "grid"),
                         (["sumrate", "--grid", collapsing], "grid"),
                         (["outage", "--grid", print_alike], "grid"),
@@ -276,17 +272,24 @@ def test_exit_code_non_finite_gain(tmp_path, capsys, user):
         assert not (out / f"{command}.csv").exists()
 
 
-def test_exit_code_config_error_in_a_pool_worker(tmp_path, capsys):
-    # the beamwidth is checked where a worker builds the channel; the error
-    # crosses the pool as itself, so it is exit 1 at any worker count
-    ini = tmp_path / "beam.ini"
-    ini.write_text("[channel]\nbeamwidth_m = 1e-170\n", encoding="utf-8")
-    for workers in ("1", "2"):
-        rc = main(["outage", "--config", str(ini), "--grid", "1", "--trials",
-                   "2048", "--workers", workers, "--out", str(tmp_path / workers)])
-        assert rc == 1, workers
-        assert ("config error: config field 'beamwidth_m'"
-                in capsys.readouterr().err), workers
+@pytest.mark.parametrize("field", sorted(BAD_INIS))
+def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field):
+    # the scenario validates itself, so print-config and validate reject
+    # what the sweeps reject, and a sweep rejects it before it forks a
+    # pool: two chunks would give two workers two tasks
+    ini = _bad_ini(tmp_path, field)
+    runs = [["print-config"], ["validate", "--tolerance-se", "5"]]
+    for command in ("outage", "sumrate"):
+        for workers in ("1", "2"):
+            runs.append([command, "--trials", "2048", "--workers", workers,
+                         "--out", str(tmp_path / command / workers)])
+    for argv in runs:
+        assert main(argv + ["--config", ini]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"config error: config field '{field}'" in err, argv
+        assert "Traceback" not in err
+    assert not (tmp_path / "outage").exists()
+    assert not (tmp_path / "sumrate").exists()
 
 
 def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):

@@ -66,8 +66,24 @@ def test_rejected_fields_are_named(field, value):
     assert err.value.value == value
 
 
+def test_misalignment_is_checked_when_built():
+    # the pointing loss Delta3 is the scenario's own, so no channel build
+    # is needed to meet its constraint
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(beamwidth_m=1e-170)
+    assert err.value.field_name == "beamwidth_m"
+    # where the float range ends, Delta3 takes its limit, not an arithmetic
+    # error: below a / w ~ 1e-308 u is 0 and so is erf(u)^2; past ~1.3e154 m
+    # l_e^2 overflows and no power is collected; past u ~ 26.6 it saturates
+    assert ScenarioConfig(aperture_radius_m=1e-320, beamwidth_m=1e10).misalignment == 0.0
+    assert ScenarioConfig(pointing_error_m=1e200).misalignment == 0.0
+    assert ScenarioConfig(aperture_radius_m=100.0, beamwidth_m=0.1,
+                          pointing_error_m=1e200).misalignment == 1.0
+
+
 def test_config_error_survives_pickling():
-    # a pool worker's error reaches the parent pickled
+    # an exception crosses a process pool pickled; a ConfigError comes back
+    # as itself, with its fields and message
     err = ConfigError("beamwidth_m", "a finite value > 0", 1e-170)
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is ConfigError

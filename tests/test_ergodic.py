@@ -13,22 +13,14 @@ from thznoma import ergodic
 from thznoma.ergodic import (_spectrum, closed_form_capacity,
                              ergodic_capacity_mc_oracle)
 
+from exact import e1_scaled, exp_integral_e1
+
 # 40-digit references
 E1_AT_1 = 0.21938393439552027
 E1_AT_HALF = 0.5597735947761608
 E1_AT_10 = 4.156968929685324e-06
 SINGLE_EXP_CAPACITY = 0.8603473822708860  # e * E1(1) / ln 2
 ERLANG_R3_S2 = 1.8268191453023315         # E[ln(1+2Y)], Y ~ Erlang(3,1)
-
-
-def e1_scaled(x: float) -> float:
-    """e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1): the closed form at
-    dimension 1 with signal 1, no interference and noise x."""
-    return closed_form_capacity(np.eye(1), 1.0, 0.0, x) * math.log(2.0)
-
-
-def exp_integral_e1(x: float) -> float:
-    return e1_scaled(x) * math.exp(-x)
 
 
 def test_e1_reference_points():

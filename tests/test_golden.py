@@ -54,7 +54,6 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gammainc
 
 import thznoma
 from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
@@ -62,8 +61,8 @@ from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
 from thznoma.cli import main
 from thznoma.config import FAR, NEAR, parse_config
 
-from test_montecarlo import _reference_trial, fixed_sum_rate_closed_form
-from test_noma import channel_gain
+from exact import (_reference_trial, channel_gain, fixed_sum_rate_closed_form,
+                   gamma_bracket)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = sorted(os.path.basename(p)[:-len(".ini")]
@@ -185,12 +184,10 @@ def test_no_surface_fixed_sum_rate_matches_closed_form():
 
 
 def test_no_surface_outage_rows_lie_in_exact_brackets():
-    """Without the surface at m = 1 a user's gain X = sum_j w_j E_j, w =
-    |D|^2, lies between w_min G and w_max G with G ~ Gamma(MN, 1), so
-    P(X < x) lies between the Gamma CDF at x / w_max and at x / w_min.
-    The users are independent: the far (min) gain's CDF is 1 - S0 S1 and
-    the near (max) gain's F0 F1. Each outage checked here is a threshold
-    on one gain, with xi = 2^R - 1:
+    """Without the surface at m = 1, P(g < x) for the far (min) or near
+    (max) gain lies within exact.gamma_bracket of the two users' |D|^2.
+    Each outage checked here is a threshold on one gain, with
+    xi = 2^R - 1:
 
     - fair and improved-fair far outage: g < xi s2 / p;
     - fixed far outage: g p (a - (1 - a) xi) < xi s2, always when
@@ -203,14 +200,6 @@ def test_no_surface_outage_rows_lie_in_exact_brackets():
     base = parse_config(os.path.join(GOLDEN, "m1-no-ris.ini"))
     p, s2, a = base.tx_power_w, base.noise_power_w, base.fixed_alpha_far
     w = [np.abs(direct_channel_matrix(base, u).ravel()) ** 2 for u in (FAR, NEAR)]
-
-    def bracket(x, user):
-        # (low, high) of P(g < x) for the far (min) or near (max) gain
-        ends = []
-        for scale in (max, min):
-            f0, f1 = (gammainc(wu.size, x / scale(wu)) for wu in w)
-            ends.append(1.0 - (1.0 - f0) * (1.0 - f1) if user == "far" else f0 * f1)
-        return ends
 
     with open(os.path.join(GOLDEN, "m1-no-ris", "outage.csv"),
               encoding="utf-8") as fh:
@@ -228,7 +217,7 @@ def test_no_surface_outage_rows_lie_in_exact_brackets():
             x = xi * s2 / (p * margin) if margin > 0 else np.inf
             if user == "near":
                 x = max(x, xi * s2 / ((1.0 - a) * p))
-        low, high = bracket(x, user)
+        low, high = gamma_bracket(w, x, user)
         value, se = float(outage), float(stderr)
         if value == 0.0:
             assert high <= 10.0 / trials, (rate, scheme, user)

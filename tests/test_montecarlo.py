@@ -11,21 +11,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thznoma import allocation, channel, cli, montecarlo
+from thznoma import channel, cli, montecarlo
 from thznoma.allocation import allocate
 from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
                              ris_channel_matrix, sample_nakagami)
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
-from thznoma.ergodic import closed_form_capacity
 from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SUMRATE_SCHEMES, SweepSpec,
                                 _chunk_gains, _chunk_rng, _chunk_sizes,
                                 _deterministic_parts, _moments, _plan,
                                 _rate_stats, _run_chunk, run_outage_sweep,
                                 run_sumrate_sweep)
-from thznoma.noma import capacity, outage_indicators
+from thznoma.noma import capacity
 
-from test_acceptance import _mgf_gap_quadrature
-from test_noma import channel_gain
+from exact import _reference_trial, channel_gain, fixed_sum_rate_closed_form
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
 
@@ -80,29 +78,6 @@ def _link_gains(cfg, rng, n, scheme="fixed"):
     its own law."""
     ((law, [(link, _)]),) = _plan(cfg, (scheme,))
     return _chunk_gains(law, cfg, [link], rng, n)[0]
-
-
-def _reference_trial(cfg, scheme, target, gains):
-    """One trial with (far, near) gains through one-gain allocation and the
-    paper's SINR formulas, at the target R = R_m = R_n of both users:
-    (near_outage, far_outage, sum_rate, alpha_far, feasible_far).
-
-    The SINRs are written out here, not taken from noma.sinr, so the
-    kernel is checked against code it does not share."""
-    g_far, g_near = gains if gains[0] <= gains[1] else gains[::-1]
-    p, s2 = cfg.tx_power_w, cfg.noise_power_w
-    alpha_far, feasible_far = allocate(
-        allocation.FAIR if scheme == "baseline" else scheme, g_far,
-        p, s2, target, cfg.fixed_alpha_far)
-    alpha_near = 1.0 - alpha_far
-    if scheme != allocation.FIXED and feasible_far:
-        c_far = target
-    else:
-        c_far = capacity(p * alpha_far * g_far / (p * g_far * alpha_near + s2))
-    c_cross = capacity(p * alpha_far * g_near / (p * g_near * alpha_near + s2))
-    c_near = capacity(p * alpha_near * g_near / s2)
-    near, far = outage_indicators(c_cross, c_near, c_far, target, alpha_far)
-    return bool(near), bool(far), c_far + c_near, alpha_far, feasible_far
 
 
 def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
@@ -503,13 +478,14 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
 
 
 def test_pooled_parent_builds_no_channel(monkeypatch):
-    # the workers build the channel; a parent that built it would load
-    # numpy.random for the surface's phases and grow the pooled run's peak
-    # memory. Calls are counted in this process only: the forked workers
-    # count in their own copies
+    # the workers build every link's channel; a parent that built one would
+    # grow the pooled run's peak memory (the surface's phases load
+    # numpy.random). Calls are counted in this process only: the forked
+    # workers count in their own copies
     calls = []
     for module in (channel, montecarlo):
-        for name in ("direct_channel_matrix", "ris_channel_matrix"):
+        for name in ("direct_channel_matrix", "ris_channel_matrix",
+                     "baseline_channel_matrix"):
             def counting(*args, _real=getattr(module, name)):
                 calls.append(args)
                 return _real(*args)
@@ -559,34 +535,6 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
             for key, vals in one[scheme].items():
                 assert vals.tolist() == [full[scheme][key][i]], (
                     value, scheme, key)
-
-
-def fixed_sum_rate_closed_form(cfg):
-    """Mean fixed-allocation sum rate of a scenario without the surface.
-
-    The far user's rate is the capacity of SINR a p X / ((1 - a) p X + s2)
-    and the near user's of (1 - a) p X / s2, with X = ||D∘E||^2 =
-    sum_j |D_j|^2 E_j^2 and E_j^2 iid Gamma(m, 1/m): each rate is an MGF
-    integral over prod_j (1 + c_j s / m)^(-m). At integer m, E_j^2 is a
-    sum of m iid Exp(1/m), so X has the spectrum |D|^2 / m, each entry
-    repeated m times, and the ergodic library's closed form gives the
-    rates; at other m scipy's quadrature does. SIC roles are taken never
-    to swap, which holds where the mean gains differ many-fold and each
-    gain is a sum of many terms.
-    """
-    m = cfg.shape_m
-    assert cfg.ris_elements == 0
-    p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
-    w = [np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2 for u in (FAR, NEAR)]
-    # (spectrum, signal, interference) of the far and the near user's rate
-    links = ((w[FAR], a * p, (1.0 - a) * p), (w[NEAR], (1.0 - a) * p, 0.0))
-    if m == int(m):
-        return sum(closed_form_capacity(np.diag(np.repeat(wu / m, int(m))),
-                                        signal, interference, s2)
-                   for wu, signal, interference in links)
-    return sum(_mgf_gap_quadrature((signal + interference) / s2 * wu,
-                                   interference / s2 * wu, m)
-               for wu, signal, interference in links) / math.log(2.0)
 
 
 @pytest.mark.parametrize("shape_m", [0.5, 3.0], ids=["m0.5", "m3"])

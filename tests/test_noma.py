@@ -1,5 +1,5 @@
 """SIC-ordered SINRs, capacities and the outage truth table, and the
-reference definition of a channel gain."""
+reference definition of a channel gain (tests/exact.py)."""
 
 import math
 
@@ -9,22 +9,10 @@ from numpy.testing import assert_allclose
 
 from thznoma.noma import capacity, outage_indicators, sinr
 
+from exact import channel_gain
+
 P, S2 = 1.0, 0.1
 A_FAR, A_NEAR = 0.8, 0.2
-
-
-def channel_gain(h: np.ndarray):
-    """Squared Frobenius norm ||H||^2 = trace(H H^H) over the last two axes.
-
-    The tests' reference for the gains the sweeps form algebraically. A
-    stack of matrices (..., M, N) gives one gain per matrix. Each gain is
-    the sum over the M*N entries of one row, which equals np.sum over that
-    matrix alone bit for bit. A single matrix gives a float.
-    """
-    h = np.asarray(h)
-    flat = h.reshape(h.shape[:-2] + (-1,))
-    gain = np.sum(flat.real ** 2, axis=-1) + np.sum(flat.imag ** 2, axis=-1)
-    return float(gain) if gain.ndim == 0 else gain
 
 
 def test_channel_gain_is_squared_frobenius_norm():
