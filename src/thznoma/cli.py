@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .allocation import FAIR, IMPROVED, allocate
+from .allocation import FAIR, allocate
 from .config import ConfigError, ScenarioConfig, parse_config, render_config
 from .ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
@@ -173,14 +173,9 @@ def _cmd_validate(args) -> int:
     exponent, rate = rng.uniform((-16.0, 0.0), (-10.0, 6.0), (2000, 2)).T
     gain = 10.0 ** exponent
     alpha, feasible = allocate(FAIR, gain, p, s2, rate)
-    alpha_imp = allocate(IMPROVED, gain, p, s2, rate)[0]
     # the fair share solves the rate equation: the far user gets R_m
     deviation = np.abs(capacity(sinr(gain, alpha, 1.0 - alpha, p, s2)) - rate)
     worst = float(np.max(deviation, where=feasible, initial=0.0))
-    agree = np.where(feasible, alpha == alpha_imp, (alpha == 1.0) & (alpha_imp == 0.0))
-    failures += int(np.count_nonzero(~agree))
-    for g, r in zip(gain[~agree].tolist(), rate[~agree].tolist()):
-        print(f"  branch disagreement at gain {g:g} rate {r:g}")
     ok = worst <= 1e-9
     failures += not ok
     print(f"  fair far-rate worst deviation {worst:.3g} {'ok' if ok else 'FAIL'}")

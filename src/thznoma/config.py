@@ -5,8 +5,12 @@ MIMO link at 0.3 THz with a 200-element reflecting surface. The far user
 (index 0) sits 500 m from the BS and 150 m from the surface; the near
 user (index 1) at 250 m / 250 m. The surface is 100 m from the BS.
 
-Building a ScenarioConfig validates every field and the powers and
-pointing loss derived from them, so every command takes the same scenarios.
+Each field is declared once, with its INI section and its check, which
+tests the type as well as the range (a bool is not a number). Building a
+ScenarioConfig runs the field checks in declaration order, then the ones
+that span fields: the NLoS tuple lengths, the derived powers and the
+pointing loss. A failure is a ConfigError naming the field, so every
+command takes the same scenarios.
 """
 
 from __future__ import annotations
@@ -37,49 +41,90 @@ class ConfigError(ValueError):
         return type(self), (self.field_name, self.constraint, self.value)
 
 
+def _number(v) -> bool:
+    """A finite int or float; a bool is not taken as a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _int_at_least(low: int) -> tuple:
+    return (f"an integer >= {low}",
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low)
+
+
+# (constraint, test) checks shared by several fields
+_FINITE = ("a finite value", _number)
+_ABOVE_ZERO = ("a finite value > 0", lambda v: _number(v) and v > 0)
+_NOT_NEGATIVE = ("a finite value >= 0", lambda v: _number(v) and v >= 0)
+_SHARE = ("a value in [0, 1]", lambda v: _number(v) and 0 <= v <= 1)
+# the channel squares each link distance; below about 1.6e-162 m the
+# square underflows to 0 and puts aligned antennas 0 m apart
+_DISTANCE = ("a finite value > 0 whose square is > 0",
+             lambda v: _number(v) and v > 0 and v * v > 0)
+
+
+def _declare(section: str, default, check: tuple):
+    """A field with its default, its INI section and its (constraint, test)."""
+    return field(default=default, metadata={"section": section, "check": check})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     # carrier and medium
-    frequency_hz: float = 0.3e12          # f
-    absorption_coeff: float = 0.0033      # kappa(f), 1/m
-    # beam misalignment
-    aperture_radius_m: float = 0.1        # a
-    beamwidth_m: float = 0.2              # effective beam waist at receiver
-    pointing_error_m: float = 0.05        # l_e, deterministic per run
-    # arrays
-    bs_antennas: int = 16                 # N
-    user_antennas: int = 16               # M_k, same for both users
-    # reflecting surface
-    ris_elements: int = 200               # R
-    ris_reflection: float = 1.0           # eta_r, shared by all elements
-    ris_phase_mode: str = "random"        # "random" | "zero"
-    ris_phase_seed: int = 146             # seed for the random phase profile
+    frequency_hz: float = _declare("channel", 0.3e12, _ABOVE_ZERO)        # f
+    absorption_coeff: float = _declare("channel", 0.0033, _NOT_NEGATIVE)  # kappa(f), 1/m
+    # beam misalignment: w is the effective beam waist at the receiver, l_e
+    # is deterministic per run
+    aperture_radius_m: float = _declare("channel", 0.1, _ABOVE_ZERO)      # a
+    beamwidth_m: float = _declare("channel", 0.2, _ABOVE_ZERO)            # w
+    pointing_error_m: float = _declare("channel", 0.05, _NOT_NEGATIVE)    # l_e
+    # arrays, M_k the same for both users
+    bs_antennas: int = _declare("channel", 16, _int_at_least(1))          # N
+    user_antennas: int = _declare("channel", 16, _int_at_least(1))        # M_k
+    # reflecting surface: eta_r is shared by all elements, and the seed
+    # draws the random phase profile
+    ris_elements: int = _declare("channel", 200, _int_at_least(0))        # R
+    ris_reflection: float = _declare("channel", 1.0, _SHARE)              # eta_r
+    ris_phase_mode: str = _declare("channel", "random", (
+        "'random' or 'zero'", lambda v: isinstance(v, str) and v in ("random", "zero")))
+    ris_phase_seed: int = _declare("channel", 146, _int_at_least(0))
     # geometry (m); far user = NOMA index 0, near user = index 1
-    bs_user_distance_far: float = 500.0
-    bs_user_distance_near: float = 250.0
-    ris_user_distance_far: float = 150.0
-    ris_user_distance_near: float = 250.0
-    bs_ris_distance: float = 100.0
-    # multi-ray direct channel: 1 LoS ray plus ray_count-1 NLoS rays
-    ray_count: int = 4                    # Q
-    nlos_gains: tuple = (0.25, 0.18, 0.12)
-    nlos_delays: tuple = (1.3e-11, 2.9e-11, 4.7e-11)  # s, excess delays
-    # fading
-    shape_m: float = 1.0                  # Nakagami shape, m=1 is Rayleigh
-    fading_enabled: bool = True
+    bs_user_distance_far: float = _declare("channel", 500.0, _DISTANCE)
+    bs_user_distance_near: float = _declare("channel", 250.0, _DISTANCE)
+    ris_user_distance_far: float = _declare("channel", 150.0, _DISTANCE)
+    ris_user_distance_near: float = _declare("channel", 250.0, _DISTANCE)
+    bs_ris_distance: float = _declare("channel", 100.0, _DISTANCE)
+    # multi-ray direct channel: 1 LoS ray plus ray_count-1 NLoS rays, whose
+    # gains and excess delays (s) are tuples: a list is unhashable (the
+    # channel cache) and renders unparseably
+    ray_count: int = _declare("channel", 4, _int_at_least(1))             # Q
+    nlos_gains: tuple = _declare("channel", (0.25, 0.18, 0.12), (
+        "a tuple of finite numbers", lambda v: isinstance(v, tuple) and all(map(_number, v))))
+    nlos_delays: tuple = _declare("channel", (1.3e-11, 2.9e-11, 4.7e-11), (
+        "a tuple of finite numbers >= 0",
+        lambda v: isinstance(v, tuple) and all(_number(d) and d >= 0 for d in v)))
+    # fading; Nakagami shape m = 1 is Rayleigh
+    shape_m: float = _declare("channel", 1.0, (
+        "a finite value >= 0.5", lambda v: _number(v) and v >= 0.5))
+    fading_enabled: bool = _declare("channel", True, (
+        "True or False", lambda v: isinstance(v, bool)))
     # power and noise
-    tx_power_dbm: float = 30.0            # p_o
-    bandwidth_hz: float = 1.0e7           # BW for thermal noise
-    noise_figure_db: float = 1.8          # NF
-    noise_power_dbm: float | None = None  # overrides the thermal formula when set
-    # NOMA
-    fixed_alpha_far: float = 0.8          # fixed-PA far-user coefficient
-    target_rate: float = 0.5              # R_m = R_n of every point; `outage` sweeps it
+    tx_power_dbm: float = _declare("montecarlo", 30.0, _FINITE)           # p_o
+    bandwidth_hz: float = _declare("montecarlo", 1.0e7, _ABOVE_ZERO)      # BW for thermal noise
+    noise_figure_db: float = _declare("montecarlo", 1.8, _FINITE)         # NF
+    # overrides the thermal formula when set
+    noise_power_dbm: float | None = _declare("montecarlo", None, (
+        "a finite value or unset", lambda v: v is None or _number(v)))
+    # NOMA: the fixed-PA far-user coefficient, and R_m = R_n of every point
+    # (`outage` sweeps it); the target SINR 2^R - 1 overflows a float from
+    # R = 1024 on
+    fixed_alpha_far: float = _declare("noma", 0.8, _SHARE)
+    target_rate: float = _declare("noma", 0.5, (
+        "a value in [0, 1024) (a finite 2^R - 1)", lambda v: _number(v) and 0 <= v < 1024))
     # Monte Carlo
-    trials: int = 100000
-    workers: int = 1
+    trials: int = _declare("montecarlo", 100000, _int_at_least(1))
+    workers: int = _declare("montecarlo", 1, _int_at_least(1))
     # carrier of the sub-6GHz free-space reference link
-    baseline_frequency_hz: float = 3.5e9
+    baseline_frequency_hz: float = _declare("montecarlo", 3.5e9, _ABOVE_ZERO)
 
     def __post_init__(self):
         _validate(self)
@@ -141,57 +186,16 @@ class ScenarioConfig:
         return dataclasses.asdict(self)
 
 
-_DISTANCES = ("bs_user_distance_far", "bs_user_distance_near",
-              "ris_user_distance_far", "ris_user_distance_near", "bs_ris_distance")
-_POSITIVE = ("frequency_hz", "aperture_radius_m", "beamwidth_m", "bandwidth_hz",
-             *_DISTANCES, "baseline_frequency_hz")
-_NONNEGATIVE = ("absorption_coeff", "pointing_error_m", "target_rate")
-_INT_MINIMUM = {"bs_antennas": 1, "user_antennas": 1, "ris_elements": 0,
-                "ris_phase_seed": 0, "ray_count": 1, "trials": 1, "workers": 1}
-
-
 def _validate(cfg: ScenarioConfig):
-    for name in _POSITIVE:
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ConfigError(name, "a finite value > 0", v)
-    # the channel squares each link distance; below about 1.6e-162 m the
-    # square underflows to 0 and puts aligned antennas 0 m apart
-    for name in _DISTANCES:
-        v = getattr(cfg, name)
-        if not v * v > 0:
-            raise ConfigError(name, "a value whose square is > 0", v)
-    for name in _NONNEGATIVE:
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-            raise ConfigError(name, "a finite value >= 0", v)
-    for name, low in _INT_MINIMUM.items():
-        v = getattr(cfg, name)
-        if not (isinstance(v, int) and v >= low):
-            raise ConfigError(name, f"an integer >= {low}", v)
-    if not (0.0 <= cfg.ris_reflection <= 1.0):
-        raise ConfigError("ris_reflection", "a value in [0, 1]", cfg.ris_reflection)
-    if cfg.ris_phase_mode not in ("random", "zero"):
-        raise ConfigError("ris_phase_mode", "'random' or 'zero'", cfg.ris_phase_mode)
+    for f in dataclasses.fields(cfg):
+        constraint, test = f.metadata["check"]
+        v = getattr(cfg, f.name)
+        if not test(v):
+            raise ConfigError(f.name, constraint, v)
     for name in ("nlos_gains", "nlos_delays"):
         v = getattr(cfg, name)
-        # a list is unhashable (the channel cache) and renders unparseably
-        if not (isinstance(v, tuple) and all(isinstance(x, (int, float)) for x in v)):
-            raise ConfigError(name, "a tuple of numbers", v)
         if len(v) != cfg.ray_count - 1:
             raise ConfigError(name, f"length ray_count-1 = {cfg.ray_count - 1}", list(v))
-    if not all(map(math.isfinite, cfg.nlos_gains)):
-        raise ConfigError("nlos_gains", "finite gains", list(cfg.nlos_gains))
-    if not all(math.isfinite(d) and d >= 0 for d in cfg.nlos_delays):
-        raise ConfigError("nlos_delays", "finite delays >= 0", list(cfg.nlos_delays))
-    if not (math.isfinite(cfg.shape_m) and cfg.shape_m >= 0.5):
-        raise ConfigError("shape_m", "a finite value >= 0.5", cfg.shape_m)
-    if not math.isfinite(cfg.tx_power_dbm):
-        raise ConfigError("tx_power_dbm", "a finite value", cfg.tx_power_dbm)
-    if cfg.noise_power_dbm is not None and not math.isfinite(cfg.noise_power_dbm):
-        raise ConfigError("noise_power_dbm", "a finite value or unset", cfg.noise_power_dbm)
-    if not math.isfinite(cfg.noise_figure_db):
-        raise ConfigError("noise_figure_db", "a finite value", cfg.noise_figure_db)
     # 10 ** (dBm / 10) overflows a float above about 3080 dBm
     noise_field = "noise_figure_db" if cfg.noise_power_dbm is None else "noise_power_dbm"
     for name, watts in (("tx_power_dbm", "tx_power_w"), (noise_field, "noise_power_w")):
@@ -205,36 +209,20 @@ def _validate(cfg: ScenarioConfig):
     if not cfg.noise_power_w > 0:
         raise ConfigError(noise_field, "a value giving noise_power_w > 0",
                           getattr(cfg, noise_field))
-    # the target SINR 2^R - 1 overflows a float from R = 1024 on
-    if cfg.target_rate >= 1024:
-        raise ConfigError("target_rate", "a value < 1024 (a finite 2^R - 1)",
-                          cfg.target_rate)
-    if not (0.0 <= cfg.fixed_alpha_far <= 1.0):
-        raise ConfigError("fixed_alpha_far", "a value in [0, 1]", cfg.fixed_alpha_far)
     cfg.misalignment  # raises for a beam that gives no positive w_e^2
 
 
 # ---------------------------------------------------------------------------
 # INI parsing
 #
-# Flat key = value pairs under the sections of _SECTION_FIELDS. Sequences
-# are comma-separated; booleans are true/false. Unknown sections or keys
-# are rejected.
+# Flat key = value pairs under the sections the fields declare. Sequences
+# are comma-separated; booleans take configparser's spellings (true/false,
+# yes/no, on/off, 1/0, in any case). Unknown sections or keys are rejected.
 
 _SECTION_FIELDS = {
-    "channel": (
-        "frequency_hz", "absorption_coeff", "aperture_radius_m", "beamwidth_m",
-        "pointing_error_m", "bs_antennas", "user_antennas", "ris_elements",
-        "ris_reflection", "ris_phase_mode", "ris_phase_seed",
-        "bs_user_distance_far", "bs_user_distance_near", "ris_user_distance_far",
-        "ris_user_distance_near", "bs_ris_distance", "ray_count", "nlos_gains",
-        "nlos_delays", "shape_m", "fading_enabled",
-    ),
-    "noma": ("fixed_alpha_far", "target_rate"),
-    "montecarlo": (
-        "tx_power_dbm", "bandwidth_hz", "noise_figure_db", "noise_power_dbm",
-        "trials", "workers", "baseline_frequency_hz",
-    ),
+    section: tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                   if f.metadata["section"] == section)
+    for section in ("channel", "noma", "montecarlo")
 }
 
 # annotation strings: "float", "int", "bool", "str", "tuple" or "float | None"
@@ -248,12 +236,7 @@ def _coerce(name: str, raw: str):
         if kind == "str":
             return raw
         if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError("not a boolean")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "tuple":
             if not raw:
                 return ()
@@ -263,16 +246,16 @@ def _coerce(name: str, raw: str):
         if kind == "float | None" and raw.lower() in ("", "none"):
             return None
         return float(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(name, f"a parseable {name} value", raw) from exc
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
     """Build a validated ScenarioConfig from an INI file plus overrides.
 
-    Missing file sections and keys fall back to defaults. Unknown keys are
-    rejected with the offending name. An empty or absent path yields the
-    default scenario.
+    Missing file sections and keys fall back to defaults. Unknown
+    sections, keys and override names are rejected with the offending
+    name. An empty or absent path yields the default scenario.
     """
     values: dict = {}
     if path is not None:
@@ -293,6 +276,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
                     raise ConfigError(key, f"a key of section [{section}]", key)
                 values[key] = _coerce(key, raw)
     if overrides:
+        for key in overrides:
+            if key not in _FIELD_TYPES:
+                raise ConfigError(key, "a ScenarioConfig field", key)
         values.update(overrides)
     return ScenarioConfig(**values)
 

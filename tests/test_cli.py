@@ -320,8 +320,6 @@ def test_validate_passes_and_reports(tmp_path, small_config, capsys):
 
 def test_validate_fails_when_fair_share_misses_the_target(small_config, monkeypatch,
                                                           capsys):
-    # both fair schemes get the same perturbed share, so the branches still
-    # agree and only the far-rate check can fail
     allocate = cli.allocate
 
     def perturbed(*args):
@@ -332,7 +330,6 @@ def test_validate_fails_when_fair_share_misses_the_target(small_config, monkeypa
     rc = main(["validate", "--config", small_config, "--seed", "2"])
     out = capsys.readouterr().out
     assert rc == 3
-    assert "branch disagreement" not in out
     assert _rate_check_line(out).endswith(" FAIL")
 
 

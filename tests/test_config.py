@@ -57,6 +57,13 @@ def test_noise_override_wins():
     ("noise_power_dbm", -5000),     # 10 ** -500 underflows noise_power_w to 0
     ("ris_user_distance_far", 1e-200),  # a distance whose square underflows to 0
     ("bs_ris_distance", 1e-163),
+    # a value of the wrong type is named like one out of range
+    ("fading_enabled", "false"),
+    ("fading_enabled", None),
+    ("shape_m", "1"),
+    ("ris_reflection", "1"),
+    ("noise_power_dbm", "-90"),
+    ("trials", True),               # a bool is not taken as a number
 ])
 def test_rejected_fields_are_named(field, value):
     with pytest.raises(ConfigError) as err:
@@ -176,6 +183,10 @@ def test_unknown_section_and_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(str(bad_key))
     assert "frequenzy_hz" in str(err.value)
+
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, {"trails": 5})
+    assert err.value.field_name == "trails"
 
 
 def test_bad_value_names_field(tmp_path):
