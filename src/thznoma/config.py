@@ -10,7 +10,8 @@ tests the type as well as the range (a bool is not a number). Building a
 ScenarioConfig runs the field checks in declaration order, then the ones
 that span fields: the NLoS tuple lengths, the derived powers and the
 pointing loss. A failure is a ConfigError naming the field, so every
-command takes the same scenarios.
+command takes the same scenarios. The direct path has Q = len(nlos_gains)
++ 1 rays; the noise power is thermal, set by noise_figure_db and bandwidth_hz.
 """
 
 from __future__ import annotations
@@ -93,10 +94,9 @@ class ScenarioConfig:
     ris_user_distance_far: float = _declare("channel", 150.0, _DISTANCE)
     ris_user_distance_near: float = _declare("channel", 250.0, _DISTANCE)
     bs_ris_distance: float = _declare("channel", 100.0, _DISTANCE)
-    # multi-ray direct channel: 1 LoS ray plus ray_count-1 NLoS rays, whose
-    # gains and excess delays (s) are tuples: a list is unhashable (the
-    # channel cache) and renders unparseably
-    ray_count: int = _declare("channel", 4, _int_at_least(1))             # Q
+    # multi-ray direct channel: 1 LoS ray plus Q-1 = len(nlos_gains) NLoS
+    # rays, whose gains and excess delays (s) are equal-length tuples: a
+    # list is unhashable (the channel cache) and renders unparseably
     nlos_gains: tuple = _declare("channel", (0.25, 0.18, 0.12), (
         "a tuple of finite numbers", lambda v: isinstance(v, tuple) and all(map(_number, v))))
     nlos_delays: tuple = _declare("channel", (1.3e-11, 2.9e-11, 4.7e-11), (
@@ -111,9 +111,6 @@ class ScenarioConfig:
     tx_power_dbm: float = _declare("montecarlo", 30.0, _FINITE)           # p_o
     bandwidth_hz: float = _declare("montecarlo", 1.0e7, _ABOVE_ZERO)      # BW for thermal noise
     noise_figure_db: float = _declare("montecarlo", 1.8, _FINITE)         # NF
-    # overrides the thermal formula when set
-    noise_power_dbm: float | None = _declare("montecarlo", None, (
-        "a finite value or unset", lambda v: v is None or _number(v)))
     # NOMA: the fixed-PA far-user coefficient, and R_m = R_n of every point
     # (`outage` sweeps it); the target SINR 2^R - 1 overflows a float from
     # R = 1024 on
@@ -139,11 +136,8 @@ class ScenarioConfig:
 
     @property
     def noise_power_w(self) -> float:
-        """Thermal noise -174 dBm/Hz + 10log10(BW) + NF unless overridden."""
-        if self.noise_power_dbm is not None:
-            dbm = self.noise_power_dbm
-        else:
-            dbm = -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
+        """Thermal noise -174 dBm/Hz + 10log10(BW) + NF."""
+        dbm = -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
         return 10.0 ** (dbm / 10.0) * 1e-3
 
     @property
@@ -192,13 +186,11 @@ def _validate(cfg: ScenarioConfig):
         v = getattr(cfg, f.name)
         if not test(v):
             raise ConfigError(f.name, constraint, v)
-    for name in ("nlos_gains", "nlos_delays"):
-        v = getattr(cfg, name)
-        if len(v) != cfg.ray_count - 1:
-            raise ConfigError(name, f"length ray_count-1 = {cfg.ray_count - 1}", list(v))
+    if len(cfg.nlos_delays) != len(cfg.nlos_gains):
+        raise ConfigError("nlos_delays", f"length len(nlos_gains) = {len(cfg.nlos_gains)}",
+                          list(cfg.nlos_delays))
     # 10 ** (dBm / 10) overflows a float above about 3080 dBm
-    noise_field = "noise_figure_db" if cfg.noise_power_dbm is None else "noise_power_dbm"
-    for name, watts in (("tx_power_dbm", "tx_power_w"), (noise_field, "noise_power_w")):
+    for name, watts in (("tx_power_dbm", "tx_power_w"), ("noise_figure_db", "noise_power_w")):
         try:
             finite = math.isfinite(getattr(cfg, watts))
         except OverflowError:
@@ -207,8 +199,8 @@ def _validate(cfg: ScenarioConfig):
             raise ConfigError(name, f"a value giving a finite {watts}", getattr(cfg, name))
     # and below about -3206 dBm the noise power underflows to 0 W
     if not cfg.noise_power_w > 0:
-        raise ConfigError(noise_field, "a value giving noise_power_w > 0",
-                          getattr(cfg, noise_field))
+        raise ConfigError("noise_figure_db", "a value giving noise_power_w > 0",
+                          cfg.noise_figure_db)
     cfg.misalignment  # raises for a beam that gives no positive w_e^2
 
 
@@ -225,7 +217,7 @@ _SECTION_FIELDS = {
     for section in ("channel", "noma", "montecarlo")
 }
 
-# annotation strings: "float", "int", "bool", "str", "tuple" or "float | None"
+# annotation strings: "float", "int", "bool", "str" or "tuple"
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -243,8 +235,6 @@ def _coerce(name: str, raw: str):
             return tuple(float(part) for part in raw.split(","))
         if kind == "int":
             return int(raw)
-        if kind == "float | None" and raw.lower() in ("", "none"):
-            return None
         return float(raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(name, f"a parseable {name} value", raw) from exc

@@ -45,7 +45,7 @@ import numpy as np
 from . import allocation
 from .channel import (baseline_channel_matrix, direct_channel_matrix,
                       ris_channel_matrix, sample_nakagami)
-from .config import FAR, NEAR, ConfigError, ScenarioConfig
+from .config import FAR, NEAR, ConfigError, ScenarioConfig, _int_at_least
 from .noma import capacity, outage_indicators, sinr
 
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
@@ -66,6 +66,10 @@ class SweepSpec:
     master_seed: int
 
     def __post_init__(self):
+        # SeedSequence(None) would draw OS entropy, a different stream per chunk
+        constraint, test = _int_at_least(0)
+        if not test(self.master_seed):
+            raise ConfigError("master_seed", constraint, self.master_seed)
         if len(self.grid) == 0:
             raise ConfigError("grid", "at least one point", self.grid)
         for a, b in zip(self.grid, self.grid[1:]):

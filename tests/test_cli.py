@@ -40,6 +40,9 @@ BAD_INIS = {
     "beamwidth_m": "[channel]\nbeamwidth_m = 1e-170\n",
     # the reference link is a channel, not a scenario mode
     "freespace_baseline": "[montecarlo]\nfreespace_baseline = false\n",
+    # Q is len(nlos_gains) + 1, and noise_figure_db sets the noise power
+    "ray_count": "[channel]\nray_count = 4\n",
+    "noise_power_dbm": "[montecarlo]\nnoise_power_dbm = -90\n",
 }
 
 
@@ -244,14 +247,15 @@ def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):
 
 
 def test_exit_code_noise_underflow(tmp_path, capsys):
-    # -5000 dBm underflows the noise power to 0, which no link budget allows
+    # a -5000 dB noise figure underflows the noise power to 0, which no
+    # link budget allows
     ini = tmp_path / "quiet.ini"
-    ini.write_text(SMALL_INI + "noise_power_dbm = -5000\n", encoding="utf-8")
+    ini.write_text(SMALL_INI + "noise_figure_db = -5000\n", encoding="utf-8")
     for command in ("outage", "sumrate"):
         rc = main([command, "--config", str(ini), "--grid", "1",
                    "--out", str(tmp_path / command)])
         assert rc == 1
-        assert ("config error: config field 'noise_power_dbm'"
+        assert ("config error: config field 'noise_figure_db'"
                 in capsys.readouterr().err)
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ def test_derived_link_budget_quantities():
 
 
 def test_noise_override_wins():
-    cfg = ScenarioConfig(noise_power_dbm=-90.0)
+    # the noise figure sets the noise power: -174 + 70 + 14 = -90 dBm at 10 MHz
+    cfg = ScenarioConfig(noise_figure_db=14.0)
     assert_allclose(cfg.noise_power_w, 1e-12, rtol=1e-15)
 
 
@@ -42,7 +44,6 @@ def test_noise_override_wins():
     ("ris_elements", -1),
     ("ris_reflection", 1.5),
     ("ris_phase_mode", "fancy"),
-    ("ray_count", 0),
     ("shape_m", 0.3),
     ("shape_m", math.inf),
     ("ris_phase_seed", -1),
@@ -50,11 +51,10 @@ def test_noise_override_wins():
     ("trials", 0),
     ("workers", 0),
     ("tx_power_dbm", 4000.0),       # 10 ** 400 overflows tx_power_w
-    ("noise_power_dbm", 5000.0),
     ("noise_figure_db", 5000.0),
     ("noise_figure_db", math.inf),
     ("target_rate", 1024),          # 2 ** 1024 - 1 overflows the target SINR
-    ("noise_power_dbm", -5000),     # 10 ** -500 underflows noise_power_w to 0
+    ("noise_figure_db", -5000),     # 10 ** -510 underflows noise_power_w to 0
     ("ris_user_distance_far", 1e-200),  # a distance whose square underflows to 0
     ("bs_ris_distance", 1e-163),
     # a value of the wrong type is named like one out of range
@@ -62,7 +62,7 @@ def test_noise_override_wins():
     ("fading_enabled", None),
     ("shape_m", "1"),
     ("ris_reflection", "1"),
-    ("noise_power_dbm", "-90"),
+    ("noise_figure_db", "-90"),
     ("trials", True),               # a bool is not taken as a number
 ])
 def test_rejected_fields_are_named(field, value):
@@ -101,8 +101,8 @@ def test_config_error_survives_pickling():
 
 def test_nlos_lengths_must_match_ray_count():
     with pytest.raises(ConfigError) as err:
-        ScenarioConfig(ray_count=4, nlos_gains=(0.2, 0.1), nlos_delays=(1e-11, 2e-11))
-    assert err.value.field_name == "nlos_gains"
+        ScenarioConfig(nlos_gains=(0.2, 0.1), nlos_delays=(1e-11,))
+    assert err.value.field_name == "nlos_delays"
 
 
 @pytest.mark.parametrize("field,value", [
@@ -151,8 +151,8 @@ def test_ris_phases_reproducible_and_in_range():
 def test_ini_round_trip(tmp_path):
     cfg = ScenarioConfig(frequency_hz=0.2e12, ris_elements=32, trials=777,
                          nlos_gains=(0.3, 0.1), nlos_delays=(1e-11, 2e-11),
-                         ray_count=3, fading_enabled=False,
-                         noise_power_dbm=-95.0, ris_phase_mode="zero")
+                         fading_enabled=False, noise_figure_db=9.0,
+                         ris_phase_mode="zero")
     path = tmp_path / "scenario.ini"
     path.write_text(render_config(cfg), encoding="utf-8")
     assert parse_config(str(path)) == cfg
@@ -162,13 +162,23 @@ def test_default_round_trip_preserves_unset_noise(tmp_path):
     cfg = ScenarioConfig()
     path = tmp_path / "scenario.ini"
     path.write_text(render_config(cfg), encoding="utf-8")
-    again = parse_config(str(path))
-    assert again == cfg
-    assert again.noise_power_dbm is None
+    assert parse_config(str(path)) == cfg
 
 
 def test_empty_config_is_default_scenario():
     assert parse_config(None) == ScenarioConfig()
+
+
+def test_readme_scenarios_parse(tmp_path):
+    # every scenario the README shows must load, so it names no removed key
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```ini\n(.*?)^```", fh.read(), re.M | re.S)
+    assert blocks
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"readme{i}.ini"
+        path.write_text(text, encoding="utf-8")
+        parse_config(str(path))
 
 
 def test_unknown_section_and_key_rejected(tmp_path):
@@ -184,9 +194,11 @@ def test_unknown_section_and_key_rejected(tmp_path):
         parse_config(str(bad_key))
     assert "frequenzy_hz" in str(err.value)
 
-    with pytest.raises(ConfigError) as err:
-        parse_config(None, {"trails": 5})
-    assert err.value.field_name == "trails"
+    # Q and the noise power have one knob each: nlos_gains, noise_figure_db
+    for name, value in (("trails", 5), ("ray_count", 4), ("noise_power_dbm", -90.0)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, {name: value})
+        assert err.value.field_name == name
 
 
 def test_bad_value_names_field(tmp_path):

@@ -51,7 +51,10 @@ def test_sweep_spec_validation():
     good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1)
     SweepSpec(**good)
     for bad in (dict(grid=()), dict(grid=(1.0, 0.5)), dict(grid=(1e16, 1e16 + 1)),
-                dict(schemes=()), dict(schemes=("fair", "fair"))):
+                dict(schemes=()), dict(schemes=("fair", "fair")),
+                # None would seed each chunk from OS entropy, True as seed 1
+                dict(master_seed=None), dict(master_seed=True), dict(master_seed=-1),
+                dict(master_seed=1.5), dict(master_seed="3")):
         with pytest.raises(ConfigError) as err:
             SweepSpec(**{**good, **bad})
         assert err.value.field_name == next(iter(bad))
@@ -407,7 +410,7 @@ def test_baseline_link_reads_no_thz_field():
     # reads neither the THz carrier nor absorption, rays or misalignment
     cfg = ScenarioConfig()
     other = cfg.replace(frequency_hz=0.1e12, absorption_coeff=0.0,
-                        pointing_error_m=0.0, ray_count=1, nlos_gains=(),
+                        pointing_error_m=0.0, nlos_gains=(),
                         nlos_delays=(), ris_elements=0, shape_m=3.0)
     d = np.stack([baseline_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
     for c in (cfg, other):
