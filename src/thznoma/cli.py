@@ -31,6 +31,7 @@ from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
 from .noma import capacity, sinr
 
 _DEFAULT_SEED = 12345
+_DEFAULT_TRIALS = 100000
 _OUTAGE_GRID = "0.5:6:0.5"
 _SUMRATE_GRID = "0:30:6"
 
@@ -64,14 +65,9 @@ def _parse_schemes(text: str) -> tuple:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.seed < 0:
         raise ConfigError("seed", "an integer >= 0", args.seed)
-    return parse_config(args.config, overrides)
+    return parse_config(args.config)
 
 
 def _fmt(v) -> str:
@@ -91,12 +87,13 @@ def _write_atomic(path: str, data: str):
         raise
 
 
-def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig, seed: int,
-                    outputs: list):
+def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig,
+                    spec: SweepSpec, outputs: list):
     manifest = {
         "command": command,
         "config": cfg.as_dict(),
-        "seed": seed,
+        "seed": spec.master_seed,
+        "trials": spec.trials,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
@@ -118,7 +115,8 @@ def _cmd_sweep(args) -> int:
         columns = (([], "sum_rate"),)
     schemes = default if args.schemes is None else _parse_schemes(args.schemes)
     spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
-                     master_seed=args.seed)
+                     master_seed=args.seed, trials=args.trials,
+                     workers=args.workers)
     series = sweep(spec, cfg)
     lines = [header]
     for i, value in enumerate(spec.grid):
@@ -131,9 +129,9 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, name)
     _write_atomic(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(args.out, args.command, cfg, args.seed, [name])
+    _write_manifest(args.out, args.command, cfg, spec, [name])
     print(f"wrote {csv_path} ({len(spec.grid)} grid points, "
-          f"{cfg.trials} trials/point)")
+          f"{spec.trials} trials/point)")
     return 0
 
 
@@ -203,10 +201,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="scenario INI file")
         p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                        help="master seed (default %(default)s)")
-        p.add_argument("--trials", type=int, default=None,
-                       help="Monte Carlo trials per grid point")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default from config)")
+        p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
+                       help="Monte Carlo trials per grid point (default %(default)s)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (default %(default)s)")
         if grid_default is not None:
             p.add_argument("--out", default=".", help="output directory")
             p.add_argument("--grid", default=grid_default,

@@ -12,6 +12,7 @@ that span fields: the NLoS tuple lengths, the derived powers and the
 pointing loss. A failure is a ConfigError naming the field, so every
 command takes the same scenarios. The direct path has Q = len(nlos_gains)
 + 1 rays; the noise power is thermal, set by noise_figure_db and bandwidth_hz.
+The scenario is the link: a run's trial and worker counts are a SweepSpec's.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class ScenarioConfig:
     fixed_alpha_far: float = _declare("noma", 0.8, _SHARE)
     target_rate: float = _declare("noma", 0.5, (
         "a value in [0, 1024) (a finite 2^R - 1)", lambda v: _number(v) and 0 <= v < 1024))
-    # Monte Carlo
-    trials: int = _declare("montecarlo", 100000, _int_at_least(1))
-    workers: int = _declare("montecarlo", 1, _int_at_least(1))
     # carrier of the sub-6GHz free-space reference link
     baseline_frequency_hz: float = _declare("montecarlo", 3.5e9, _ABOVE_ZERO)
 
@@ -209,21 +207,20 @@ def _validate(cfg: ScenarioConfig):
 #
 # Flat key = value pairs under the sections the fields declare. Sequences
 # are comma-separated; booleans take configparser's spellings (true/false,
-# yes/no, on/off, 1/0, in any case). Unknown sections or keys are rejected.
+# yes/no, on/off, 1/0, in any case). Unknown sections, [DEFAULT] among them,
+# and unknown keys are rejected; a % is a literal character.
 
+# {section: {field: annotation string}}, the annotation one of "float",
+# "int", "bool", "str" or "tuple"
 _SECTION_FIELDS = {
-    section: tuple(f.name for f in dataclasses.fields(ScenarioConfig)
-                   if f.metadata["section"] == section)
+    section: {f.name: f.type for f in dataclasses.fields(ScenarioConfig)
+              if f.metadata["section"] == section}
     for section in ("channel", "noma", "montecarlo")
 }
 
-# annotation strings: "float", "int", "bool", "str" or "tuple"
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
-
-def _coerce(name: str, raw: str):
+def _coerce(name: str, kind: str, raw: str):
     raw = raw.strip()
-    kind = _FIELD_TYPES[name]
     try:
         if kind == "str":
             return raw
@@ -240,16 +237,17 @@ def _coerce(name: str, raw: str):
         raise ConfigError(name, f"a parseable {name} value", raw) from exc
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from an INI file plus overrides.
+def parse_config(path: str | None = None) -> ScenarioConfig:
+    """Build a validated ScenarioConfig from an INI file.
 
-    Missing file sections and keys fall back to defaults. Unknown
-    sections, keys and override names are rejected with the offending
-    name. An empty or absent path yields the default scenario.
+    Missing file sections and keys fall back to defaults. Unknown sections
+    and keys are rejected with the offending name. An empty or absent path
+    yields the default scenario.
     """
     values: dict = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -257,19 +255,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
             raise ConfigError("config", "a readable file path", path) from exc
         except configparser.Error as exc:
             raise ConfigError("config", "well-formed INI syntax", str(exc)) from exc
-        for section in parser.sections():
+        sections = parser.sections()
+        if parser.defaults():  # whose keys configparser copies into every section
+            sections.insert(0, parser.default_section)
+        for section in sections:
             if section not in _SECTION_FIELDS:
                 raise ConfigError(section, f"a section in {sorted(_SECTION_FIELDS)}", section)
             allowed = _SECTION_FIELDS[section]
             for key, raw in parser.items(section):
                 if key not in allowed:
                     raise ConfigError(key, f"a key of section [{section}]", key)
-                values[key] = _coerce(key, raw)
-    if overrides:
-        for key in overrides:
-            if key not in _FIELD_TYPES:
-                raise ConfigError(key, "a ScenarioConfig field", key)
-        values.update(overrides)
+                values[key] = _coerce(key, allowed[key], raw)
     return ScenarioConfig(**values)
 
 

@@ -1,17 +1,19 @@
 """Monte Carlo outage and sum-rate sweeps.
 
-Every grid point is a ScenarioConfig: the sweep's scenario with one field
-replaced, the target rate R_m = R_n for ``outage`` and the transmit power
-for ``sumrate``, validated like any scenario. Neither swept field enters
-the channel, so the grid is an array axis of the kernel. A link is a
-channel builder and an envelope law: ``"thz"`` is the direct THz channel
-plus the surface's, Nakagami-m faded, and ``"baseline"`` the free-space
-reference channel, Rayleigh faded. The sweep groups the links its schemes
-need by law, once (``_plan``). A task holds that plan, the first point's
-scenario and two (P, 1) columns, every point's target rate and transmit
-power, and a chunk draws each law's gains once and evaluates each scheme
-over all P points (common random numbers), giving a (P, k) array with a
-row per point. It takes the grid in slabs of at most SLAB points, so its
+A sweep runs a SweepSpec (grid, schemes, master seed, trial and worker
+counts) over a ScenarioConfig, the link. Every grid point is a
+ScenarioConfig: the sweep's scenario with one field replaced, the target
+rate R_m = R_n for ``outage`` and the transmit power for ``sumrate``,
+validated like any scenario. Neither swept field enters the channel, so
+the grid is an array axis of the kernel. A link is a channel builder and
+an envelope law: ``"thz"`` is the direct THz channel plus the surface's,
+Nakagami-m faded, and ``"baseline"`` the free-space reference channel,
+Rayleigh faded. The sweep groups the links its schemes need by law, once
+(``_plan``). A task holds that plan, the first point's scenario and two
+(P, 1) columns, every point's target rate and transmit power, and a
+chunk draws each law's gains once and evaluates each scheme over all P
+points (common random numbers), giving a (P, k) array with a row per
+point. It takes the grid in slabs of at most SLAB points, so its
 temporaries are (SLAB, n) however long the grid is. Each point's
 estimate is still its own marginal one, while differences between points
 and between schemes are paired. Every link's stream has the chunk's key,
@@ -64,12 +66,15 @@ class SweepSpec:
     grid: tuple
     schemes: tuple
     master_seed: int
+    trials: int              # per grid point and scheme
+    workers: int = 1         # decides where chunks run, never what they give
 
     def __post_init__(self):
         # SeedSequence(None) would draw OS entropy, a different stream per chunk
-        constraint, test = _int_at_least(0)
-        if not test(self.master_seed):
-            raise ConfigError("master_seed", constraint, self.master_seed)
+        for name, low in (("master_seed", 0), ("trials", 1), ("workers", 1)):
+            constraint, test = _int_at_least(low)
+            if not test(getattr(self, name)):
+                raise ConfigError(name, constraint, getattr(self, name))
         if len(self.grid) == 0:
             raise ConfigError("grid", "at least one point", self.grid)
         for a, b in zip(self.grid, self.grid[1:]):
@@ -263,11 +268,11 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     target = np.array([[p.target_rate] for p in points], dtype=float)
     power = np.array([[p.tx_power_w] for p in points], dtype=float)
     plan = _plan(points[0], spec.schemes)
-    sizes = _chunk_sizes(cfg.trials)
+    sizes = _chunk_sizes(spec.trials)
     tasks = [(points[0], plan, target, power, spec.master_seed, domain, ci, n)
              for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
-    workers = min(cfg.workers, len(tasks))
+    workers = min(spec.workers, len(tasks))
     if workers > 1:
         # imported here: the pool's modules cost about 25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor

@@ -133,10 +133,10 @@ def test_criterion_3_outage_trends():
     holds on every sample path: the fixed far capacity does not depend on
     R_m and its outage event only grows with R_m."""
     t0 = time.monotonic()
-    cfg = ScenarioConfig(trials=100_000)
+    cfg = ScenarioConfig()
     grid = tuple(0.5 + 0.5 * k for k in range(12))
     spec = SweepSpec(grid=grid, schemes=("fixed", "fair", "improved-fair"),
-                     master_seed=SEED_SWEEPS)
+                     master_seed=SEED_SWEEPS, trials=100_000)
     res = run_outage_sweep(spec, cfg)
     fixed_far = res["fixed"]["far_outage"]
     fixed_se = res["fixed"]["far_outage_stderr"]
@@ -167,11 +167,11 @@ def test_criterion_4_sum_rate_trends():
     then carries less than the near user alone did), so for it the check
     stays statistical."""
     t0 = time.monotonic()
-    cfg = ScenarioConfig(trials=100_000)
+    cfg = ScenarioConfig()
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
     spec = SweepSpec(grid=grid,
                      schemes=("fixed", "fair", "improved-fair", "baseline"),
-                     master_seed=SEED_SWEEPS)
+                     master_seed=SEED_SWEEPS, trials=100_000)
     res = run_sumrate_sweep(spec, cfg)
     monotone = all(bool(np.all(np.diff(res[s]["sum_rate"]) >= 0))
                    for s in spec.schemes)

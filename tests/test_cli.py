@@ -20,9 +20,6 @@ SMALL_INI = """\
 bs_antennas = 4
 user_antennas = 4
 ris_elements = 16
-
-[montecarlo]
-trials = 400
 """
 
 
@@ -43,6 +40,13 @@ BAD_INIS = {
     # Q is len(nlos_gains) + 1, and noise_figure_db sets the noise power
     "ray_count": "[channel]\nray_count = 4\n",
     "noise_power_dbm": "[montecarlo]\nnoise_power_dbm = -90\n",
+    # the trial and worker counts are the run's flags, not the scenario's
+    "trials": "[montecarlo]\ntrials = 400\n",
+    "workers": "[montecarlo]\nworkers = 2\n",
+    # a % is a literal character, not an interpolation
+    "ris_phase_mode": "[channel]\nris_phase_mode = 50%\n",
+    # [DEFAULT] is no scenario section; its keys would land in every one
+    "DEFAULT": "[DEFAULT]\nshape_m = 3\n[channel]\nbs_antennas = 4\n",
 }
 
 
@@ -107,7 +111,7 @@ def test_parse_schemes():
 def test_outage_csv_layout(tmp_path, small_config):
     out = str(tmp_path / "run")
     rc = main(["outage", "--config", small_config, "--seed", "3",
-               "--grid", "0.5:1.5:0.5", "--out", out])
+               "--grid", "0.5:1.5:0.5", "--trials", "400", "--out", out])
     assert rc == 0
     lines = open(os.path.join(out, "outage.csv"), encoding="utf-8").read().splitlines()
     assert lines[0] == "target_rate,scheme,user,outage,stderr"
@@ -124,15 +128,30 @@ def test_outage_csv_layout(tmp_path, small_config):
 def test_outage_manifest(tmp_path, small_config):
     out = str(tmp_path / "run")
     main(["outage", "--config", small_config, "--seed", "3",
-          "--grid", "1", "--out", out])
+          "--grid", "1", "--trials", "400", "--out", out])
     manifest = json.load(open(os.path.join(out, "outage_manifest.json"),
                               encoding="utf-8"))
     assert manifest["command"] == "outage"
     assert manifest["seed"] == 3
     assert manifest["outputs"] == ["outage.csv"]
-    assert manifest["config"]["trials"] == 400
+    assert manifest["trials"] == 400
     assert manifest["config"]["bs_antennas"] == 4
     assert "timestamp" in manifest and "version" in manifest
+
+
+def test_manifest_does_not_depend_on_the_worker_count(tmp_path, small_config):
+    # two chunks, so two workers run a pool; the run record, like the CSV,
+    # is the same at any worker count but for its timestamp
+    manifests = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert main(["outage", "--config", small_config, "--grid", "1:2:1",
+                     "--trials", "2048", "--workers", workers, "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "outage_manifest.json"),
+                                  encoding="utf-8"))
+        del manifest["timestamp"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
 
 
 def test_outage_rerun_is_byte_identical(tmp_path, small_config):
@@ -149,7 +168,8 @@ def test_outage_rerun_is_byte_identical(tmp_path, small_config):
 
 def test_outage_zero_target_grid(tmp_path, small_config):
     out = str(tmp_path / "run")
-    main(["outage", "--config", small_config, "--grid", "0", "--out", out])
+    main(["outage", "--config", small_config, "--grid", "0", "--trials", "400",
+          "--out", out])
     lines = open(os.path.join(out, "outage.csv"), encoding="utf-8").read().splitlines()
     assert len(lines) == 1 + 1 * 2 * 2
     for row in lines[1:]:
@@ -193,7 +213,7 @@ def test_print_config_round_trips(tmp_path, small_config, capsys):
     echo.write_text(text, encoding="utf-8")
     cfg = parse_config(str(echo))
     assert cfg == ScenarioConfig(bs_antennas=4, user_antennas=4,
-                                 ris_elements=16, trials=400)
+                                 ris_elements=16)
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -242,7 +262,7 @@ def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):
     blocker = tmp_path / "blocked"
     blocker.write_text("", encoding="utf-8")
     rc = main(["outage", "--config", small_config, "--grid", "1",
-               "--out", str(blocker)])
+               "--trials", "400", "--out", str(blocker)])
     assert rc == 2
 
 
@@ -250,7 +270,8 @@ def test_exit_code_noise_underflow(tmp_path, capsys):
     # a -5000 dB noise figure underflows the noise power to 0, which no
     # link budget allows
     ini = tmp_path / "quiet.ini"
-    ini.write_text(SMALL_INI + "noise_figure_db = -5000\n", encoding="utf-8")
+    ini.write_text(SMALL_INI + "\n[montecarlo]\nnoise_figure_db = -5000\n",
+                   encoding="utf-8")
     for command in ("outage", "sumrate"):
         rc = main([command, "--config", str(ini), "--grid", "1",
                    "--out", str(tmp_path / command)])

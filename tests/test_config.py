@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from thznoma import cli
 from thznoma.config import ConfigError, ScenarioConfig, parse_config, render_config
 
 
@@ -29,7 +30,7 @@ def test_derived_link_budget_quantities():
     assert_allclose(cfg.noise_power_w, 10.0 ** (dbm / 10.0) * 1e-3, rtol=1e-15)
 
 
-def test_noise_override_wins():
+def test_noise_figure_sets_the_noise_power():
     # the noise figure sets the noise power: -174 + 70 + 14 = -90 dBm at 10 MHz
     cfg = ScenarioConfig(noise_figure_db=14.0)
     assert_allclose(cfg.noise_power_w, 1e-12, rtol=1e-15)
@@ -48,8 +49,6 @@ def test_noise_override_wins():
     ("shape_m", math.inf),
     ("ris_phase_seed", -1),
     ("fixed_alpha_far", 1.2),
-    ("trials", 0),
-    ("workers", 0),
     ("tx_power_dbm", 4000.0),       # 10 ** 400 overflows tx_power_w
     ("noise_figure_db", 5000.0),
     ("noise_figure_db", math.inf),
@@ -63,7 +62,6 @@ def test_noise_override_wins():
     ("shape_m", "1"),
     ("ris_reflection", "1"),
     ("noise_figure_db", "-90"),
-    ("trials", True),               # a bool is not taken as a number
 ])
 def test_rejected_fields_are_named(field, value):
     with pytest.raises(ConfigError) as err:
@@ -99,7 +97,7 @@ def test_config_error_survives_pickling():
     assert str(back) == str(err)
 
 
-def test_nlos_lengths_must_match_ray_count():
+def test_nlos_tuples_must_have_equal_lengths():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig(nlos_gains=(0.2, 0.1), nlos_delays=(1e-11,))
     assert err.value.field_name == "nlos_delays"
@@ -134,7 +132,7 @@ def test_replace_returns_new_validated_instance():
     assert other.tx_power_dbm == 10.0
     assert cfg.tx_power_dbm == 30.0
     with pytest.raises(ConfigError):
-        cfg.replace(trials=-5)
+        cfg.replace(bs_antennas=-5)
 
 
 def test_ris_phases_reproducible_and_in_range():
@@ -149,7 +147,7 @@ def test_ris_phases_reproducible_and_in_range():
 
 
 def test_ini_round_trip(tmp_path):
-    cfg = ScenarioConfig(frequency_hz=0.2e12, ris_elements=32, trials=777,
+    cfg = ScenarioConfig(frequency_hz=0.2e12, ris_elements=32,
                          nlos_gains=(0.3, 0.1), nlos_delays=(1e-11, 2e-11),
                          fading_enabled=False, noise_figure_db=9.0,
                          ris_phase_mode="zero")
@@ -158,7 +156,7 @@ def test_ini_round_trip(tmp_path):
     assert parse_config(str(path)) == cfg
 
 
-def test_default_round_trip_preserves_unset_noise(tmp_path):
+def test_default_round_trip(tmp_path):
     cfg = ScenarioConfig()
     path = tmp_path / "scenario.ini"
     path.write_text(render_config(cfg), encoding="utf-8")
@@ -169,16 +167,25 @@ def test_empty_config_is_default_scenario():
     assert parse_config(None) == ScenarioConfig()
 
 
-def test_readme_scenarios_parse(tmp_path):
-    # every scenario the README shows must load, so it names no removed key
+def test_readme_examples_parse(tmp_path):
+    # every scenario the README shows must load, so it names no removed
+    # key, and every command line must parse, so it shows no removed flag
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"^```ini\n(.*?)^```", fh.read(), re.M | re.S)
+        text = fh.read()
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
     assert blocks
-    for i, text in enumerate(blocks):
+    for i, block in enumerate(blocks):
         path = tmp_path / f"readme{i}.ini"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(block, encoding="utf-8")
         parse_config(str(path))
+    commands = [line.split()[1:]
+                for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+                for line in block.splitlines() if line.startswith("thznoma ")]
+    assert commands
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits on a flag it does not know
 
 
 def test_unknown_section_and_key_rejected(tmp_path):
@@ -194,12 +201,6 @@ def test_unknown_section_and_key_rejected(tmp_path):
         parse_config(str(bad_key))
     assert "frequenzy_hz" in str(err.value)
 
-    # Q and the noise power have one knob each: nlos_gains, noise_figure_db
-    for name, value in (("trails", 5), ("ray_count", 4), ("noise_power_dbm", -90.0)):
-        with pytest.raises(ConfigError) as err:
-            parse_config(None, {name: value})
-        assert err.value.field_name == name
-
 
 def test_bad_value_names_field(tmp_path):
     path = tmp_path / "c.ini"
@@ -212,10 +213,3 @@ def test_bad_value_names_field(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(os.path.join(str(tmp_path), "nope.ini"))
-
-
-def test_overrides_beat_file_values(tmp_path):
-    path = tmp_path / "d.ini"
-    path.write_text("[montecarlo]\ntrials = 123\n", encoding="utf-8")
-    cfg = parse_config(str(path), overrides={"trials": 456})
-    assert cfg.trials == 456

@@ -1,6 +1,7 @@
 """Trial engine and sweeps: wiring, determinism, paired-scheme ordering."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import math
 import os
@@ -48,13 +49,14 @@ def test_chunk_rng_streams_are_distinct_and_stable():
 
 
 def test_sweep_spec_validation():
-    good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1)
+    good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1, trials=10)
     SweepSpec(**good)
     for bad in (dict(grid=()), dict(grid=(1.0, 0.5)), dict(grid=(1e16, 1e16 + 1)),
                 dict(schemes=()), dict(schemes=("fair", "fair")),
                 # None would seed each chunk from OS entropy, True as seed 1
                 dict(master_seed=None), dict(master_seed=True), dict(master_seed=-1),
-                dict(master_seed=1.5), dict(master_seed="3")):
+                dict(master_seed=1.5), dict(master_seed="3"),
+                dict(trials=0), dict(trials=True), dict(workers=0)):
         with pytest.raises(ConfigError) as err:
             SweepSpec(**{**good, **bad})
         assert err.value.field_name == next(iter(bad))
@@ -191,9 +193,9 @@ def test_improved_never_worse_for_near_user():
 
 
 def test_outage_sweep_shapes_and_ranges():
-    cfg = SMALL.replace(trials=600)
-    spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), master_seed=5)
-    series = run_outage_sweep(spec, cfg)
+    spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), master_seed=5,
+                     trials=600)
+    series = run_outage_sweep(spec, SMALL)
     assert set(series) == {"fixed", "fair"}
     for scheme in spec.schemes:
         s = series[scheme]
@@ -209,10 +211,9 @@ def test_outage_sweep_shapes_and_ranges():
 
 
 def test_sumrate_sweep_monotone_in_power():
-    cfg = SMALL.replace(trials=400)
     spec = SweepSpec(grid=(0.0, 15.0, 30.0), schemes=("fixed", "baseline"),
-                     master_seed=6)
-    series = run_sumrate_sweep(spec, cfg)
+                     master_seed=6, trials=400)
+    series = run_sumrate_sweep(spec, SMALL)
     for scheme in spec.schemes:
         assert list(series[scheme]) == ["sum_rate", "sum_rate_stderr"]
         rates = series[scheme]["sum_rate"]
@@ -225,30 +226,28 @@ def test_sumrate_sweep_monotone_in_power():
 def test_integer_target_rate_gives_the_float_rows():
     # a scenario built in Python may carry an int rate; the far rate the
     # fair scheme pins must not turn the capacities into integers
-    spec = SweepSpec(grid=(30.0,), schemes=("fair",), master_seed=1)
-    cfg = SMALL.replace(trials=500)
-    got = run_sumrate_sweep(spec, cfg.replace(target_rate=1))["fair"]
-    want = run_sumrate_sweep(spec, cfg.replace(target_rate=1.0))["fair"]
+    spec = SweepSpec(grid=(30.0,), schemes=("fair",), master_seed=1, trials=500)
+    got = run_sumrate_sweep(spec, SMALL.replace(target_rate=1))["fair"]
+    want = run_sumrate_sweep(spec, SMALL.replace(target_rate=1.0))["fair"]
     assert want["sum_rate"][0] > 0.0
     for key, vals in want.items():
         assert np.array_equal(got[key], vals), key
 
 
 def test_sweep_results_identical_across_worker_counts():
-    cfg = SMALL.replace(trials=2100)
-    spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), master_seed=9)
-    serial = run_outage_sweep(spec, cfg.replace(workers=1))
-    parallel = run_outage_sweep(spec, cfg.replace(workers=3))
+    spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), master_seed=9,
+                     trials=2100)
+    serial = run_outage_sweep(spec, SMALL)
+    parallel = run_outage_sweep(dataclasses.replace(spec, workers=3), SMALL)
     for scheme in spec.schemes:
         for key, vals in serial[scheme].items():
             assert np.array_equal(vals, parallel[scheme][key]), (scheme, key)
 
 
 def test_rerun_is_bit_identical():
-    cfg = SMALL.replace(trials=700)
-    spec = SweepSpec(grid=(2.0,), schemes=("fair",), master_seed=77)
-    r1 = run_outage_sweep(spec, cfg)
-    r2 = run_outage_sweep(spec, cfg)
+    spec = SweepSpec(grid=(2.0,), schemes=("fair",), master_seed=77, trials=700)
+    r1 = run_outage_sweep(spec, SMALL)
+    r2 = run_outage_sweep(spec, SMALL)
     for key, vals in r1["fair"].items():
         assert np.array_equal(vals, r2["fair"][key])
 
@@ -390,12 +389,11 @@ def test_rate_stats_merge_matches_two_pass_variance():
 def test_sweeps_check_scheme_names(tmp_path, capsys):
     # each sweep checks its scheme names, and only it: outage has no
     # baseline link; the CLI reports a bad name as a config error
-    cfg = SMALL.replace(trials=8)
     for run, bad in ((run_outage_sweep, "equal"), (run_outage_sweep, "baseline"),
                      (run_sumrate_sweep, "equal")):
         with pytest.raises(ConfigError) as err:
-            run(SweepSpec(grid=(1.0,), schemes=("fair", bad), master_seed=1),
-                cfg)
+            run(SweepSpec(grid=(1.0,), schemes=("fair", bad), master_seed=1,
+                          trials=8), SMALL)
         assert (err.value.field_name, err.value.value) == ("schemes", bad)
         command = "outage" if run is run_outage_sweep else "sumrate"
         out = tmp_path / command
@@ -473,9 +471,9 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    spec = SweepSpec(grid=(1.0, 2.0), schemes=("fair",), master_seed=1)
     for trials in (10, CHUNK + 1):
-        run_outage_sweep(spec, SMALL.replace(workers=3, trials=trials))
+        run_outage_sweep(SweepSpec(grid=(1.0, 2.0), schemes=("fair",), master_seed=1,
+                                   trials=trials, workers=3), SMALL)
     assert sizes == [2]
     assert chunksizes == [1]
 
@@ -494,12 +492,12 @@ def test_pooled_parent_builds_no_channel(monkeypatch):
                 return _real(*args)
             monkeypatch.setattr(module, name, counting)
     montecarlo._deterministic_parts.cache_clear()
-    spec = SweepSpec(grid=(0.0, 30.0), schemes=SUMRATE_SCHEMES, master_seed=4)
-    cfg = SMALL.replace(trials=CHUNK + 10)
-    pooled = run_sumrate_sweep(spec, cfg.replace(workers=2))
+    spec = SweepSpec(grid=(0.0, 30.0), schemes=SUMRATE_SCHEMES, master_seed=4,
+                     trials=CHUNK + 10)
+    pooled = run_sumrate_sweep(dataclasses.replace(spec, workers=2), SMALL)
     assert calls == []
     # the count does see an in-process build, and the pool ran the sweep
-    alone = run_sumrate_sweep(spec, cfg)
+    alone = run_sumrate_sweep(spec, SMALL)
     assert calls
     for scheme in spec.schemes:
         for key, vals in alone[scheme].items():
@@ -510,9 +508,10 @@ def test_dead_pool_is_a_value_error(monkeypatch):
     # the sweep reports its own pool's failure, chained from the pool's error
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
-    spec = SweepSpec(grid=(1.0,), schemes=("fair",), master_seed=1)
+    spec = SweepSpec(grid=(1.0,), schemes=("fair",), master_seed=1,
+                     trials=CHUNK + 1, workers=2)
     with pytest.raises(ValueError, match="worker pool failed") as err:
-        run_outage_sweep(spec, SMALL.replace(workers=2, trials=CHUNK + 1))
+        run_outage_sweep(spec, SMALL)
     assert isinstance(err.value.__cause__, BrokenProcessPool)
 
 
@@ -529,11 +528,12 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
     # every point is evaluated on its chunk's shared gains, so a one-point
     # sweep reproduces that point's row of a longer sweep bit for bit, also
     # on either side of a slab boundary
-    cfg = SMALL.replace(trials=CHUNK + 100)
-    full = run(SweepSpec(grid=grid, schemes=schemes, master_seed=3), cfg)
+    full = run(SweepSpec(grid=grid, schemes=schemes, master_seed=3,
+                         trials=CHUNK + 100), SMALL)
     for i in rows:
         value = grid[i]
-        one = run(SweepSpec(grid=(value,), schemes=schemes, master_seed=3), cfg)
+        one = run(SweepSpec(grid=(value,), schemes=schemes, master_seed=3,
+                            trials=CHUNK + 100), SMALL)
         for scheme in schemes:
             for key, vals in one[scheme].items():
                 assert vals.tolist() == [full[scheme][key][i]], (
@@ -544,10 +544,11 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
 def test_no_surface_sweep_fixed_sum_rate_matches_closed_form(shape_m):
     # the mean gains differ 9-fold and each is a sum of 256 terms, so SIC
     # roles never swap; every row lies within 4 SE of the exact value
-    cfg = ScenarioConfig(ris_elements=0, shape_m=shape_m, trials=4096)
+    cfg = ScenarioConfig(ris_elements=0, shape_m=shape_m)
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
     out = run_sumrate_sweep(
-        SweepSpec(grid=grid, schemes=("fixed",), master_seed=1), cfg)["fixed"]
+        SweepSpec(grid=grid, schemes=("fixed",), master_seed=1, trials=4096),
+        cfg)["fixed"]
     for dbm, rate, se in zip(grid, out["sum_rate"], out["sum_rate_stderr"]):
         exact = fixed_sum_rate_closed_form(cfg.replace(tx_power_dbm=dbm))
         assert abs(rate - exact) <= 4.0 * se, dbm
