@@ -6,7 +6,8 @@ Subcommands:
     validate      closed-form-vs-Monte-Carlo and PA conformance checks
     print-config  echo the fully resolved scenario in config grammar
 
-Exit codes: 0 success, 1 config error, 2 runtime error, 3 validation
+Exit codes: 0 success, 1 config error, 2 runtime error or usage error
+(argparse: an unknown, missing-value or malformed flag), 3 validation
 failure.
 """
 
@@ -186,9 +187,33 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_print_config(args) -> int:
-    cfg = _load_scenario(args)
-    sys.stdout.write(render_config(cfg))
+    sys.stdout.write(render_config(parse_config(args.config)))
     return 0
+
+
+def _add_flags(p, command: str):
+    """Each command's flags: only those it reads, so any other flag is a
+    usage error (exit 2)."""
+    p.add_argument("--config", default=None, help="scenario INI file")
+    if command == "print-config":
+        return
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
+                   help="master seed (default %(default)s)")
+    if command == "validate":
+        # accepted and ignored: perfbench/run.py passes it to every workload
+        p.add_argument("--workers", type=int, default=1,
+                       help="ignored: validate runs in one process")
+        p.add_argument("--tolerance-se", type=float, default=3.0,
+                       help="agreement tolerance in std errors (default %(default)s)")
+        return
+    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
+                   help="Monte Carlo trials per grid point (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default %(default)s)")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--grid", default=_OUTAGE_GRID if command == "outage"
+                   else _SUMRATE_GRID, help="start:stop:step (default %(default)s)")
+    p.add_argument("--schemes", default=None, help="comma list of schemes to run")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,39 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="thznoma",
         description="Link-level sweeps for a RIS-assisted NOMA-MIMO THz downlink.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, grid_default):
-        p.add_argument("--config", default=None, help="scenario INI file")
-        p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
-                       help="master seed (default %(default)s)")
-        p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
-                       help="Monte Carlo trials per grid point (default %(default)s)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default %(default)s)")
-        if grid_default is not None:
-            p.add_argument("--out", default=".", help="output directory")
-            p.add_argument("--grid", default=grid_default,
-                           help="start:stop:step (default %(default)s)")
-            p.add_argument("--schemes", default=None,
-                           help="comma list of schemes to run")
-
-    p_out = sub.add_parser("outage", help="outage vs far-user target rate")
-    common(p_out, _OUTAGE_GRID)
-    p_out.set_defaults(func=_cmd_sweep)
-
-    p_sum = sub.add_parser("sumrate", help="sum rate vs transmit power (dBm)")
-    common(p_sum, _SUMRATE_GRID)
-    p_sum.set_defaults(func=_cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="numerical self-checks")
-    common(p_val, None)
-    p_val.add_argument("--tolerance-se", type=float, default=3.0,
-                       help="agreement tolerance in std errors (default %(default)s)")
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_cfg = sub.add_parser("print-config", help="echo the resolved scenario")
-    common(p_cfg, None)
-    p_cfg.set_defaults(func=_cmd_print_config)
+    for command, func, text in (
+            ("outage", _cmd_sweep, "outage vs far-user target rate"),
+            ("sumrate", _cmd_sweep, "sum rate vs transmit power (dBm)"),
+            ("validate", _cmd_validate, "numerical self-checks"),
+            ("print-config", _cmd_print_config, "echo the resolved scenario")):
+        p = sub.add_parser(command, help=text)
+        _add_flags(p, command)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,18 +1,23 @@
 """Closed-form ergodic capacity from one MGF integral, and its oracle.
 
-For h ~ CN(0, R) with spectrum w, X = ||h||^2 scaled by c has the moment
-generating function M(s) = prod_i (1 + c w_i s)^(-1). With signal power
-a, interference b and noise n, Hamdi's lemma (IEEE Trans. Commun., 2010)
-gives the capacity as one integral, with X_p = p X / n:
+Each eigen-component of a spectrum w carries a power Y_i ~ Gamma(m, 1/m)
+of mean 1, so X = sum_i w_i Y_i scaled by c has the moment generating
+function M(s) = prod_i (1 + c w_i s / m)^(-m). At m = 1, Y_i ~ Exp(1) and
+X = ||h||^2 for h ~ CN(0, R) with spectrum w. At any m, w = |D|^2 gives
+the no-surface gain sum_j |D_j|^2 E_j^2 of Nakagami-m envelopes E_j, so
+the no-surface fixed sum rate has a closed form at every m. With signal
+power a, interference b and noise n, Hamdi's lemma (IEEE Trans. Commun.,
+2010) gives the capacity as one integral, with X_p = p X / n:
 
     C ln 2 = E[ln(1 + X_(a+b))] - E[ln(1 + X_b)]
            = int_0^inf (M_b(s) - M_(a+b)(s)) e^(-s) / s ds.
 
-In u = ln s the integrand is analytic in a strip and decays at both
-ends, so the trapezoid rule with a fixed step converges geometrically.
-`_log_moment_gap` does that integral. At dimension 1, with signal 1, no
-interference and noise x, it is e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1):
-the exponential integral is the closed form at dimension 1.
+In u = ln s the integrand is analytic in the strip |Im u| < pi at any
+m > 0 and decays at both ends, so the trapezoid rule with a fixed step
+converges geometrically. `_log_moment_gap` does that integral. At
+dimension 1 and m = 1, with signal 1, no interference and noise x, it is
+e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1): the exponential integral is the
+closed form at dimension 1.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ _U_HI = 4.0
 _ORACLE_CHUNK = 8192
 
 
-def _log_moment_gap(a: np.ndarray, b: np.ndarray) -> float:
+def _log_moment_gap(a: np.ndarray, b: np.ndarray, m: float) -> float:
     """E[ln(1 + X_a)] - E[ln(1 + X_b)] in nats.
 
-    X_c = sum_i c_i |z_i|^2, z_i iid CN(0, 1), for a nonnegative spectrum
+    X_c = sum_i c_i Y_i, Y_i iid Gamma(m, 1/m), for a nonnegative spectrum
     c. M_b - M_a = -M_b expm1(ln M_a - ln M_b) keeps its relative precision
     as s -> 0. The integrand is below float resolution at both ends, so the
     end weights are left at 1.
@@ -42,8 +47,8 @@ def _log_moment_gap(a: np.ndarray, b: np.ndarray) -> float:
     top = max(float(np.max(a, initial=0.0)), float(np.max(b, initial=0.0)))
     lo = _U_LO - math.log(max(top, 1.0))
     s = np.exp(_U_HI - _STEP * np.arange(math.ceil((_U_HI - lo) / _STEP) + 1))
-    log_ma = -np.log1p(np.multiply.outer(s, a)).sum(axis=1)
-    log_mb = -np.log1p(np.multiply.outer(s, b)).sum(axis=1)
+    log_ma = -m * np.log1p(np.multiply.outer(s, a / m)).sum(axis=1)
+    log_mb = -m * np.log1p(np.multiply.outer(s, b / m)).sum(axis=1)
     values = -np.exp(log_mb - s) * np.expm1(log_ma - log_mb)
     return math.fsum(values) * _STEP
 
@@ -72,15 +77,19 @@ def _spectrum(cov, signal_w: float, interference_w: float,
 
 
 def closed_form_capacity(cov, signal_w: float, interference_w: float,
-                         noise_power_w: float) -> float:
+                         noise_power_w: float, shape_m: float = 1.0) -> float:
     """Ergodic capacity (bits/s/Hz) of SINR signal X / (interference X + noise).
 
-    X = ||h||^2, h ~ CN(0, cov). The integrand is >= 0, and so is the result.
+    X = sum_i w_i Y_i over the spectrum w of cov, Y_i iid Gamma(shape_m,
+    1/shape_m); shape_m = 1 is X = ||h||^2, h ~ CN(0, cov). The shape must
+    be finite and > 0. The integrand is >= 0, and so is the result.
     """
     w = _spectrum(cov, signal_w, interference_w, noise_power_w)
+    if not 0 < shape_m < math.inf:
+        raise ValueError("shape_m must be finite and > 0")
     a = (signal_w + interference_w) / noise_power_w * w
     b = interference_w / noise_power_w * w
-    return _log_moment_gap(a, b) / math.log(2.0)
+    return _log_moment_gap(a, b, shape_m) / math.log(2.0)
 
 
 def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,

@@ -89,27 +89,18 @@ def fixed_sum_rate_closed_form(cfg):
 
     The far user's rate is the capacity of SINR a p X / ((1 - a) p X + s2)
     and the near user's of (1 - a) p X / s2, with X = ||D∘E||^2 =
-    sum_j |D_j|^2 E_j^2 and E_j^2 iid Gamma(m, 1/m): each rate is an MGF
-    integral over prod_j (1 + c_j s / m)^(-m). At integer m, E_j^2 is a
-    sum of m iid Exp(1/m), so X has the spectrum |D|^2 / m, each entry
-    repeated m times, and the ergodic library's closed form gives the
-    rates; at other m scipy's quadrature does. SIC roles are taken never
-    to swap, which holds where the mean gains differ many-fold and each
-    gain is a sum of many terms.
+    sum_j |D_j|^2 E_j^2 and E_j^2 iid Gamma(m, 1/m): the ergodic
+    library's closed form on the spectrum |D|^2 at shape m. SIC roles are
+    taken never to swap, which holds where the mean gains differ many-fold
+    and each gain is a sum of many terms.
     """
-    m = cfg.shape_m
     assert cfg.ris_elements == 0
     p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
     w = [np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2 for u in (FAR, NEAR)]
-    # (spectrum, signal, interference) of the far and the near user's rate
-    links = ((w[FAR], a * p, (1.0 - a) * p), (w[NEAR], (1.0 - a) * p, 0.0))
-    if m == int(m):
-        return sum(closed_form_capacity(np.diag(np.repeat(wu / m, int(m))),
-                                        signal, interference, s2)
-                   for wu, signal, interference in links)
-    return sum(_mgf_gap_quadrature((signal + interference) / s2 * wu,
-                                   interference / s2 * wu, m)
-               for wu, signal, interference in links) / math.log(2.0)
+    return (closed_form_capacity(np.diag(w[FAR]), a * p, (1.0 - a) * p, s2,
+                                 cfg.shape_m)
+            + closed_form_capacity(np.diag(w[NEAR]), (1.0 - a) * p, 0.0, s2,
+                                   cfg.shape_m))
 
 
 def _reference_trial(cfg, scheme, target, gains):

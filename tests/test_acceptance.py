@@ -91,16 +91,18 @@ def test_criterion_1_closed_form_matches_oracle():
 
 def test_closed_form_matches_quadrature():
     """Criterion 1's 120 links, checked without sampling: the closed form
-    against scipy's adaptive quadrature of the same MGF integral."""
+    against scipy's adaptive quadrature of the same MGF integral, with
+    Gamma(m, 1/m) components at m = 1 (CN(0, R)) and at m = 0.5 and 3."""
     worst = 0.0
     for cov, signal, interference, noise in _criterion_1_links(
             np.random.default_rng(SEED_ORACLE)):
         w = np.linalg.eigvalsh(cov)
         a = (signal + interference) / noise * w
         b = interference / noise * w
-        exact = _mgf_gap_quadrature(a, b) / math.log(2.0)
-        closed = closed_form_capacity(cov, signal, interference, noise)
-        worst = max(worst, abs(closed - exact) / exact)
+        for m in (0.5, 1.0, 3.0):
+            exact = _mgf_gap_quadrature(a, b, m) / math.log(2.0)
+            closed = closed_form_capacity(cov, signal, interference, noise, m)
+            worst = max(worst, abs(closed - exact) / exact)
     assert worst <= 1e-10, f"worst relative difference {worst:.2e}"
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_outage_csv_layout(tmp_path, small_config):
     rc = main(["outage", "--config", small_config, "--seed", "3",
                "--grid", "0.5:1.5:0.5", "--trials", "400", "--out", out])
     assert rc == 0
-    lines = open(os.path.join(out, "outage.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "outage.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "target_rate,scheme,user,outage,stderr"
     # 3 grid points x 2 schemes x 2 users
     assert len(lines) == 1 + 3 * 2 * 2
@@ -129,8 +130,8 @@ def test_outage_manifest(tmp_path, small_config):
     out = str(tmp_path / "run")
     main(["outage", "--config", small_config, "--seed", "3",
           "--grid", "1", "--trials", "400", "--out", out])
-    manifest = json.load(open(os.path.join(out, "outage_manifest.json"),
-                              encoding="utf-8"))
+    manifest = json.loads(Path(out, "outage_manifest.json").read_text(
+        encoding="utf-8"))
     assert manifest["command"] == "outage"
     assert manifest["seed"] == 3
     assert manifest["outputs"] == ["outage.csv"]
@@ -147,8 +148,8 @@ def test_manifest_does_not_depend_on_the_worker_count(tmp_path, small_config):
         out = str(tmp_path / workers)
         assert main(["outage", "--config", small_config, "--grid", "1:2:1",
                      "--trials", "2048", "--workers", workers, "--out", out]) == 0
-        manifest = json.load(open(os.path.join(out, "outage_manifest.json"),
-                                  encoding="utf-8"))
+        manifest = json.loads(Path(out, "outage_manifest.json").read_text(
+            encoding="utf-8"))
         del manifest["timestamp"]
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
@@ -161,7 +162,7 @@ def test_outage_rerun_is_byte_identical(tmp_path, small_config):
     main(args + ["--seed", "11", "--out", out1])
     main(args + ["--seed", "11", "--out", out2])
     main(args + ["--seed", "12", "--out", out3])
-    read = lambda d: open(os.path.join(d, "outage.csv"), "rb").read()
+    read = lambda d: Path(d, "outage.csv").read_bytes()
     assert read(out1) == read(out2)
     assert read(out1) != read(out3)
 
@@ -170,7 +171,7 @@ def test_outage_zero_target_grid(tmp_path, small_config):
     out = str(tmp_path / "run")
     main(["outage", "--config", small_config, "--grid", "0", "--trials", "400",
           "--out", out])
-    lines = open(os.path.join(out, "outage.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "outage.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 1 * 2 * 2
     for row in lines[1:]:
         cells = row.split(",")
@@ -183,7 +184,7 @@ def test_sumrate_csv_layout(tmp_path, small_config):
     rc = main(["sumrate", "--config", small_config, "--seed", "4",
                "--grid", "0:30:15", "--trials", "300", "--out", out])
     assert rc == 0
-    lines = open(os.path.join(out, "sumrate.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "sumrate.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "tx_power_dbm,scheme,sum_rate,stderr"
     # 3 grid points x 4 schemes (fixed, fair, improved-fair, baseline)
     assert len(lines) == 1 + 3 * 4
@@ -199,7 +200,7 @@ def test_sumrate_scheme_selection(tmp_path, small_config):
     out = str(tmp_path / "run")
     main(["sumrate", "--config", small_config, "--grid", "10", "--trials", "100",
           "--schemes", "fair,baseline", "--out", out])
-    lines = open(os.path.join(out, "sumrate.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "sumrate.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 2
     assert lines[1].split(",")[1] == "fair"
     assert lines[2].split(",")[1] == "baseline"
@@ -249,12 +250,18 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 
 def test_out_is_a_sweep_only_flag(tmp_path, capsys):
-    # validate and print-config write no file, so --out is a usage error
-    for command in ("validate", "print-config"):
+    # validate and print-config write no file, so --out is a usage error;
+    # so is any other flag a command does not read
+    for argv in (["validate", "--out", str(tmp_path)],
+                 ["print-config", "--out", str(tmp_path)],
+                 ["print-config", "--seed", "1"],
+                 ["print-config", "--trials", "5"],
+                 ["print-config", "--workers", "2"],
+                 ["validate", "--trials", "5"]):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --out" in capsys.readouterr().err
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_error(tmp_path, small_config, monkeypatch):

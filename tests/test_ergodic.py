@@ -1,5 +1,6 @@
 """Closed-form ergodic capacity, its Monte Carlo oracle, and the
-exponential integral and Erlang log moments it reduces to."""
+exponential integral, Erlang log moments and repeated spectra it reduces
+to."""
 
 import math
 import tracemalloc
@@ -94,6 +95,9 @@ def test_link_power_validation():
         with pytest.raises(ValueError):
             ergodic_capacity_mc_oracle(np.eye(2), *powers, 10,
                                        np.random.default_rng(0))
+    for shape_m in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            closed_form_capacity(np.eye(2), 1.0, 0.0, 1.0, shape_m)
 
 
 def test_covariance_spectrum():
@@ -239,6 +243,18 @@ def test_interference_free_reduction():
     diff = (closed_form_capacity(cov, 0.7, 0.0, 1.0)
             - closed_form_capacity(cov, 0.3, 0.0, 1.0))
     assert_allclose(closed_form_capacity(cov, 0.4, 0.3, 1.0), diff, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape_m", [2, 3])
+def test_integer_shape_is_a_repeated_spectrum(shape_m):
+    # at integer m a Gamma(m, 1/m) power is a sum of m iid Exp(1) / m, so
+    # each eigenvalue w becomes m CN(0, 1) components of power w / m
+    w = np.array([0.3, 1.0, 2.5, 4.0])
+    for powers in ((1.0, 0.0, 1.0), (8.0, 2.0, 1.0), (0.05, 0.01, 2.0)):
+        gamma = closed_form_capacity(np.diag(w), *powers, shape_m)
+        repeated = closed_form_capacity(np.diag(np.repeat(w / shape_m, shape_m)),
+                                        *powers)
+        assert_allclose(gamma, repeated, rtol=1e-12)
 
 
 def test_capacity_scale_invariance():
