@@ -65,12 +65,6 @@ def _parse_schemes(text: str) -> tuple:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _load_scenario(args) -> ScenarioConfig:
-    if args.seed < 0:
-        raise ConfigError("seed", "an integer >= 0", args.seed)
-    return parse_config(args.config)
-
-
 def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
@@ -93,7 +87,7 @@ def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig,
     manifest = {
         "command": command,
         "config": cfg.as_dict(),
-        "seed": spec.master_seed,
+        "seed": spec.seed,
         "trials": spec.trials,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -105,7 +99,7 @@ def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig,
 
 def _cmd_sweep(args) -> int:
     """``outage`` or ``sumrate``, by ``args.command``: sweep, write CSV and manifest."""
-    cfg = _load_scenario(args)
+    cfg = parse_config(args.config)
     if args.command == "outage":
         default, sweep = OUTAGE_SCHEMES, run_outage_sweep
         header = "target_rate,scheme,user,outage,stderr"
@@ -116,7 +110,7 @@ def _cmd_sweep(args) -> int:
         columns = (([], "sum_rate"),)
     schemes = default if args.schemes is None else _parse_schemes(args.schemes)
     spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
-                     master_seed=args.seed, trials=args.trials,
+                     seed=args.seed, trials=args.trials,
                      workers=args.workers)
     series = sweep(spec, cfg)
     lines = [header]
@@ -143,7 +137,10 @@ def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_scenario(args)
+    # the sweeps leave this check to SweepSpec; validate builds none
+    if args.seed < 0:
+        raise ConfigError("seed", "an integer >= 0", args.seed)
+    cfg = parse_config(args.config)
     tol = args.tolerance_se
     # a NaN or negative margin bound fails every case, an infinite one none
     if not (math.isfinite(tol) and tol > 0):
@@ -198,7 +195,7 @@ def _add_flags(p, command: str):
     if command == "print-config":
         return
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
-                   help="master seed (default %(default)s)")
+                   help="RNG seed (default %(default)s)")
     if command == "validate":
         # accepted and ignored: perfbench/run.py passes it to every workload
         p.add_argument("--workers", type=int, default=1,

@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from .noma import capacity, sinr
+
 # trapezoid step in u = ln s and the u range: past s = e^4, e^(-s) is below
 # float resolution; below s = e^-40 / max(c, 1) the integrand is under 1e-17
 _STEP = 1.0 / 16.0
@@ -99,8 +101,9 @@ def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,
 
     For h = R^(1/2) hbar, hbar ~ CN(0, I), and R = U diag(w) U^H,
     ||h||^2 = sum_i w_i |(U^H hbar)_i|^2 with U^H hbar ~ CN(0, I), so X is
-    drawn as sum_i w_i E_i, E_i iid Exp(1), into the same SINR. The draw
-    streams in blocks of ``_ORACLE_CHUNK`` trials, which consume the
+    drawn as sum_i w_i E_i, E_i iid Exp(1), into the same SINR, and each
+    trial's rate is ``noma.capacity`` of ``noma.sinr`` at unit power. The
+    draw streams in blocks of ``_ORACLE_CHUNK`` trials, which consume the
     generator as one draw of all trials would, and no capacity outlives
     its block. Returns (mean, std_error) in bits/s/Hz.
     """
@@ -116,8 +119,7 @@ def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,
     for done in range(0, trials, _ORACLE_CHUNK):
         n = min(_ORACLE_CHUNK, trials - done)
         x = rng.standard_exponential((n, w.size)) @ w
-        zeta = signal_w * x / (interference_w * x + noise_power_w)
-        c = np.log2(1.0 + zeta)
+        c = capacity(sinr(x, signal_w, interference_w, 1.0, noise_power_w))
         if done == 0:
             x0 = float(c[0])
         dev = c - x0

@@ -1,14 +1,14 @@
 """Monte Carlo outage and sum-rate sweeps.
 
-A sweep runs a SweepSpec (grid, schemes, master seed, trial and worker
-counts) over a ScenarioConfig, the link. Every grid point is a
-ScenarioConfig: the sweep's scenario with one field replaced, the target
-rate R_m = R_n for ``outage`` and the transmit power for ``sumrate``,
-validated like any scenario. Neither swept field enters the channel, so
-the grid is an array axis of the kernel. A link is a channel builder and
-an envelope law: ``"thz"`` is the direct THz channel plus the surface's,
-Nakagami-m faded, and ``"baseline"`` the free-space reference channel,
-Rayleigh faded. The sweep groups the links its schemes need by law, once
+A sweep runs a SweepSpec (grid, schemes, seed, trial and worker counts)
+over a ScenarioConfig, the link. Every grid point is a ScenarioConfig:
+the sweep's scenario with one field replaced, the target rate R_m = R_n
+for ``outage`` and the transmit power for ``sumrate``, validated like
+any scenario. Neither swept field enters the channel, so the grid is an
+array axis of the kernel. A link is a channel builder and an envelope
+law: ``"thz"`` is the direct THz channel plus the surface's, Nakagami-m
+faded, and ``"baseline"`` the free-space reference channel, Rayleigh
+faded. The sweep groups the links its schemes need by law, once
 (``_plan``). A task holds that plan, the first point's scenario and two
 (P, 1) columns, every point's target rate and transmit power, and a
 chunk draws each law's gains once and evaluates each scheme over all P
@@ -21,7 +21,7 @@ so where the baseline's law equals the THz link's (the default m = 1) it
 shares the THz link's draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
-stream spawned from the master seed by (domain, 0, chunk) key, so results
+stream spawned from the seed by (domain, 0, chunk) key, so results
 are identical for any worker count and workers only decide which chunks
 run where. With a pool the workers build the channels, the parent none,
 and a dead pool is the sweep's ValueError. A chunk's channels are formed
@@ -65,13 +65,13 @@ SUMRATE_SCHEMES = (allocation.FIXED, allocation.FAIR, allocation.IMPROVED, "base
 class SweepSpec:
     grid: tuple
     schemes: tuple
-    master_seed: int
+    seed: int
     trials: int              # per grid point and scheme
     workers: int = 1         # decides where chunks run, never what they give
 
     def __post_init__(self):
         # SeedSequence(None) would draw OS entropy, a different stream per chunk
-        for name, low in (("master_seed", 0), ("trials", 1), ("workers", 1)):
+        for name, low in (("seed", 0), ("trials", 1), ("workers", 1)):
             constraint, test = _int_at_least(low)
             if not test(getattr(self, name)):
                 raise ConfigError(name, constraint, getattr(self, name))
@@ -107,11 +107,11 @@ def _chunk_sizes(trials: int):
     return [CHUNK] * full + ([rest] if rest else [])
 
 
-def _chunk_rng(master_seed: int, domain: int, chunk: int):
+def _chunk_rng(seed: int, domain: int, chunk: int):
     """The chunk's stream. The 0 stands where a grid point's index was when
     each point had its own stream; keeping it keeps the outputs of one-point
     sweeps and of the first point of every sweep."""
-    ss = np.random.SeedSequence(entropy=master_seed,
+    ss = np.random.SeedSequence(entropy=seed,
                                 spawn_key=(domain, 0, chunk))
     return np.random.default_rng(ss)
 
@@ -143,13 +143,12 @@ def _chunk_gains(law: tuple, cfg: ScenarioConfig, links: list,
 
 
 def _moments(rate: np.ndarray) -> np.ndarray:
-    """(..., 4) moments (rate sum, x0, S, Q) of rates along the last axis,
-    each sum in trial order: S and Q sum x - x0 and (x - x0)^2 about the
-    first rate x0."""
+    """(..., 3) moments (x0, S, Q) of rates along the last axis, each sum in
+    trial order: S and Q sum x - x0 and (x - x0)^2 about the first rate x0.
+    The shift keeps an unfaded sweep's stderr exactly 0."""
     x0 = rate[..., :1]
     dev = rate - x0
-    return np.stack([np.add.accumulate(rate, axis=-1)[..., -1], x0[..., 0],
-                     np.add.accumulate(dev, axis=-1)[..., -1],
+    return np.stack([x0[..., 0], np.add.accumulate(dev, axis=-1)[..., -1],
                      np.add.accumulate(dev * dev, axis=-1)[..., -1]], axis=-1)
 
 
@@ -157,7 +156,7 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
                  g_near: np.ndarray, cfg: ScenarioConfig, target: np.ndarray,
                  power: np.ndarray) -> np.ndarray:
     """One scheme's sums over a chunk, a row per grid point: (P, 2) counts
-    (near, far) of outage events for ``outage``, (P, 4) ``_moments`` of the
+    (near, far) of outage events for ``outage``, (P, 3) ``_moments`` of the
     sum rate for ``sumrate``. The (n,) gains broadcast against the (P, 1)
     columns ``target`` (R = R_m = R_n) and ``power`` (W).
 
@@ -200,7 +199,7 @@ def _plan(cfg: ScenarioConfig, schemes: tuple) -> tuple:
 
 
 def _run_chunk(cfg: ScenarioConfig, plan: tuple, target: np.ndarray,
-               power: np.ndarray, master_seed: int, domain: int, chunk: int,
+               power: np.ndarray, seed: int, domain: int, chunk: int,
                n: int) -> dict:
     """{scheme: ``_scheme_sums``}, a (P, k) array with a row per point.
 
@@ -213,7 +212,7 @@ def _run_chunk(cfg: ScenarioConfig, plan: tuple, target: np.ndarray,
     sums = {}
     for law, links in plan:
         gains = _chunk_gains(law, cfg, [link for link, _ in links],
-                             _chunk_rng(master_seed, domain, chunk), n)
+                             _chunk_rng(seed, domain, chunk), n)
         for (_, schemes), g in zip(links, gains):
             if not np.all(np.isfinite(g)):
                 raise ValueError("both users' channel gains must be finite")
@@ -241,19 +240,18 @@ def _outage_stats(parts: list, sizes: list) -> dict:
 
 def _rate_stats(parts: list, sizes: list) -> dict:
     """Mean sum rate and its stderr, arrays over the grid, the chunks'
-    (P, 4) ``_moments`` merged in chunk order by the pairwise update of
-    Chan, Golub and LeVeque (Am. Stat., 1983): nothing cancels, and equal
-    rates give exactly 0."""
+    (P, 3) ``_moments`` merged in chunk order by the pairwise update of
+    Chan, Golub and LeVeque (Am. Stat., 1983): one running mean and sum of
+    squared deviations. Nothing cancels, and equal rates give exactly 0."""
     t = 0
-    rsum = mean = m2 = 0.0
+    mean = m2 = 0.0
     for n, part in zip(sizes, parts):
-        ps, x0, dev, devsq = part.T
-        rsum += ps
+        x0, dev, devsq = part.T
         delta = x0 + dev / n - mean
         mean += delta * (n / (t + n))
         m2 += devsq - dev * dev / n + delta * delta * (t * n / (t + n))
         t += n
-    return {"sum_rate": rsum / t,
+    return {"sum_rate": mean,
             "sum_rate_stderr": np.sqrt(np.maximum(m2, 0.0) / t / t)}
 
 
@@ -269,7 +267,7 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     power = np.array([[p.tx_power_w] for p in points], dtype=float)
     plan = _plan(points[0], spec.schemes)
     sizes = _chunk_sizes(spec.trials)
-    tasks = [(points[0], plan, target, power, spec.master_seed, domain, ci, n)
+    tasks = [(points[0], plan, target, power, spec.seed, domain, ci, n)
              for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(spec.workers, len(tasks))

@@ -31,7 +31,7 @@ from scipy import integrate, special, stats
 
 from thznoma.allocation import FAIR, allocate
 from thznoma.channel import _distances, los_attenuation, ris_matrix, sample_nakagami
-from thznoma.cli import main
+from thznoma.cli import _random_psd, main
 from thznoma.config import ScenarioConfig
 from thznoma.ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from thznoma.montecarlo import SweepSpec, run_outage_sweep, run_sumrate_sweep
@@ -54,10 +54,7 @@ def _criterion_1_links(rng):
     each with alpha_m in {0.6, 0.8} and SNR in {0, 10, 20} dB."""
     covs = []
     for _ in range(20):
-        dim = int(rng.integers(2, 9))
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        r = a @ a.conj().T
-        covs.append(r * (dim / np.trace(r).real))
+        covs.append(_random_psd(rng, int(rng.integers(2, 9))))
     links = []
     for cov in covs:
         for alpha in (0.6, 0.8):
@@ -138,7 +135,7 @@ def test_criterion_3_outage_trends():
     cfg = ScenarioConfig()
     grid = tuple(0.5 + 0.5 * k for k in range(12))
     spec = SweepSpec(grid=grid, schemes=("fixed", "fair", "improved-fair"),
-                     master_seed=SEED_SWEEPS, trials=100_000)
+                     seed=SEED_SWEEPS, trials=100_000)
     res = run_outage_sweep(spec, cfg)
     fixed_far = res["fixed"]["far_outage"]
     fixed_se = res["fixed"]["far_outage_stderr"]
@@ -173,7 +170,7 @@ def test_criterion_4_sum_rate_trends():
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
     spec = SweepSpec(grid=grid,
                      schemes=("fixed", "fair", "improved-fair", "baseline"),
-                     master_seed=SEED_SWEEPS, trials=100_000)
+                     seed=SEED_SWEEPS, trials=100_000)
     res = run_sumrate_sweep(spec, cfg)
     monotone = all(bool(np.all(np.diff(res[s]["sum_rate"]) >= 0))
                    for s in spec.schemes)

@@ -48,6 +48,8 @@ BAD_INIS = {
     "ris_phase_mode": "[channel]\nris_phase_mode = 50%\n",
     # [DEFAULT] is no scenario section; its keys would land in every one
     "DEFAULT": "[DEFAULT]\nshape_m = 3\n[channel]\nbs_antennas = 4\n",
+    # an unclosed section header is no INI at all
+    "config": "[channel\nbs_antennas = 4\n",
 }
 
 
@@ -124,6 +126,21 @@ def test_outage_csv_layout(tmp_path, small_config):
         cells = row.split(",")
         assert len(cells) == 5
         assert 0.0 <= float(cells[3]) <= 1.0
+
+
+def test_failed_write_leaves_no_file(tmp_path, small_config, capsys,
+                                     monkeypatch):
+    # the temporary file is removed when it cannot take the CSV's name
+    def failing(src, dst):
+        raise OSError(f"cannot rename {src!r}")
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "run"
+    rc = main(["outage", "--config", small_config, "--grid", "1",
+               "--trials", "10", "--out", str(out)])
+    assert rc == 2
+    assert "error: cannot rename" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_outage_manifest(tmp_path, small_config):

@@ -147,13 +147,15 @@ def test_ris_phases_reproducible_and_in_range():
 
 
 def test_ini_round_trip(tmp_path):
-    cfg = ScenarioConfig(frequency_hz=0.2e12, ris_elements=32,
-                         nlos_gains=(0.3, 0.1), nlos_delays=(1e-11, 2e-11),
-                         fading_enabled=False, noise_figure_db=9.0,
-                         ris_phase_mode="zero")
+    # empty NLoS tuples, the single-ray direct path, render as `nlos_gains =`
     path = tmp_path / "scenario.ini"
-    path.write_text(render_config(cfg), encoding="utf-8")
-    assert parse_config(str(path)) == cfg
+    for cfg in (ScenarioConfig(frequency_hz=0.2e12, ris_elements=32,
+                               nlos_gains=(0.3, 0.1), nlos_delays=(1e-11, 2e-11),
+                               fading_enabled=False, noise_figure_db=9.0,
+                               ris_phase_mode="zero"),
+                ScenarioConfig(nlos_gains=(), nlos_delays=())):
+        path.write_text(render_config(cfg), encoding="utf-8")
+        assert parse_config(str(path)) == cfg
 
 
 def test_default_round_trip(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
-from thznoma import ergodic
+from thznoma import noma
+from thznoma.cli import _random_psd
 from thznoma.ergodic import (_spectrum, closed_form_capacity,
                              ergodic_capacity_mc_oracle)
 
@@ -136,9 +137,7 @@ def test_closed_form_vs_oracle_identity_covariance():
 def test_closed_form_vs_oracle_high_dimension(dim, trials):
     # the dimension of the simulated channel vector is N*M = 256
     rng = np.random.default_rng(dim)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    r = a @ a.conj().T
-    link = (r * (dim / np.trace(r).real), 8.0, 2.0, 1.0)
+    link = (_random_psd(rng, dim), 8.0, 2.0, 1.0)
     closed = closed_form_capacity(*link)
     mc, se = ergodic_capacity_mc_oracle(*link, trials, rng)
     assert se > 0
@@ -146,7 +145,7 @@ def test_closed_form_vs_oracle_high_dimension(dim, trials):
 
 
 class _Log2Recorder:
-    """Stands in for numpy in `ergodic` and keeps every log2 argument."""
+    """Stands in for numpy in `noma` and keeps every log2 argument."""
 
     def __init__(self):
         self.args = []
@@ -177,12 +176,10 @@ def test_oracle_draw_has_the_complex_gaussian_law(dim, monkeypatch):
     # with signal 1, no interference and unit noise the SINR is X itself,
     # so the oracle's draws of X = ||h||^2 are its log2 arguments minus 1
     rng = np.random.default_rng(100 + dim)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    r = a @ a.conj().T
-    r *= dim / np.trace(r).real
+    r = _random_psd(rng, dim)
     n = 200_000
     recorder = _Log2Recorder()
-    monkeypatch.setattr(ergodic, "np", recorder)
+    monkeypatch.setattr(noma, "np", recorder)
     ergodic_capacity_mc_oracle(r, 1.0, 0.0, 1.0, n, rng)
     x = np.concatenate(recorder.args) - 1.0
     assert x.size == n
@@ -197,7 +194,7 @@ def test_oracle_stderr_does_not_cancel(monkeypatch):
     # capacity, summed over the whole call, keep the spread
     n = 100_000
     recorder = _Log2Recorder()
-    monkeypatch.setattr(ergodic, "np", recorder)
+    monkeypatch.setattr(noma, "np", recorder)
     mean, se = ergodic_capacity_mc_oracle(np.eye(64), 1.0, 1e-3, 1e-9, n,
                                           np.random.default_rng(3))
     c = np.log2(np.concatenate(recorder.args))

@@ -49,13 +49,13 @@ def test_chunk_rng_streams_are_distinct_and_stable():
 
 
 def test_sweep_spec_validation():
-    good = dict(grid=(0.5, 1.0), schemes=("fair",), master_seed=1, trials=10)
+    good = dict(grid=(0.5, 1.0), schemes=("fair",), seed=1, trials=10)
     SweepSpec(**good)
     for bad in (dict(grid=()), dict(grid=(1.0, 0.5)), dict(grid=(1e16, 1e16 + 1)),
                 dict(schemes=()), dict(schemes=("fair", "fair")),
                 # None would seed each chunk from OS entropy, True as seed 1
-                dict(master_seed=None), dict(master_seed=True), dict(master_seed=-1),
-                dict(master_seed=1.5), dict(master_seed="3"),
+                dict(seed=None), dict(seed=True), dict(seed=-1),
+                dict(seed=1.5), dict(seed="3"),
                 dict(trials=0), dict(trials=True), dict(workers=0)):
         with pytest.raises(ConfigError) as err:
             SweepSpec(**{**good, **bad})
@@ -136,8 +136,8 @@ def test_trial_matches_manual_noma_chain():
         rate = c_far + c_near
         assert got[scheme].tolist() == [[n * near, n * far]]
         # every trial has the same rate, so its deviations are exactly 0
-        rsum, x0, dev, devsq = moments[scheme][0]
-        assert_allclose((rsum, x0), (n * rate, rate), rtol=1e-12)
+        x0, dev, devsq = moments[scheme][0]
+        assert_allclose(x0, rate, rtol=1e-12)
         assert dev == devsq == 0.0
 
 
@@ -160,8 +160,8 @@ def test_vanishing_power_fails_both_users():
     cfg = SMALL.replace(tx_power_dbm=-300.0)
     near, far = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"][0]
     assert near == far == 8
-    rsum = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair"][0, 0]
-    assert rsum < 8e-12
+    x0, dev, _ = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair"][0]
+    assert x0 + dev / 8 < 1e-12
 
 
 def test_fair_far_outage_is_the_infeasibility_event():
@@ -193,7 +193,7 @@ def test_improved_never_worse_for_near_user():
 
 
 def test_outage_sweep_shapes_and_ranges():
-    spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), master_seed=5,
+    spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), seed=5,
                      trials=600)
     series = run_outage_sweep(spec, SMALL)
     assert set(series) == {"fixed", "fair"}
@@ -212,7 +212,7 @@ def test_outage_sweep_shapes_and_ranges():
 
 def test_sumrate_sweep_monotone_in_power():
     spec = SweepSpec(grid=(0.0, 15.0, 30.0), schemes=("fixed", "baseline"),
-                     master_seed=6, trials=400)
+                     seed=6, trials=400)
     series = run_sumrate_sweep(spec, SMALL)
     for scheme in spec.schemes:
         assert list(series[scheme]) == ["sum_rate", "sum_rate_stderr"]
@@ -226,7 +226,7 @@ def test_sumrate_sweep_monotone_in_power():
 def test_integer_target_rate_gives_the_float_rows():
     # a scenario built in Python may carry an int rate; the far rate the
     # fair scheme pins must not turn the capacities into integers
-    spec = SweepSpec(grid=(30.0,), schemes=("fair",), master_seed=1, trials=500)
+    spec = SweepSpec(grid=(30.0,), schemes=("fair",), seed=1, trials=500)
     got = run_sumrate_sweep(spec, SMALL.replace(target_rate=1))["fair"]
     want = run_sumrate_sweep(spec, SMALL.replace(target_rate=1.0))["fair"]
     assert want["sum_rate"][0] > 0.0
@@ -235,7 +235,7 @@ def test_integer_target_rate_gives_the_float_rows():
 
 
 def test_sweep_results_identical_across_worker_counts():
-    spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), master_seed=9,
+    spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), seed=9,
                      trials=2100)
     serial = run_outage_sweep(spec, SMALL)
     parallel = run_outage_sweep(dataclasses.replace(spec, workers=3), SMALL)
@@ -245,7 +245,7 @@ def test_sweep_results_identical_across_worker_counts():
 
 
 def test_rerun_is_bit_identical():
-    spec = SweepSpec(grid=(2.0,), schemes=("fair",), master_seed=77, trials=700)
+    spec = SweepSpec(grid=(2.0,), schemes=("fair",), seed=77, trials=700)
     r1 = run_outage_sweep(spec, SMALL)
     r2 = run_outage_sweep(spec, SMALL)
     for key, vals in r1["fair"].items():
@@ -275,7 +275,7 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
     assert list(counts) == list(moments) == list(schemes)
     for scheme in schemes:
         assert counts[scheme].shape == (len(points), 2)
-        assert moments[scheme].shape == (len(points), 4)
+        assert moments[scheme].shape == (len(points), 3)
         for i, point in enumerate(points):
             link = "baseline" if scheme == "baseline" else "thz"
             rng = _chunk_rng(55, 1, 3)
@@ -290,12 +290,11 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
             gains = _link_gains(point, _chunk_rng(55, 2, 3), n, scheme)
             rates = [_reference_trial(point, scheme, point.target_rate, g)[2]
                      for g in gains.T.tolist()]
-            rsum = dev = devsq = 0.0
+            dev = devsq = 0.0
             for rate in rates:
-                rsum += rate
                 dev += rate - rates[0]
                 devsq += (rate - rates[0]) * (rate - rates[0])
-            assert moments[scheme][i].tolist() == [rsum, rates[0], dev, devsq], (
+            assert moments[scheme][i].tolist() == [rates[0], dev, devsq], (
                 scheme, i)
 
 
@@ -337,7 +336,7 @@ def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
     n = BLOCK + 12
     got = _chunk(SMALL, ("fixed", "fair"), (0.5, 1.0, 2.0), n=n, domain=domain)
     assert sizes == [3 * n] * (2 * calls)
-    assert [v.shape for v in got.values()] == [(3, 2 if domain == 1 else 4)] * 2
+    assert [v.shape for v in got.values()] == [(3, 2 if domain == 1 else 3)] * 2
 
 
 def _chunk_peak_bytes(points):
@@ -368,11 +367,8 @@ def test_rate_stats_merge_matches_two_pass_variance():
     rates = 7.0 + 1e-3 * rng.exponential(size=sum(sizes))
     chunks = np.split(rates, np.cumsum(sizes)[:-1])
     stats = _rate_stats([_moments(c) for c in chunks], sizes)
-    rsum = 0.0
-    for c in chunks:
-        rsum += c.cumsum()[-1]
     t = sum(sizes)
-    assert stats["sum_rate"] == rsum / t
+    assert_allclose(stats["sum_rate"], math.fsum(rates) / t, rtol=1e-15)
     assert_allclose(stats["sum_rate_stderr"] ** 2 * t, np.var(rates),
                     rtol=1e-12)
     # equal rates merge to exactly 0
@@ -392,7 +388,7 @@ def test_sweeps_check_scheme_names(tmp_path, capsys):
     for run, bad in ((run_outage_sweep, "equal"), (run_outage_sweep, "baseline"),
                      (run_sumrate_sweep, "equal")):
         with pytest.raises(ConfigError) as err:
-            run(SweepSpec(grid=(1.0,), schemes=("fair", bad), master_seed=1,
+            run(SweepSpec(grid=(1.0,), schemes=("fair", bad), seed=1,
                           trials=8), SMALL)
         assert (err.value.field_name, err.value.value) == ("schemes", bad)
         command = "outage" if run is run_outage_sweep else "sumrate"
@@ -472,7 +468,7 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     for trials in (10, CHUNK + 1):
-        run_outage_sweep(SweepSpec(grid=(1.0, 2.0), schemes=("fair",), master_seed=1,
+        run_outage_sweep(SweepSpec(grid=(1.0, 2.0), schemes=("fair",), seed=1,
                                    trials=trials, workers=3), SMALL)
     assert sizes == [2]
     assert chunksizes == [1]
@@ -492,7 +488,7 @@ def test_pooled_parent_builds_no_channel(monkeypatch):
                 return _real(*args)
             monkeypatch.setattr(module, name, counting)
     montecarlo._deterministic_parts.cache_clear()
-    spec = SweepSpec(grid=(0.0, 30.0), schemes=SUMRATE_SCHEMES, master_seed=4,
+    spec = SweepSpec(grid=(0.0, 30.0), schemes=SUMRATE_SCHEMES, seed=4,
                      trials=CHUNK + 10)
     pooled = run_sumrate_sweep(dataclasses.replace(spec, workers=2), SMALL)
     assert calls == []
@@ -508,7 +504,7 @@ def test_dead_pool_is_a_value_error(monkeypatch):
     # the sweep reports its own pool's failure, chained from the pool's error
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
-    spec = SweepSpec(grid=(1.0,), schemes=("fair",), master_seed=1,
+    spec = SweepSpec(grid=(1.0,), schemes=("fair",), seed=1,
                      trials=CHUNK + 1, workers=2)
     with pytest.raises(ValueError, match="worker pool failed") as err:
         run_outage_sweep(spec, SMALL)
@@ -528,11 +524,11 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
     # every point is evaluated on its chunk's shared gains, so a one-point
     # sweep reproduces that point's row of a longer sweep bit for bit, also
     # on either side of a slab boundary
-    full = run(SweepSpec(grid=grid, schemes=schemes, master_seed=3,
+    full = run(SweepSpec(grid=grid, schemes=schemes, seed=3,
                          trials=CHUNK + 100), SMALL)
     for i in rows:
         value = grid[i]
-        one = run(SweepSpec(grid=(value,), schemes=schemes, master_seed=3,
+        one = run(SweepSpec(grid=(value,), schemes=schemes, seed=3,
                             trials=CHUNK + 100), SMALL)
         for scheme in schemes:
             for key, vals in one[scheme].items():
@@ -547,7 +543,7 @@ def test_no_surface_sweep_fixed_sum_rate_matches_closed_form(shape_m):
     cfg = ScenarioConfig(ris_elements=0, shape_m=shape_m)
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
     out = run_sumrate_sweep(
-        SweepSpec(grid=grid, schemes=("fixed",), master_seed=1, trials=4096),
+        SweepSpec(grid=grid, schemes=("fixed",), seed=1, trials=4096),
         cfg)["fixed"]
     for dbm, rate, se in zip(grid, out["sum_rate"], out["sum_rate_stderr"]):
         exact = fixed_sum_rate_closed_form(cfg.replace(tx_power_dbm=dbm))
