@@ -94,10 +94,8 @@ def _user_distances(cfg: ScenarioConfig, user: int) -> tuple:
 
 
 def _phased(amp, d: np.ndarray, wavelength_m: float) -> np.ndarray:
-    """Read-only amp * exp(-j 2 pi d / lambda), the propagation phase applied."""
-    h = np.ascontiguousarray(amp * np.exp(-2j * np.pi * d / wavelength_m))
-    h.setflags(write=False)
-    return h
+    """amp * exp(-j 2 pi d / lambda), the propagation phase applied."""
+    return np.ascontiguousarray(amp * np.exp(-2j * np.pi * d / wavelength_m))
 
 
 def direct_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:
@@ -147,9 +145,7 @@ def ris_matrix(reflection, phases, bs_element_m, element_user_m,
                  * np.exp(-2j * np.pi * element_user_m / wavelength_m)
                  * np.exp(-absorption_coeff * element_user_m / 2.0) / element_user_m)
     g = (wavelength_m / (8.0 * np.sqrt(np.pi ** 3))) * (bs_side @ user_side).T
-    g = np.ascontiguousarray(g)
-    g.setflags(write=False)
-    return g
+    return np.ascontiguousarray(g)
 
 
 def ris_channel_matrix(cfg: ScenarioConfig, user: int) -> np.ndarray:

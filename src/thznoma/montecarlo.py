@@ -89,17 +89,20 @@ class SweepSpec:
 
 @lru_cache(maxsize=16)
 def _deterministic_parts(cfg: ScenarioConfig, link: str) -> tuple:
-    """(|D|^2, c, ||G||^2) per user, c = 2 Re(conj(G)∘D), of the link's
-    fading-free direct (D) and surface (G) matrices, cached per scenario and
-    link. With envelopes E a user's gain is ||E∘D + G||^2 = E^2·|D|^2 + E·c
-    + ||G||^2. The baseline link has no surface: G = 0."""
+    """Read-only (|D|^2, c, ||G||^2) per user, c = 2 Re(conj(G)∘D), of the
+    link's fading-free direct (D) and surface (G) matrices, cached per
+    scenario and link. With envelopes E a user's gain is ||E∘D + G||^2 =
+    E^2·|D|^2 + E·c + ||G||^2. The baseline link has no surface: G = 0."""
     build = direct_channel_matrix if link == "thz" else baseline_channel_matrix
     d = np.stack([build(cfg, u).ravel() for u in (FAR, NEAR)])
     g = (np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
          if link == "thz" else np.zeros_like(d))
-    return (d.real ** 2 + d.imag ** 2,
-            2.0 * (g.real * d.real + g.imag * d.imag),
-            np.sum(g.real ** 2 + g.imag ** 2, axis=-1))
+    parts = (d.real ** 2 + d.imag ** 2,
+             2.0 * (g.real * d.real + g.imag * d.imag),
+             np.sum(g.real ** 2 + g.imag ** 2, axis=-1))
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 def _chunk_sizes(trials: int):

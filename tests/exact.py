@@ -1,13 +1,17 @@
 """Exact references the tests hold the simulator and the library to.
 
-Each function computes, by its own route, a quantity the package also
+Most functions compute, by their own route, a quantity the package also
 computes: a channel gain as an explicit norm, one surface element's
 cascade gain, one Monte Carlo trial through the paper's SINR formulas,
-the exponential integral, MGF integrals by adaptive quadrature, the mean
-fixed-allocation sum rate without the surface, and Gamma-law bounds on
-the no-surface outage. Test modules import them from here and from no
-other test module. pytest does not collect this file (no ``test_``
-prefix); scipy is a test dependency only.
+MGF integrals by adaptive quadrature (the gap of two MGFs evaluated
+without cancellation), and Gamma-law bounds on the no-surface outage.
+Three return the package's own value, not an independent one: the
+exponential integral (`e1_scaled`, `exp_integral_e1`) and the mean
+fixed-allocation sum rate without the surface
+(`fixed_sum_rate_closed_form`) are the ergodic library's closed form.
+Test modules import them from here and from no other test module. pytest
+does not collect this file (no ``test_`` prefix); scipy is a test
+dependency only.
 """
 
 import math
@@ -73,10 +77,15 @@ def exp_integral_e1(x: float) -> float:
 def _mgf_gap_quadrature(a, b, m=1.0) -> float:
     """int_0^inf (M_b(s) - M_a(s)) e^(-s) / s ds by adaptive quadrature,
     split at s = 1, with M_c(s) = prod_i (1 + c_i s / m)^(-m), the MGF of
-    sum_i c_i Y_i with Y_i iid Gamma(m, 1/m); m = 1 is Exp(1)."""
+    sum_i c_i Y_i with Y_i iid Gamma(m, 1/m); m = 1 is Exp(1).
+
+    M_b - M_a is taken as -M_b expm1(ln M_a - ln M_b), each ln M a log1p
+    sum, so it does not cancel as s -> 0, where both MGFs are near 1.
+    With a = [1 / x] and b = [0] the integral is e^x E1(x)."""
     def integrand(s):
-        return (np.prod((1.0 + b * s / m) ** -m)
-                - np.prod((1.0 + a * s / m) ** -m)) * math.exp(-s) / s
+        log_ma = -m * np.log1p(a * (s / m)).sum()
+        log_mb = -m * np.log1p(b * (s / m)).sum()
+        return -math.exp(log_mb - s) * math.expm1(log_ma - log_mb) / s
     head = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
                           limit=200)[0]
     tail = integrate.quad(integrand, 1.0, math.inf, epsabs=0.0, epsrel=1e-13,

@@ -13,9 +13,10 @@ Criteria, tolerances and runtime budgets:
   4. sum-rate trends at the default scenario: fair over fixed gain in
      [10%, 40%] at 30 dBm, fair over the free-space reference >= 100%,
      every scheme monotone across 0-30 dBm, < 10 min.
-  5. E1, the closed form at dimension 1, within 1e-12 relative of
-     quadrature on a 200-point log grid [1e-6, 50]; Nakagami sampler KS
-     statistic < 0.002 at 1e6 draws for m in {0.5, 1, 3}.
+  5. E1, the closed form at dimension 1, within 1e-12 relative of the
+     MGF quadrature in tests/exact.py on a 200-point log grid [1e-6, 50];
+     Nakagami sampler KS statistic < 0.002 at 1e6 draws for m in
+     {0.5, 1, 3}.
   6. same seed and any worker count give byte-identical CSV output.
   7. channel invariants: pointing-loss monotone in l_e, attenuation
      monotone in d and kappa, surface global-phase magnitude invariance,
@@ -24,20 +25,20 @@ Criteria, tolerances and runtime budgets:
 
 import math
 import time
-import warnings
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from thznoma.allocation import FAIR, allocate
-from thznoma.channel import _distances, los_attenuation, ris_matrix, sample_nakagami
+from thznoma.channel import (_distances, direct_channel_matrix, los_attenuation,
+                             ris_matrix, sample_nakagami)
 from thznoma.cli import _random_psd, main
-from thznoma.config import ScenarioConfig
+from thznoma.config import FAR, NEAR, ScenarioConfig
 from thznoma.ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
 from thznoma.montecarlo import SweepSpec, run_outage_sweep, run_sumrate_sweep
 from thznoma.noma import capacity, sinr
 
-from exact import _mgf_gap_quadrature, e1_scaled, exp_integral_e1, ris_element_gain
+from exact import _mgf_gap_quadrature, e1_scaled, ris_element_gain
 
 SEED_ORACLE = 1
 SEED_PA = 7
@@ -86,21 +87,37 @@ def test_criterion_1_closed_form_matches_oracle():
     assert elapsed < 300.0
 
 
+def _scenario_links(m):
+    """The default no-surface scenario's two fixed-PA links, one per user,
+    at each `sumrate` power: the links `fixed_sum_rate_closed_form` reads,
+    as (diag(|D|^2), signal, interference, noise)."""
+    links = []
+    for dbm in (0.0, 6.0, 12.0, 18.0, 24.0, 30.0):
+        cfg = ScenarioConfig(ris_elements=0, shape_m=m, tx_power_dbm=dbm)
+        p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
+        for user, signal, interference in ((FAR, a * p, (1.0 - a) * p),
+                                           (NEAR, (1.0 - a) * p, 0.0)):
+            w = np.abs(direct_channel_matrix(cfg, user).ravel()) ** 2
+            links.append((np.diag(w), signal, interference, s2))
+    return links
+
+
 def test_closed_form_matches_quadrature():
-    """Criterion 1's 120 links, checked without sampling: the closed form
-    against scipy's adaptive quadrature of the same MGF integral, with
-    Gamma(m, 1/m) components at m = 1 (CN(0, R)) and at m = 0.5 and 3."""
+    """The closed form checked without sampling, against the adaptive
+    quadrature of the same MGF integral in tests/exact.py, with Gamma(m, 1/m)
+    components at m = 1 (CN(0, R)) and at m = 0.5 and 3: on criterion 1's
+    120 links, and on the default no-surface scenario's own links."""
+    crit1 = _criterion_1_links(np.random.default_rng(SEED_ORACLE))
     worst = 0.0
-    for cov, signal, interference, noise in _criterion_1_links(
-            np.random.default_rng(SEED_ORACLE)):
-        w = np.linalg.eigvalsh(cov)
-        a = (signal + interference) / noise * w
-        b = interference / noise * w
-        for m in (0.5, 1.0, 3.0):
+    for m in (0.5, 1.0, 3.0):
+        for cov, signal, interference, noise in crit1 + _scenario_links(m):
+            w = np.linalg.eigvalsh(cov)
+            a = (signal + interference) / noise * w
+            b = interference / noise * w
             exact = _mgf_gap_quadrature(a, b, m) / math.log(2.0)
             closed = closed_form_capacity(cov, signal, interference, noise, m)
             worst = max(worst, abs(closed - exact) / exact)
-    assert worst <= 1e-10, f"worst relative difference {worst:.2e}"
+    assert worst <= 1e-14, f"worst relative difference {worst:.2e}"
 
 
 def test_criterion_2_fair_pa_exactness():
@@ -190,36 +207,11 @@ def test_criterion_4_sum_rate_trends():
     assert elapsed < 600.0
 
 
-def _e1_quadrature_tail():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(lambda u: math.exp(-u) / u, 1.0, math.inf,
-                                epsabs=1e-16, epsrel=1e-14, limit=200)
-    return val
-
-
-def _e1_quadrature_rel_error(x: float, tail: float) -> float:
-    # smooth substitutions keep quad near machine precision on both sides
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if x <= 1.0:
-            # u = x e^v maps int_x^1 e^-u/u du to a bounded smooth integrand
-            head, _ = integrate.quad(lambda v: math.exp(-x * math.exp(v)),
-                                     0.0, math.log(1.0 / x), epsabs=1e-16,
-                                     epsrel=1e-14, limit=200)
-            ref = head + tail
-            return abs(exp_integral_e1(x) - ref) / ref
-        # e^x E1(x) = int_0^inf e^(-x w)/(1+w) dw; compare overflow-free
-        ref, _ = integrate.quad(lambda w: math.exp(-x * w) / (1.0 + w),
-                                0.0, math.inf, epsabs=1e-300, epsrel=1e-14,
-                                limit=200)
-        return abs(e1_scaled(x) - ref) / ref
-
-
 def test_criterion_5_special_functions():
-    tail = _e1_quadrature_tail()
-    grid = np.logspace(-6, math.log10(50.0), 200)
-    worst_e1 = max(_e1_quadrature_rel_error(float(x), tail) for x in grid)
+    worst_e1 = 0.0
+    for x in np.logspace(-6, math.log10(50.0), 200):
+        ref = _mgf_gap_quadrature(np.array([1.0 / x]), np.zeros(1))
+        worst_e1 = max(worst_e1, abs(e1_scaled(float(x)) - ref) / ref)
 
     worst_ks = 0.0
     for m in (0.5, 1.0, 3.0):

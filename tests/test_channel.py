@@ -18,6 +18,7 @@ from thznoma.channel import (_distances, baseline_channel_matrix,
                              direct_channel_matrix, los_attenuation,
                              multiray_response, ris_channel_matrix, ris_matrix,
                              sample_nakagami)
+from thznoma.montecarlo import _deterministic_parts
 
 from exact import ris_element_gain
 
@@ -301,9 +302,9 @@ def test_ris_global_phase_magnitude_invariance():
         assert_allclose(g / g0, np.exp(1j * delta) * np.ones_like(g0), rtol=1e-8)
 
 
-def test_channel_matrices_are_read_only():
+def test_cached_channel_parts_are_read_only():
     cfg = ScenarioConfig()
-    for mat in (direct_channel_matrix(cfg, FAR), ris_channel_matrix(cfg, FAR),
-                baseline_channel_matrix(cfg, FAR)):
-        with pytest.raises(ValueError):
-            mat[0, 0] = 0
+    for link in ("thz", "baseline"):
+        for part in _deterministic_parts(cfg, link):
+            with pytest.raises(ValueError):
+                part[0] = 0

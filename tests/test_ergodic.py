@@ -15,7 +15,7 @@ from thznoma.cli import _random_psd
 from thznoma.ergodic import (_spectrum, closed_form_capacity,
                              ergodic_capacity_mc_oracle)
 
-from exact import e1_scaled, exp_integral_e1
+from exact import _mgf_gap_quadrature, e1_scaled, exp_integral_e1
 
 # 40-digit references
 E1_AT_1 = 0.21938393439552027
@@ -233,7 +233,9 @@ def test_interference_free_reduction():
     # (c1 e^(1/c1) E1(1/c1) - c2 e^(1/c2) E1(1/c2)) / (c1 - c2)
     c1, c2 = 2.5, 1.0
     c_full = closed_form_capacity(np.diag([c1, c2]), 1.0, 0.0, 1.0)
-    two_term = (c1 * e1_scaled(1.0 / c1) - c2 * e1_scaled(1.0 / c2)) / (c1 - c2)
+    # each c e^(1/c) E1(1/c) from the quadrature, not the closed form
+    scaled = [c * _mgf_gap_quadrature(np.array([c]), np.zeros(1)) for c in (c1, c2)]
+    two_term = (scaled[0] - scaled[1]) / (c1 - c2)
     assert_allclose(c_full * math.log(2.0), two_term, rtol=1e-12)
     # with interference the capacity is the difference of two such moments
     cov = np.diag([c1, c2])
