@@ -72,8 +72,11 @@ def _fmt(v) -> str:
 def _write_atomic(path: str, data: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    umask = os.umask(0)  # mkstemp ignores the umask and makes 0600
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -253,8 +253,8 @@ def parse_config(path: str | None = None) -> ScenarioConfig:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError("config", "a readable file path", path) from exc
-        except configparser.Error as exc:
-            raise ConfigError("config", "well-formed INI syntax", str(exc)) from exc
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError("config", "well-formed UTF-8 INI", str(exc)) from exc
         sections = parser.sections()
         if parser.defaults():  # whose keys configparser copies into every section
             sections.insert(0, parser.default_section)

@@ -8,17 +8,18 @@ any scenario. Neither swept field enters the channel, so the grid is an
 array axis of the kernel. A link is a channel builder and an envelope
 law: ``"thz"`` is the direct THz channel plus the surface's, Nakagami-m
 faded, and ``"baseline"`` the free-space reference channel, Rayleigh
-faded. The sweep groups the links its schemes need by law, once
-(``_plan``). A task holds that plan, the first point's scenario and two
-(P, 1) columns, every point's target rate and transmit power, and a
-chunk draws each law's gains once and evaluates each scheme over all P
-points (common random numbers), giving a (P, k) array with a row per
-point. It takes the grid in slabs of at most SLAB points, so its
-temporaries are (SLAB, n) however long the grid is. Each point's
-estimate is still its own marginal one, while differences between points
-and between schemes are paired. Every link's stream has the chunk's key,
-so where the baseline's law equals the THz link's (the default m = 1) it
-shares the THz link's draw.
+faded. A task holds the scheme names, the first point's scenario and
+two (P, 1) columns, every point's target rate and transmit power. A
+chunk groups the links its schemes need by Nakagami shape m, the one
+thing that tells two links' envelope laws apart (``_plan``), draws each
+group's gains once and evaluates each scheme over all P points (common
+random numbers), giving a (P, k) array with a row per point. It takes
+the grid in slabs of at most SLAB points, so its temporaries are
+(SLAB, n) however long the grid is. Each point's estimate is still its
+own marginal one, while differences between points and between schemes
+are paired. Every link's stream has the chunk's key, so where the
+baseline's m equals the THz link's (the default m = 1) it shares the
+THz link's draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the seed by (domain, 0, chunk) key, so results
@@ -119,18 +120,18 @@ def _chunk_rng(seed: int, domain: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _chunk_gains(law: tuple, cfg: ScenarioConfig, links: list,
+def _chunk_gains(shape_m: float, cfg: ScenarioConfig, links: list,
                  rng: np.random.Generator, n: int) -> np.ndarray:
     """(len(links), 2, n) squared Frobenius gains of n trials of cfg's named
     links, rows in user order.
 
-    The links share the envelope ``law`` (fading, m, M*N), so one draw
-    serves them all. Each trial draws the far user's envelopes, then the
-    near user's; a block of trials takes its draws with one call and forms
-    each user's gains with two matrix-vector products. Without fading every
-    envelope is 1.0.
+    The links share the Nakagami shape m, and cfg sets fading and the M*N
+    envelopes per user, so one draw serves them all. Each trial draws the
+    far user's envelopes, then the near user's; a block of trials takes
+    its draws with one call and forms each user's gains with two
+    matrix-vector products. Without fading every envelope is 1.0.
     """
-    fading, shape_m, size = law
+    fading, size = cfg.fading_enabled, cfg.user_antennas * cfg.bs_antennas
     parts = [_deterministic_parts(cfg, link) for link in links]
     gains = np.empty((len(links), 2, n))
     for start in range(0, n, BLOCK):
@@ -187,40 +188,36 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
 
 def _plan(cfg: ScenarioConfig, schemes: tuple) -> tuple:
     """The links the schemes need, (name, schemes) pairs, grouped by
-    envelope law (fading, m, M*N), ``"thz"`` first: ((law, [link, ...]),
-    ...). The ``"baseline"`` link is Rayleigh faded (m = 1). Every link's
-    stream has the chunk's key, so the links of one law share one draw."""
+    Nakagami shape, ``"thz"`` first: ((m, [link, ...]), ...). ``"thz"``
+    has cfg's m, ``"baseline"`` is Rayleigh faded (m = 1). Every link's
+    stream has the chunk's key, so the links of one m share one draw."""
     thz = tuple(s for s in schemes if s != "baseline")
-    size = cfg.user_antennas * cfg.bs_antennas
-    plan = {}
-    if thz:
-        plan[cfg.fading_enabled, cfg.shape_m, size] = [("thz", thz)]
+    plan = {cfg.shape_m: [("thz", thz)]} if thz else {}
     if "baseline" in schemes:
-        plan.setdefault((cfg.fading_enabled, 1.0, size), []).append(
-            ("baseline", ("baseline",)))
+        plan.setdefault(1.0, []).append(("baseline", ("baseline",)))
     return tuple(plan.items())
 
 
-def _run_chunk(cfg: ScenarioConfig, plan: tuple, target: np.ndarray,
+def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
                power: np.ndarray, seed: int, domain: int, chunk: int,
                n: int) -> dict:
     """{scheme: ``_scheme_sums``}, a (P, k) array with a row per point.
 
-    ``cfg`` is the first point's scenario and ``plan`` its ``_plan``;
-    ``target`` and ``power`` are every point's (P, 1) columns. Each law
-    group opens the chunk's stream once. SIC roles go by ascending gain;
-    tied gains are equal. Every row is the same elementwise computation,
-    so taking the grid in slabs of SLAB rows changes no bit.
+    ``cfg`` is the first point's scenario; ``target`` and ``power`` are
+    every point's (P, 1) columns. Each shape group of ``_plan`` opens the
+    chunk's stream once. SIC roles go by ascending gain; tied gains are
+    equal. Every row is the same elementwise computation, so taking the
+    grid in slabs of SLAB rows changes no bit.
     """
     sums = {}
-    for law, links in plan:
-        gains = _chunk_gains(law, cfg, [link for link, _ in links],
+    for shape_m, links in _plan(cfg, schemes):
+        gains = _chunk_gains(shape_m, cfg, [link for link, _ in links],
                              _chunk_rng(seed, domain, chunk), n)
-        for (_, schemes), g in zip(links, gains):
+        for (_, served), g in zip(links, gains):
             if not np.all(np.isfinite(g)):
                 raise ValueError("both users' channel gains must be finite")
             g_far, g_near = np.sort(g, axis=0)
-            for scheme in schemes:
+            for scheme in served:
                 sums[scheme] = np.concatenate([
                     _scheme_sums(domain, scheme, g_far, g_near, cfg,
                                  target[i:i + SLAB], power[i:i + SLAB])
@@ -268,10 +265,9 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     points = [cfg.replace(**{swept: float(v)}) for v in spec.grid]
     target = np.array([[p.target_rate] for p in points], dtype=float)
     power = np.array([[p.tx_power_w] for p in points], dtype=float)
-    plan = _plan(points[0], spec.schemes)
     sizes = _chunk_sizes(spec.trials)
-    tasks = [(points[0], plan, target, power, spec.seed, domain, ci, n)
-             for ci, n in enumerate(sizes)]
+    tasks = [(points[0], spec.schemes, target, power, spec.seed, domain,
+              ci, n) for ci, n in enumerate(sizes)]
     # a pool forks all its workers up front, so never more than there are tasks
     workers = min(spec.workers, len(tasks))
     if workers > 1:

@@ -53,12 +53,6 @@ BAD_INIS = {
 }
 
 
-def _bad_ini(tmp_path, field):
-    path = tmp_path / f"{field}.ini"
-    path.write_text(BAD_INIS[field], encoding="utf-8")
-    return str(path)
-
-
 @pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "small.ini"
@@ -141,6 +135,21 @@ def test_failed_write_leaves_no_file(tmp_path, small_config, capsys,
     assert rc == 2
     assert "error: cannot rename" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_outputs_take_the_umask_permissions(tmp_path, small_config):
+    # like a file made by open, not the 0600 of the temporary file
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / f"run{umask:o}"
+        old = os.umask(umask)
+        try:
+            rc = main(["outage", "--config", small_config, "--grid", "1",
+                       "--trials", "10", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        for name in ("outage.csv", "outage_manifest.json"):
+            assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
 
 
 def test_outage_manifest(tmp_path, small_config):
@@ -321,12 +330,19 @@ def test_exit_code_non_finite_gain(tmp_path, capsys, user):
         assert not (out / f"{command}.csv").exists()
 
 
-@pytest.mark.parametrize("field", sorted(BAD_INIS))
-def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field):
+@pytest.mark.parametrize("field, text", [
+    *(pytest.param(f, BAD_INIS[f].encode(), id=f) for f in sorted(BAD_INIS)),
+    # a Latin-1 byte is no UTF-8, so the file is no INI the parser reads
+    pytest.param("config", b"[channel]\nshape_m = 1.0 # caf\xe9\n",
+                 id="config-latin1")])
+def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field,
+                                                  text):
     # the scenario validates itself, so print-config and validate reject
     # what the sweeps reject, and a sweep rejects it before it forks a
     # pool: two chunks would give two workers two tasks
-    ini = _bad_ini(tmp_path, field)
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    ini = str(path)
     runs = [["print-config"], ["validate", "--tolerance-se", "5"]]
     for command in ("outage", "sumrate"):
         for workers in ("1", "2"):

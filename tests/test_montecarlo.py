@@ -13,7 +13,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thznoma import channel, cli, montecarlo
-from thznoma.allocation import allocate
 from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
                              ris_channel_matrix, sample_nakagami)
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
@@ -81,8 +80,8 @@ def _reference_gains(cfg, rng, link="thz"):
 def _link_gains(cfg, rng, n, scheme="fixed"):
     """(2, n) kernel gains of the link serving the scheme alone, drawn under
     its own law."""
-    ((law, [(link, _)]),) = _plan(cfg, (scheme,))
-    return _chunk_gains(law, cfg, [link], rng, n)[0]
+    ((shape_m, [(link, _)]),) = _plan(cfg, (scheme,))
+    return _chunk_gains(shape_m, cfg, [link], rng, n)[0]
 
 
 def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
@@ -90,8 +89,7 @@ def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
     and cfg's power: outage counts, or with domain=2 rate moments."""
     target = np.array(targets, dtype=float).reshape(-1, 1)
     power = np.full_like(target, cfg.tx_power_w)
-    return _run_chunk(cfg, _plan(cfg, schemes), target, power, seed, domain,
-                      chunk, n)
+    return _run_chunk(cfg, schemes, target, power, seed, domain, chunk, n)
 
 
 def test_trial_without_fading_is_deterministic():
@@ -109,31 +107,18 @@ def test_trial_without_fading_is_deterministic():
 def test_trial_matches_manual_noma_chain():
     # fading off: rebuild the same trial from the channel and noma layers
     cfg = SMALL.replace(fading_enabled=False)
-    targets = (0.75, 0.75)
+    target = 0.75
     n = 5
-    gains = sorted(
+    g_far, g_near = sorted(
         channel_gain(direct_channel_matrix(cfg, u) + ris_channel_matrix(cfg, u))
         for u in (FAR, NEAR))
-    g_far, g_near = gains
-    p, s2 = cfg.tx_power_w, cfg.noise_power_w
     schemes = ("fixed", "fair", "improved-fair")
-    got = _chunk(cfg, schemes, targets[0], n=n)
-    moments = _chunk(cfg, schemes, targets[0], n=n, domain=2)
+    got = _chunk(cfg, schemes, target, n=n)
+    moments = _chunk(cfg, schemes, target, n=n, domain=2)
     for scheme in schemes:
-        alpha_far, feasible_far = allocate(scheme, g_far, p, s2, targets[0],
-                                           cfg.fixed_alpha_far)
-        alpha_near = 1.0 - alpha_far
-        # the paper's SINRs, written out rather than taken from noma.sinr
-        far_sinr = p * alpha_far * g_far / (p * g_far * alpha_near + s2)
-        if scheme == "fixed":
-            c_far = capacity(far_sinr)
-        else:
-            c_far = targets[0] if feasible_far else capacity(far_sinr)
-        c_cross = capacity(p * alpha_far * g_near / (p * g_near * alpha_near + s2))
-        c_near = capacity(p * alpha_near * g_near / s2)
-        near = (alpha_far > 0 and c_cross < targets[0]) or c_near < targets[1]
-        far = c_far < targets[0]
-        rate = c_far + c_near
+        # the paper's SINRs, written out in the reference, not noma.sinr
+        near, far, rate, *_ = _reference_trial(cfg, scheme, target,
+                                               (g_far, g_near))
         assert got[scheme].tolist() == [[n * near, n * far]]
         # every trial has the same rate, so its deviations are exactly 0
         x0, dev, devsq = moments[scheme][0]
@@ -269,9 +254,8 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
               for r, dbm in ((0.5, 30.0), (1.0, 30.0), (1.0, 40.0))]
     target = np.array([[point.target_rate] for point in points])
     power = np.array([[point.tx_power_w] for point in points])
-    plan = _plan(cfg, schemes)
-    counts = _run_chunk(cfg, plan, target, power, 55, 1, 3, n)
-    moments = _run_chunk(cfg, plan, target, power, 55, 2, 3, n)
+    counts = _run_chunk(cfg, schemes, target, power, 55, 1, 3, n)
+    moments = _run_chunk(cfg, schemes, target, power, 55, 2, 3, n)
     assert list(counts) == list(moments) == list(schemes)
     for scheme in schemes:
         assert counts[scheme].shape == (len(points), 2)
@@ -408,8 +392,8 @@ def test_baseline_link_reads_no_thz_field():
                         nlos_delays=(), ris_elements=0, shape_m=3.0)
     d = np.stack([baseline_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
     for c in (cfg, other):
-        ((law, [(link, _)]),) = _plan(c, ("baseline",))
-        assert (law, link) == ((True, 1.0, 256), "baseline")
+        ((shape_m, [(link, _)]),) = _plan(c, ("baseline",))
+        assert (shape_m, link) == (1.0, "baseline")
         dd, cross, gg = _deterministic_parts(c, "baseline")
         assert np.array_equal(dd, d.real ** 2 + d.imag ** 2)
         assert not np.any(cross) and not np.any(gg)
