@@ -7,7 +7,7 @@ Submodules:
                 Nakagami fading
     noma        SIC-ordered SINRs, capacities, outage indicators
     allocation  fixed and fair power-allocation schemes
-    ergodic     closed-form ergodic capacity and its Monte Carlo oracle
+    ergodic     closed-form ergodic capacity of a spectrum
     montecarlo  deterministic chunked outage and sum-rate sweeps
     cli         command-line front end
 """

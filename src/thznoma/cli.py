@@ -3,7 +3,8 @@
 Subcommands:
     outage        near/far outage probability vs far-user target rate
     sumrate       mean sum rate vs transmit power, with reference link
-    validate      closed-form-vs-Monte-Carlo and PA conformance checks
+    validate      the scenario's simulated link against exact moments and
+                  the closed form, and PA conformance
     print-config  echo the fully resolved scenario in config grammar
 
 Exit codes: 0 success, 1 config error, 2 runtime error or usage error
@@ -25,16 +26,19 @@ import numpy as np
 
 from . import __version__
 from .allocation import FAIR, allocate
-from .config import ConfigError, ScenarioConfig, parse_config, render_config
-from .ergodic import closed_form_capacity, ergodic_capacity_mc_oracle
+from .config import (FAR, NEAR, ConfigError, ScenarioConfig, parse_config,
+                     render_config)
+from .ergodic import closed_form_capacity
 from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
-                         run_outage_sweep, run_sumrate_sweep)
+                         _chunk_gains, _deterministic_parts, _gain_moments,
+                         _plan, run_outage_sweep, run_sumrate_sweep)
 from .noma import capacity, sinr
 
 _DEFAULT_SEED = 12345
 _DEFAULT_TRIALS = 100000
 _OUTAGE_GRID = "0.5:6:0.5"
 _SUMRATE_GRID = "0:30:6"
+_VALIDATE_TRIALS = 4096
 
 
 def _parse_grid(text: str) -> tuple:
@@ -133,10 +137,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    r = a @ a.conj().T
-    return r * (dim / np.trace(r).real)
+def _check(label: str, estimate: float, exact: float, stderr: float,
+           scale: float, tol: float) -> bool:
+    """Print one estimate against its exact value; True if it is within
+    tol std errors. Where the stderr is 0 it must equal the exact value to
+    rounding, 1e-12 of scale."""
+    if stderr > 0:
+        margin = abs(estimate - exact) / stderr
+        ok, how = margin <= tol, f"{margin:.2f} SE"
+    else:
+        ok, how = abs(estimate - exact) <= 1e-12 * scale, "no spread"
+    print(f"  {label}: {estimate:.6g} exact {exact:.6g} ({how}) "
+          f"{'ok' if ok else 'FAIL'}")
+    return ok
 
 
 def _cmd_validate(args) -> int:
@@ -149,26 +162,45 @@ def _cmd_validate(args) -> int:
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("tolerance_se", "a finite value > 0", tol)
     rng = np.random.default_rng(args.seed)
+    n = _VALIDATE_TRIALS
+    p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
     failures = 0
 
-    print(f"closed form vs Monte Carlo oracle (tolerance {tol:g} std errors)")
-    for case in range(6):
-        dim = int(rng.integers(2, 6))
-        cov = _random_psd(rng, dim)
-        for snr_db in (0.0, 10.0):
-            p = 10.0 ** (snr_db / 10.0)
-            link = (cov, p * 0.8, p * 0.2, 1.0)
-            closed = closed_form_capacity(*link)
-            mc, se = ergodic_capacity_mc_oracle(*link, 200000, rng)
-            margin = abs(closed - mc) / se if se > 0 else 0.0
-            ok = margin <= tol
-            failures += not ok
-            print(f"  case {case} dim {dim} snr {snr_db:4.1f} dB: "
-                  f"closed {closed:.6f} mc {mc:.6f} ({margin:.2f} SE) "
-                  f"{'ok' if ok else 'FAIL'}")
+    print(f"gain law: {n} draws of each link through the sweep's sampler "
+          f"(tolerance {tol:g} std errors)")
+    for shape_m, links in _plan(cfg, SUMRATE_SCHEMES):
+        names = [link for link, _ in links]
+        for link, g in zip(names, _chunk_gains(shape_m, cfg, names, rng, n)):
+            mean, var = _gain_moments(cfg, link, shape_m)
+            for user, name in ((FAR, "far"), (NEAR, "near")):
+                sq = (g[user] - mean[user]) ** 2
+                # a gain of variance 0 has no spread to measure, only rounding
+                se_sq = float(np.std(sq)) / math.sqrt(n) if var[user] > 0 else 0.0
+                label = f"{link} m {shape_m:g} {name}"
+                failures += not _check(f"{label} mean", float(np.mean(g[user])),
+                                       mean[user], math.sqrt(var[user] / n),
+                                       mean[user], tol)
+                failures += not _check(f"{label} variance", float(np.mean(sq)),
+                                       var[user], se_sq, mean[user] ** 2, tol)
+
+    print("rate chain: fixed allocation without the surface vs the closed form")
+    if cfg.fading_enabled:
+        print("  (blind to the envelope law: a gain's M*N like terms average "
+              "it out; the gain law sees it)")
+        bare = cfg.replace(ris_elements=0)
+        w = _deterministic_parts(bare, "thz")[0]
+        g = _chunk_gains(cfg.shape_m, bare, ["thz"], rng, n)[0]
+        for user, name, signal, residual in ((FAR, "far", a, 1.0 - a),
+                                             (NEAR, "near", 1.0 - a, 0.0)):
+            rate = capacity(sinr(g[user], signal, residual, p, s2))
+            exact = closed_form_capacity(w[user], signal * p, residual * p, s2,
+                                         cfg.shape_m)
+            failures += not _check(f"{name} rate", float(np.mean(rate)), exact,
+                                   float(np.std(rate)) / math.sqrt(n), exact, tol)
+    else:
+        print("  skipped: the closed form models a faded link")
 
     print("power allocation conformance")
-    p, s2 = cfg.tx_power_w, cfg.noise_power_w
     exponent, rate = rng.uniform((-16.0, 0.0), (-10.0, 6.0), (2000, 2)).T
     gain = 10.0 ** exponent
     alpha, feasible = allocate(FAIR, gain, p, s2, rate)

@@ -1,6 +1,6 @@
-"""Closed-form ergodic capacity from one MGF integral, and its oracle.
+"""Closed-form ergodic capacity from one MGF integral.
 
-Each eigen-component of a spectrum w carries a power Y_i ~ Gamma(m, 1/m)
+Each component of a spectrum w carries a power Y_i ~ Gamma(m, 1/m)
 of mean 1, so X = sum_i w_i Y_i scaled by c has the moment generating
 function M(s) = prod_i (1 + c w_i s / m)^(-m). At m = 1, Y_i ~ Exp(1) and
 X = ||h||^2 for h ~ CN(0, R) with spectrum w. At any m, w = |D|^2 gives
@@ -26,16 +26,11 @@ import math
 
 import numpy as np
 
-from .noma import capacity, sinr
-
 # trapezoid step in u = ln s and the u range: past s = e^4, e^(-s) is below
 # float resolution; below s = e^-40 / max(c, 1) the integrand is under 1e-17
 _STEP = 1.0 / 16.0
 _U_LO = -40.0
 _U_HI = 4.0
-# oracle draws per block, which bounds its (block, d) temporaries and so
-# its peak memory, whatever the trial count
-_ORACLE_CHUNK = 8192
 
 
 def _log_moment_gap(a: np.ndarray, b: np.ndarray, m: float) -> float:
@@ -55,75 +50,25 @@ def _log_moment_gap(a: np.ndarray, b: np.ndarray, m: float) -> float:
     return math.fsum(values) * _STEP
 
 
-def _spectrum(cov, signal_w: float, interference_w: float,
-              noise_power_w: float) -> np.ndarray:
-    """Check one link's inputs; return the ascending spectrum w of cov.
+def closed_form_capacity(w, signal_w: float, interference_w: float,
+                         noise_power_w: float, shape_m: float = 1.0) -> float:
+    """Ergodic capacity (bits/s/Hz) of SINR signal X / (interference X + noise).
 
-    cov must be square, Hermitian and PSD within 1e-12 relative (w is
-    clamped at 0); powers finite, signal and interference >= 0, noise > 0.
+    X = sum_i w_i Y_i over the spectrum w, a 1-D array of finite values
+    >= 0, Y_i iid Gamma(shape_m, 1/shape_m); shape_m = 1 is X = ||h||^2,
+    h ~ CN(0, R), for R with eigenvalues w. Powers must be finite, signal
+    and interference >= 0, noise > 0; the shape finite and > 0. The
+    integrand is >= 0, and so is the result.
     """
     if not (0 <= signal_w < math.inf and 0 <= interference_w < math.inf
             and 0 < noise_power_w < math.inf):
         raise ValueError("powers must be finite, signal and interference "
                          ">= 0, noise > 0")
-    r = np.asarray(cov, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {r.shape}")
-    scale = max(float(np.abs(r).max(initial=0.0)), 1.0)
-    if np.abs(r - r.conj().T).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("covariance is not Hermitian within 1e-12")
-    w = np.linalg.eigvalsh(r)
-    if w.min(initial=0.0) < -1e-12 * max(float(w.max(initial=0.0)), 1.0):
-        raise ValueError("covariance has a negative eigenvalue beyond tolerance")
-    return np.clip(w, 0.0, None)
-
-
-def closed_form_capacity(cov, signal_w: float, interference_w: float,
-                         noise_power_w: float, shape_m: float = 1.0) -> float:
-    """Ergodic capacity (bits/s/Hz) of SINR signal X / (interference X + noise).
-
-    X = sum_i w_i Y_i over the spectrum w of cov, Y_i iid Gamma(shape_m,
-    1/shape_m); shape_m = 1 is X = ||h||^2, h ~ CN(0, cov). The shape must
-    be finite and > 0. The integrand is >= 0, and so is the result.
-    """
-    w = _spectrum(cov, signal_w, interference_w, noise_power_w)
     if not 0 < shape_m < math.inf:
         raise ValueError("shape_m must be finite and > 0")
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or not np.all((w >= 0) & (w < math.inf)):
+        raise ValueError("spectrum must be a 1-D array of finite values >= 0")
     a = (signal_w + interference_w) / noise_power_w * w
     b = interference_w / noise_power_w * w
     return _log_moment_gap(a, b, shape_m) / math.log(2.0)
-
-
-def ergodic_capacity_mc_oracle(cov, signal_w: float, interference_w: float,
-                               noise_power_w: float, trials: int,
-                               rng: np.random.Generator) -> tuple:
-    """Monte Carlo estimate of the same ergodic capacity, with std-error.
-
-    For h = R^(1/2) hbar, hbar ~ CN(0, I), and R = U diag(w) U^H,
-    ||h||^2 = sum_i w_i |(U^H hbar)_i|^2 with U^H hbar ~ CN(0, I), so X is
-    drawn as sum_i w_i E_i, E_i iid Exp(1), into the same SINR, and each
-    trial's rate is ``noma.capacity`` of ``noma.sinr`` at unit power. The
-    draw streams in blocks of ``_ORACLE_CHUNK`` trials, which consume the
-    generator as one draw of all trials would, and no capacity outlives
-    its block. Returns (mean, std_error) in bits/s/Hz.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    w = _spectrum(cov, signal_w, interference_w, noise_power_w)
-    if not np.any(w > 0):
-        return 0.0, 0.0
-    # S and Q sum each capacity's deviation from the first one, x0, and its
-    # square: about one shift the variance Q - S^2/t does not cancel to 0
-    # on a near-constant link, as a mean square less the squared mean does
-    s = q = 0.0
-    for done in range(0, trials, _ORACLE_CHUNK):
-        n = min(_ORACLE_CHUNK, trials - done)
-        x = rng.standard_exponential((n, w.size)) @ w
-        c = capacity(sinr(x, signal_w, interference_w, 1.0, noise_power_w))
-        if done == 0:
-            x0 = float(c[0])
-        dev = c - x0
-        s += float(np.sum(dev))
-        q += float(np.sum(dev * dev))
-    var = max(q - s * s / trials, 0.0) / trials
-    return x0 + s / trials, math.sqrt(var) / math.sqrt(trials)

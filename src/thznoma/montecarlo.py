@@ -40,6 +40,7 @@ count, rerun and CPU dispatch path:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,6 +105,26 @@ def _deterministic_parts(cfg: ScenarioConfig, link: str) -> tuple:
     for part in parts:
         part.setflags(write=False)
     return parts
+
+
+def _gain_moments(cfg: ScenarioConfig, link: str, shape_m: float) -> tuple:
+    """Exact (mean, variance) of each user's gain on the link at Nakagami
+    shape m, two (2,) arrays in user order.
+
+    A gain is sum_j (E_j^2 |D_j|^2 + E_j c_j) + ||G||^2 with iid envelopes
+    of moments mu_k = E[E^k] = Gamma(m + k/2) / (Gamma(m) m^(k/2))
+    (Nakagami, 1960), so mu_2 = 1 and Var E^2 = 1/m. Without fading every
+    envelope is 1 and the variance is 0.
+    """
+    dd, c, gg = _deterministic_parts(cfg, link)
+    if not cfg.fading_enabled:
+        return dd.sum(axis=-1) + c.sum(axis=-1) + gg, np.zeros(2)
+    mu1, mu3 = (math.exp(math.lgamma(shape_m + k / 2) - math.lgamma(shape_m)
+                         - k / 2 * math.log(shape_m)) for k in (1, 3))
+    mean = dd.sum(axis=-1) + mu1 * c.sum(axis=-1) + gg
+    var = ((dd * dd).sum(axis=-1) / shape_m + (1.0 - mu1 * mu1) * (c * c).sum(axis=-1)
+           + 2.0 * (mu3 - mu1) * (dd * c).sum(axis=-1))
+    return mean, var
 
 
 def _chunk_sizes(trials: int):

@@ -4,7 +4,9 @@ Most functions compute, by their own route, a quantity the package also
 computes: a channel gain as an explicit norm, one surface element's
 cascade gain, one Monte Carlo trial through the paper's SINR formulas,
 MGF integrals by adaptive quadrature (the gap of two MGFs evaluated
-without cancellation), and Gamma-law bounds on the no-surface outage.
+without cancellation), the ergodic capacity by sampling (the Monte Carlo
+oracle, on spectra of random covariances), and Gamma-law bounds on the
+no-surface outage.
 Three return the package's own value, not an independent one: the
 exponential integral (`e1_scaled`, `exp_integral_e1`) and the mean
 fixed-allocation sum rate without the surface
@@ -25,7 +27,11 @@ from thznoma.allocation import allocate
 from thznoma.channel import direct_channel_matrix
 from thznoma.config import FAR, NEAR, ConfigError
 from thznoma.ergodic import closed_form_capacity
-from thznoma.noma import capacity, outage_indicators
+from thznoma.noma import capacity, outage_indicators, sinr
+
+# oracle draws per block, which bounds its (block, d) temporaries and so
+# its peak memory, whatever the trial count
+_ORACLE_CHUNK = 8192
 
 
 def channel_gain(h: np.ndarray):
@@ -67,7 +73,7 @@ def ris_element_gain(reflection, phase_rad, wavelength_m, bs_element_m,
 def e1_scaled(x: float) -> float:
     """e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1): the closed form at
     dimension 1 with signal 1, no interference and noise x."""
-    return closed_form_capacity(np.eye(1), 1.0, 0.0, x) * math.log(2.0)
+    return closed_form_capacity(np.ones(1), 1.0, 0.0, x) * math.log(2.0)
 
 
 def exp_integral_e1(x: float) -> float:
@@ -93,6 +99,47 @@ def _mgf_gap_quadrature(a, b, m=1.0) -> float:
     return head + tail
 
 
+def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random (dim, dim) complex covariance A A^H of trace dim."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    r = a @ a.conj().T
+    return r * (dim / np.trace(r).real)
+
+
+def ergodic_capacity_mc_oracle(w, signal_w: float, interference_w: float,
+                               noise_power_w: float, trials: int,
+                               rng: np.random.Generator) -> tuple:
+    """Monte Carlo estimate of the closed form's ergodic capacity at m = 1,
+    with std-error, on the spectrum w of a covariance R.
+
+    For h = R^(1/2) hbar, hbar ~ CN(0, I), and R = U diag(w) U^H,
+    ||h||^2 = sum_i w_i |(U^H hbar)_i|^2 with U^H hbar ~ CN(0, I), so X is
+    drawn as sum_i w_i E_i, E_i iid Exp(1), into the same SINR, and each
+    trial's rate is ``noma.capacity`` of ``noma.sinr`` at unit power. The
+    draw streams in blocks of ``_ORACLE_CHUNK`` trials, which consume the
+    generator as one draw of all trials would, and no capacity outlives
+    its block. Returns (mean, std_error) in bits/s/Hz.
+    """
+    w = np.asarray(w, dtype=float)
+    if not np.any(w > 0):
+        return 0.0, 0.0
+    # S and Q sum each capacity's deviation from the first one, x0, and its
+    # square: about one shift the variance Q - S^2/t does not cancel to 0
+    # on a near-constant link, as a mean square less the squared mean does
+    s = q = 0.0
+    for done in range(0, trials, _ORACLE_CHUNK):
+        n = min(_ORACLE_CHUNK, trials - done)
+        x = rng.standard_exponential((n, w.size)) @ w
+        c = capacity(sinr(x, signal_w, interference_w, 1.0, noise_power_w))
+        if done == 0:
+            x0 = float(c[0])
+        dev = c - x0
+        s += float(np.sum(dev))
+        q += float(np.sum(dev * dev))
+    var = max(q - s * s / trials, 0.0) / trials
+    return x0 + s / trials, math.sqrt(var) / math.sqrt(trials)
+
+
 def fixed_sum_rate_closed_form(cfg):
     """Mean fixed-allocation sum rate of a scenario without the surface.
 
@@ -106,10 +153,8 @@ def fixed_sum_rate_closed_form(cfg):
     assert cfg.ris_elements == 0
     p, s2, a = cfg.tx_power_w, cfg.noise_power_w, cfg.fixed_alpha_far
     w = [np.abs(direct_channel_matrix(cfg, u).ravel()) ** 2 for u in (FAR, NEAR)]
-    return (closed_form_capacity(np.diag(w[FAR]), a * p, (1.0 - a) * p, s2,
-                                 cfg.shape_m)
-            + closed_form_capacity(np.diag(w[NEAR]), (1.0 - a) * p, 0.0, s2,
-                                   cfg.shape_m))
+    return (closed_form_capacity(w[FAR], a * p, (1.0 - a) * p, s2, cfg.shape_m)
+            + closed_form_capacity(w[NEAR], (1.0 - a) * p, 0.0, s2, cfg.shape_m))
 
 
 def _reference_trial(cfg, scheme, target, gains):

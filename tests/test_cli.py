@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -413,3 +414,53 @@ def test_validate_rejects_a_tolerance_that_is_not_finite_and_positive(
                f"--tolerance-se={tolerance}"])
     assert rc == 1
     assert "tolerance_se" in capsys.readouterr().err
+
+
+def _ignore_m(shape_m, rng, size):
+    # a sampler regression: every envelope Rayleigh, whatever m
+    return np.sqrt(rng.standard_exponential(size))
+
+
+@pytest.mark.parametrize("phases", ["random", "zero"])
+@pytest.mark.parametrize("shape_m", [0.5, 1.5, 3.0])
+def test_validate_catches_a_sampler_that_ignores_m(tmp_path, monkeypatch, capsys,
+                                                    shape_m, phases):
+    path = tmp_path / "scenario.ini"
+    path.write_text(f"[channel]\nshape_m = {shape_m}\nris_phase_mode = {phases}\n",
+                    encoding="utf-8")
+    monkeypatch.setattr(montecarlo, "sample_nakagami", _ignore_m)
+    assert main(["validate", "--config", str(path)]) == 3
+    # the THz link's gain law is what fails
+    assert any(line.startswith(f"  thz m {shape_m:g} ") and line.endswith(" FAIL")
+               for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("ini", [
+    "[noma]\nfixed_alpha_far = 0\n", "[noma]\nfixed_alpha_far = 1\n",
+    os.path.join(os.path.dirname(__file__), "golden", "m1-no-fading.ini"),
+], ids=["alpha-0", "alpha-1", "m1-no-fading"])
+def test_validate_passes_degenerate_links(tmp_path, capsys, ini):
+    # a rate or gain that never varies has stderr 0: it is compared to
+    # rounding, and a RuntimeWarning from dividing by 0 fails the test
+    if ini.startswith("["):
+        path = tmp_path / "scenario.ini"
+        path.write_text(ini, encoding="utf-8")
+        ini = str(path)
+    assert main(["validate", "--config", ini, "--tolerance-se", "5"]) == 0
+    assert "(no spread) ok" in capsys.readouterr().out
+
+
+def test_benchmark_command_lines_run(tmp_path, monkeypatch):
+    # each workload's argv as perfbench/run.py builds it, run in-process;
+    # the benchmark is imported, not changed, and leaves no bytecode
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    for name, wl in run.WORKLOADS.items():
+        argv = list(wl.cli_args) + ["--workers", str(wl.workers), "--seed", "1"]
+        argv += ["--out", str(tmp_path / name)] if wl.csv else []
+        assert main(argv) == 0, name

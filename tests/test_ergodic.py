@@ -1,6 +1,6 @@
-"""Closed-form ergodic capacity, its Monte Carlo oracle, and the
-exponential integral, Erlang log moments and repeated spectra it reduces
-to."""
+"""Closed-form ergodic capacity, the Monte Carlo oracle of tests/exact.py,
+and the exponential integral, Erlang log moments and repeated spectra the
+closed form reduces to."""
 
 import math
 import tracemalloc
@@ -11,11 +11,10 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
 from thznoma import noma
-from thznoma.cli import _random_psd
-from thznoma.ergodic import (_spectrum, closed_form_capacity,
-                             ergodic_capacity_mc_oracle)
+from thznoma.ergodic import closed_form_capacity
 
-from exact import _mgf_gap_quadrature, e1_scaled, exp_integral_e1
+from exact import (_mgf_gap_quadrature, e1_scaled, ergodic_capacity_mc_oracle,
+                   exp_integral_e1, random_psd)
 
 # 40-digit references
 E1_AT_1 = 0.21938393439552027
@@ -49,7 +48,7 @@ def test_e1_scaled_consistent_and_bounded():
 
 def _erlang_log_moment(scale, order):
     # E[ln(1 + scale Y)], Y ~ Erlang(order, 1): ||h||^2 for h ~ CN(0, I_order)
-    return closed_form_capacity(np.eye(order), scale, 0.0, 1.0) * math.log(2.0)
+    return closed_form_capacity(np.ones(order), scale, 0.0, 1.0) * math.log(2.0)
 
 
 def test_erlang_log_moment_reference():
@@ -74,51 +73,37 @@ def test_erlang_log_moment_against_quadrature(order, scale):
 
 
 def test_covariance_validation():
-    closed_form_capacity(np.eye(3), 1.0, 0.0, 1.0)
-    ergodic_capacity_mc_oracle(np.eye(3), 1.0, 0.0, 1.0, 10,
-                               np.random.default_rng(0))
-    bad = (np.array([[1.0, 2.0], [0.0, 1.0]]),  # not Hermitian
-           np.diag([1.0, -0.5]),                 # indefinite
-           np.ones((2, 3)))                      # not square
-    for cov in bad:
+    # the spectrum is a 1-D array of finite values >= 0, in any order
+    closed_form_capacity(np.array([3.0, 0.0, 1.0]), 1.0, 0.0, 1.0)
+    bad = (np.eye(2),                 # a matrix, not its spectrum
+           np.float64(1.0),           # 0-D
+           np.array([1.0, -0.5]),     # negative
+           np.array([1.0, math.nan]),
+           np.array([1.0, math.inf]))
+    for w in bad:
         with pytest.raises(ValueError):
-            closed_form_capacity(cov, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ergodic_capacity_mc_oracle(cov, 1.0, 0.0, 1.0, 10,
-                                       np.random.default_rng(0))
+            closed_form_capacity(w, 1.0, 0.0, 1.0)
 
 
 def test_link_power_validation():
     for powers in ((-1.0, 0.0, 1.0), (1.0, -0.1, 1.0), (1.0, 0.0, 0.0),
                    (math.inf, 0.0, 1.0), (1.0, 0.0, math.nan)):
         with pytest.raises(ValueError):
-            closed_form_capacity(np.eye(2), *powers)
-        with pytest.raises(ValueError):
-            ergodic_capacity_mc_oracle(np.eye(2), *powers, 10,
-                                       np.random.default_rng(0))
+            closed_form_capacity(np.ones(2), *powers)
     for shape_m in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            closed_form_capacity(np.eye(2), 1.0, 0.0, 1.0, shape_m)
-
-
-def test_covariance_spectrum():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    r = a @ a.conj().T
-    w = _spectrum(r, 1.0, 0.0, 1.0)
-    assert np.all(np.diff(w) >= 0) and np.all(w >= 0)
-    assert_allclose(np.sort(w), np.sort(np.linalg.eigvalsh(r)), rtol=1e-12)
+            closed_form_capacity(np.ones(2), 1.0, 0.0, 1.0, shape_m)
 
 
 def test_single_branch_capacity_reference():
     # h scalar CN(0,1), full power, unit SNR: C = e E1(1) / ln 2
-    assert_allclose(closed_form_capacity(np.eye(1), 1.0, 0.0, 1.0),
+    assert_allclose(closed_form_capacity(np.ones(1), 1.0, 0.0, 1.0),
                     SINGLE_EXP_CAPACITY, rtol=1e-12)
 
 
 def test_closed_form_vs_oracle_distinct_spectrum():
     # p = 2, alpha = (0.8, 0.2), unit noise
-    link = (np.diag([4.0, 3.0, 2.0, 1.0]), 1.6, 0.4, 1.0)
+    link = (np.array([4.0, 3.0, 2.0, 1.0]), 1.6, 0.4, 1.0)
     closed = closed_form_capacity(*link)
     mc, se = ergodic_capacity_mc_oracle(*link, 400000, np.random.default_rng(8))
     assert se > 0
@@ -127,7 +112,7 @@ def test_closed_form_vs_oracle_distinct_spectrum():
 
 def test_closed_form_vs_oracle_identity_covariance():
     # repeated eigenvalues (p = 5, alpha = (0.6, 0.4))
-    link = (np.eye(6), 3.0, 2.0, 1.0)
+    link = (np.ones(6), 3.0, 2.0, 1.0)
     closed = closed_form_capacity(*link)
     mc, se = ergodic_capacity_mc_oracle(*link, 400000, np.random.default_rng(9))
     assert abs(closed - mc) < 4 * se
@@ -137,7 +122,7 @@ def test_closed_form_vs_oracle_identity_covariance():
 def test_closed_form_vs_oracle_high_dimension(dim, trials):
     # the dimension of the simulated channel vector is N*M = 256
     rng = np.random.default_rng(dim)
-    link = (_random_psd(rng, dim), 8.0, 2.0, 1.0)
+    link = (np.linalg.eigvalsh(random_psd(rng, dim)), 8.0, 2.0, 1.0)
     closed = closed_form_capacity(*link)
     mc, se = ergodic_capacity_mc_oracle(*link, trials, rng)
     assert se > 0
@@ -176,11 +161,11 @@ def test_oracle_draw_has_the_complex_gaussian_law(dim, monkeypatch):
     # with signal 1, no interference and unit noise the SINR is X itself,
     # so the oracle's draws of X = ||h||^2 are its log2 arguments minus 1
     rng = np.random.default_rng(100 + dim)
-    r = _random_psd(rng, dim)
+    r = random_psd(rng, dim)
     n = 200_000
     recorder = _Log2Recorder()
     monkeypatch.setattr(noma, "np", recorder)
-    ergodic_capacity_mc_oracle(r, 1.0, 0.0, 1.0, n, rng)
+    ergodic_capacity_mc_oracle(np.linalg.eigvalsh(r), 1.0, 0.0, 1.0, n, rng)
     x = np.concatenate(recorder.args) - 1.0
     assert x.size == n
     ref = _complex_gaussian_norm_sq(r, n, rng)
@@ -195,7 +180,7 @@ def test_oracle_stderr_does_not_cancel(monkeypatch):
     n = 100_000
     recorder = _Log2Recorder()
     monkeypatch.setattr(noma, "np", recorder)
-    mean, se = ergodic_capacity_mc_oracle(np.eye(64), 1.0, 1e-3, 1e-9, n,
+    mean, se = ergodic_capacity_mc_oracle(np.ones(64), 1.0, 1e-3, 1e-9, n,
                                           np.random.default_rng(3))
     c = np.log2(np.concatenate(recorder.args))
     exact_mean = math.fsum(c) / n
@@ -208,7 +193,7 @@ def test_oracle_stderr_does_not_cancel(monkeypatch):
 def test_oracle_memory_does_not_grow_with_trials():
     # the draw streams in blocks and no capacity outlives its block, so a
     # million trials peak at one block's (8192, 5) draw and its capacities
-    link = (np.diag([0.5, 1.0, 2.0, 3.0, 4.0]), 1.0, 0.2, 1.0)
+    link = (np.array([0.5, 1.0, 2.0, 3.0, 4.0]), 1.0, 0.2, 1.0)
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
@@ -221,8 +206,8 @@ def test_oracle_memory_does_not_grow_with_trials():
 
 def test_near_degenerate_cluster_is_stable():
     # two eigenvalues 1e-8 apart move the capacity by about 1.8e-9 bits
-    tight = closed_form_capacity(np.diag([3.0, 2.0 + 1e-8, 2.0]), 1.0, 0.0, 1.0)
-    exact = closed_form_capacity(np.diag([3.0, 2.0, 2.0]), 1.0, 0.0, 1.0)
+    tight = closed_form_capacity(np.array([3.0, 2.0 + 1e-8, 2.0]), 1.0, 0.0, 1.0)
+    exact = closed_form_capacity(np.array([3.0, 2.0, 2.0]), 1.0, 0.0, 1.0)
     assert math.isfinite(tight)
     assert abs(tight - exact) < 1e-8
 
@@ -232,16 +217,16 @@ def test_interference_free_reduction():
     # two distinct eigenvalues c1, c2 is the two-term partial fraction
     # (c1 e^(1/c1) E1(1/c1) - c2 e^(1/c2) E1(1/c2)) / (c1 - c2)
     c1, c2 = 2.5, 1.0
-    c_full = closed_form_capacity(np.diag([c1, c2]), 1.0, 0.0, 1.0)
+    c_full = closed_form_capacity(np.array([c1, c2]), 1.0, 0.0, 1.0)
     # each c e^(1/c) E1(1/c) from the quadrature, not the closed form
     scaled = [c * _mgf_gap_quadrature(np.array([c]), np.zeros(1)) for c in (c1, c2)]
     two_term = (scaled[0] - scaled[1]) / (c1 - c2)
     assert_allclose(c_full * math.log(2.0), two_term, rtol=1e-12)
     # with interference the capacity is the difference of two such moments
-    cov = np.diag([c1, c2])
-    diff = (closed_form_capacity(cov, 0.7, 0.0, 1.0)
-            - closed_form_capacity(cov, 0.3, 0.0, 1.0))
-    assert_allclose(closed_form_capacity(cov, 0.4, 0.3, 1.0), diff, rtol=1e-12)
+    w = np.array([c1, c2])
+    diff = (closed_form_capacity(w, 0.7, 0.0, 1.0)
+            - closed_form_capacity(w, 0.3, 0.0, 1.0))
+    assert_allclose(closed_form_capacity(w, 0.4, 0.3, 1.0), diff, rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape_m", [2, 3])
@@ -250,32 +235,31 @@ def test_integer_shape_is_a_repeated_spectrum(shape_m):
     # each eigenvalue w becomes m CN(0, 1) components of power w / m
     w = np.array([0.3, 1.0, 2.5, 4.0])
     for powers in ((1.0, 0.0, 1.0), (8.0, 2.0, 1.0), (0.05, 0.01, 2.0)):
-        gamma = closed_form_capacity(np.diag(w), *powers, shape_m)
-        repeated = closed_form_capacity(np.diag(np.repeat(w / shape_m, shape_m)),
-                                        *powers)
+        gamma = closed_form_capacity(w, *powers, shape_m)
+        repeated = closed_form_capacity(np.repeat(w / shape_m, shape_m), *powers)
         assert_allclose(gamma, repeated, rtol=1e-12)
 
 
 def test_capacity_scale_invariance():
-    # scaling covariance by k and power by 1/k leaves the spectrum fixed
+    # scaling the spectrum by k and power by 1/k leaves the SINR law fixed
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    r = a @ a.conj().T
-    c1 = closed_form_capacity(r, 2.0 * 0.7, 2.0 * 0.3, 1.0)
+    w = np.linalg.eigvalsh(a @ a.conj().T)
+    c1 = closed_form_capacity(w, 2.0 * 0.7, 2.0 * 0.3, 1.0)
     for k in (1e-6, 1e3):
-        c2 = closed_form_capacity(r * k, 2.0 / k * 0.7, 2.0 / k * 0.3, 1.0)
+        c2 = closed_form_capacity(w * k, 2.0 / k * 0.7, 2.0 / k * 0.3, 1.0)
         assert_allclose(c2, c1, rtol=1e-9)
 
 
 def test_zero_covariance():
-    assert closed_form_capacity(np.zeros((3, 3)), 1.0, 0.0, 1.0) == 0.0
-    mean, se = ergodic_capacity_mc_oracle(np.zeros((3, 3)), 1.0, 0.0, 1.0, 100,
+    assert closed_form_capacity(np.zeros(3), 1.0, 0.0, 1.0) == 0.0
+    mean, se = ergodic_capacity_mc_oracle(np.zeros(3), 1.0, 0.0, 1.0, 100,
                                           np.random.default_rng(1))
     assert (mean, se) == (0.0, 0.0)
 
 
 def test_oracle_seeded_reproducibility():
-    link = (np.diag([2.0, 1.0]), 0.8, 0.2, 1.0)
+    link = (np.array([2.0, 1.0]), 0.8, 0.2, 1.0)
     m1 = ergodic_capacity_mc_oracle(*link, 5000, np.random.default_rng(42))
     m2 = ergodic_capacity_mc_oracle(*link, 5000, np.random.default_rng(42))
     assert m1 == m2

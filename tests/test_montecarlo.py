@@ -11,6 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from thznoma import channel, cli, montecarlo
 from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
@@ -18,7 +19,8 @@ from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SUMRATE_SCHEMES, SweepSpec,
                                 _chunk_gains, _chunk_rng, _chunk_sizes,
-                                _deterministic_parts, _moments, _plan,
+                                _deterministic_parts, _gain_moments, _moments,
+                                _plan,
                                 _rate_stats, _run_chunk, run_outage_sweep,
                                 run_sumrate_sweep)
 from thznoma.noma import capacity
@@ -539,3 +541,41 @@ def test_baseline_link_is_far_weaker_than_composite():
     thz = channel_gain(direct_channel_matrix(cfg, FAR) + ris_channel_matrix(cfg, FAR))
     ref = channel_gain(baseline_channel_matrix(cfg, FAR))
     assert thz > 100.0 * ref
+
+
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 1.5, 3.0])
+def test_gain_moments_of_one_entry_links(monkeypatch, shape_m):
+    # a far gain E (|D|^2 = 0, c = 1) and a near gain E^2 + E (both 1):
+    # their means and variances hold mu_1 and mu_3, here from scipy
+    parts = (np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]), np.zeros(2))
+    monkeypatch.setattr(montecarlo, "_deterministic_parts",
+                        lambda cfg, link: parts)
+    mean, var = _gain_moments(ScenarioConfig(), "thz", shape_m)
+    mu = [stats.nakagami(shape_m).moment(k) for k in range(5)]
+    assert_allclose(mean, [mu[1], 1.0 + mu[1]], rtol=1e-13)
+    assert_allclose(var, [1.0 - mu[1] ** 2,
+                          mu[4] + 2.0 * mu[3] + mu[2] - (1.0 + mu[1]) ** 2],
+                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 1.5, 3.0])
+def test_gain_moments_match_per_entry_quadrature(shape_m):
+    # each entry adds f(E) = |D|^2 E^2 + c E, independently of the others,
+    # so E[g] and Var g are sums of one-entry integrals over the envelope law
+    cfg = ScenarioConfig(bs_antennas=2, user_antennas=2, ris_elements=3,
+                         shape_m=shape_m)
+    mean, var = _gain_moments(cfg, "thz", shape_m)
+    law = stats.nakagami(shape_m)
+    for user in (FAR, NEAR):
+        d = direct_channel_matrix(cfg, user).ravel()
+        g = ris_channel_matrix(cfg, user).ravel()
+        means, variances = [], []
+        for w, c in zip(np.abs(d) ** 2, 2.0 * (np.conj(g) * d).real):
+            means.append(law.expect(lambda e: w * e * e + c * e,
+                                    epsabs=0.0, epsrel=1e-13))
+            variances.append(law.expect(
+                lambda e: (w * e * e + c * e - means[-1]) ** 2,
+                epsabs=0.0, epsrel=1e-13))
+        assert_allclose(mean[user], math.fsum(means) + channel_gain(
+            ris_channel_matrix(cfg, user)), rtol=1e-10)
+        assert_allclose(var[user], math.fsum(variances), rtol=1e-10)
