@@ -5,8 +5,10 @@ far user exactly at its target rate whenever the link can support it
 (falling back to all power for the far user), and an improved variant
 that instead diverts all power to the near user when the far target is
 unreachable. ``allocate`` returns (alpha_far, feasible): the far user's
-power share (the near user gets 1 - alpha_far) and whether the far
-target is reachable at the far user's gain ||H_m||^2. Every function is
+power share (the near user gets 1 - alpha_far) and, for the fair
+schemes, whether the far target is reachable at the far user's gain
+||H_m||^2. The fixed split is always "feasible", so a count of
+far-infeasible trials cannot read ``feasible`` for it. Every function is
 elementwise in the far gain, the transmit power and the target rate,
 broadcast together; a scalar input gives numpy 0-d results.
 """

@@ -207,8 +207,8 @@ def _validate(cfg: ScenarioConfig):
 #
 # Flat key = value pairs under the sections the fields declare. Sequences
 # are comma-separated; booleans take configparser's spellings (true/false,
-# yes/no, on/off, 1/0, in any case). Unknown sections, [DEFAULT] among them,
-# and unknown keys are rejected; a % is a literal character.
+# yes/no, on/off, 1/0, in any case). Unknown sections, [DEFAULT] among them
+# (empty or not), and unknown keys are rejected; a % is a literal character.
 
 # {section: {field: annotation string}}, the annotation one of "float",
 # "int", "bool", "str" or "tuple"
@@ -246,8 +246,9 @@ def parse_config(path: str | None = None) -> ScenarioConfig:
     """
     values: dict = {}
     if path is not None:
+        # no header names the default section "", so [DEFAULT] is a section
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                           interpolation=None)
+                                           interpolation=None, default_section="")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -255,10 +256,7 @@ def parse_config(path: str | None = None) -> ScenarioConfig:
             raise ConfigError("config", "a readable file path", path) from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError("config", "well-formed UTF-8 INI", str(exc)) from exc
-        sections = parser.sections()
-        if parser.defaults():  # whose keys configparser copies into every section
-            sections.insert(0, parser.default_section)
-        for section in sections:
+        for section in parser.sections():
             if section not in _SECTION_FIELDS:
                 raise ConfigError(section, f"a section in {sorted(_SECTION_FIELDS)}", section)
             allowed = _SECTION_FIELDS[section]

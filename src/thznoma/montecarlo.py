@@ -11,15 +11,15 @@ faded, and ``"baseline"`` the free-space reference channel, Rayleigh
 faded. A task holds the scheme names, the first point's scenario and
 two (P, 1) columns, every point's target rate and transmit power. A
 chunk groups the links its schemes need by Nakagami shape m, the one
-thing that tells two links' envelope laws apart (``_plan``), draws each
-group's gains once and evaluates each scheme over all P points (common
-random numbers), giving a (P, k) array with a row per point. It takes
-the grid in slabs of at most SLAB points, so its temporaries are
-(SLAB, n) however long the grid is. Each point's estimate is still its
-own marginal one, while differences between points and between schemes
-are paired. Every link's stream has the chunk's key, so where the
-baseline's m equals the THz link's (the default m = 1) it shares the
-THz link's draw.
+thing that tells two links' envelope laws apart (``_plan``: {m: {link:
+[scheme, ...]}}), draws each group's gains once and evaluates each
+scheme over all P points (common random numbers), giving a (P, k) array
+with a row per point. It takes the grid in slabs of at most SLAB points,
+so its temporaries are (SLAB, n) however long the grid is. Each point's
+estimate is still its own marginal one, while differences between points
+and between schemes are paired. Every link's stream has the chunk's key,
+so where the baseline's m equals the THz link's (the default m = 1) it
+shares the THz link's draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the seed by (domain, 0, chunk) key, so results
@@ -141,10 +141,10 @@ def _chunk_rng(seed: int, domain: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _chunk_gains(shape_m: float, cfg: ScenarioConfig, links: list,
+def _chunk_gains(shape_m: float, cfg: ScenarioConfig, links,
                  rng: np.random.Generator, n: int) -> np.ndarray:
     """(len(links), 2, n) squared Frobenius gains of n trials of cfg's named
-    links, rows in user order.
+    links (a list of names, or a ``_plan`` group), rows in user order.
 
     The links share the Nakagami shape m, and cfg sets fading and the M*N
     envelopes per user, so one draw serves them all. Each trial draws the
@@ -207,16 +207,16 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
     return np.stack([np.count_nonzero(e, axis=-1) for e in events], axis=-1)
 
 
-def _plan(cfg: ScenarioConfig, schemes: tuple) -> tuple:
-    """The links the schemes need, (name, schemes) pairs, grouped by
-    Nakagami shape, ``"thz"`` first: ((m, [link, ...]), ...). ``"thz"``
-    has cfg's m, ``"baseline"`` is Rayleigh faded (m = 1). Every link's
-    stream has the chunk's key, so the links of one m share one draw."""
-    thz = tuple(s for s in schemes if s != "baseline")
-    plan = {cfg.shape_m: [("thz", thz)]} if thz else {}
-    if "baseline" in schemes:
-        plan.setdefault(1.0, []).append(("baseline", ("baseline",)))
-    return tuple(plan.items())
+def _plan(cfg: ScenarioConfig, schemes: tuple) -> dict:
+    """The links the schemes need, grouped by Nakagami shape, ``"thz"``
+    first: {m: {link: [scheme, ...]}}. ``"thz"`` has cfg's m,
+    ``"baseline"`` is Rayleigh faded (m = 1). Every link's stream has the
+    chunk's key, so the links of one m share one draw."""
+    plan = {}
+    for s in sorted(schemes, key="baseline".__eq__):
+        m, link = (1.0, "baseline") if s == "baseline" else (cfg.shape_m, "thz")
+        plan.setdefault(m, {}).setdefault(link, []).append(s)
+    return plan
 
 
 def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
@@ -231,10 +231,9 @@ def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
     grid in slabs of SLAB rows changes no bit.
     """
     sums = {}
-    for shape_m, links in _plan(cfg, schemes):
-        gains = _chunk_gains(shape_m, cfg, [link for link, _ in links],
-                             _chunk_rng(seed, domain, chunk), n)
-        for (_, served), g in zip(links, gains):
+    for shape_m, links in _plan(cfg, schemes).items():
+        gains = _chunk_gains(shape_m, cfg, links, _chunk_rng(seed, domain, chunk), n)
+        for served, g in zip(links.values(), gains):
             if not np.all(np.isfinite(g)):
                 raise ValueError("both users' channel gains must be finite")
             g_far, g_near = np.sort(g, axis=0)
@@ -259,11 +258,12 @@ def _outage_stats(parts: list, sizes: list) -> dict:
     }
 
 
-def _rate_stats(parts: list, sizes: list) -> dict:
-    """Mean sum rate and its stderr, arrays over the grid, the chunks'
-    (P, 3) ``_moments`` merged in chunk order by the pairwise update of
-    Chan, Golub and LeVeque (Am. Stat., 1983): one running mean and sum of
-    squared deviations. Nothing cancels, and equal rates give exactly 0."""
+def _rate_stats(parts: list, sizes: list) -> tuple:
+    """(mean, stderr) of the rates, arrays over the grid (over the leading
+    axes of the chunks' ``_moments``): the chunks' (P, 3) moments merged in
+    chunk order by the pairwise update of Chan, Golub and LeVeque (Am.
+    Stat., 1983), one running mean and sum of squared deviations. Nothing
+    cancels, and equal rates give exactly 0."""
     t = 0
     mean = m2 = 0.0
     for n, part in zip(sizes, parts):
@@ -272,14 +272,13 @@ def _rate_stats(parts: list, sizes: list) -> dict:
         mean += delta * (n / (t + n))
         m2 += devsq - dev * dev / n + delta * delta * (t * n / (t + n))
         t += n
-    return {"sum_rate": mean,
-            "sum_rate_stderr": np.sqrt(np.maximum(m2, 0.0) / t / t)}
+    return mean, np.sqrt(np.maximum(m2, 0.0) / t / t)
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
                swept: str, allowed: tuple) -> dict:
-    """Per scheme, each ``_outage_stats`` or ``_rate_stats`` key as an array
-    over spec.grid. Every scheme must be in ``allowed``."""
+    """Per scheme, ``_outage_stats``, or ``_rate_stats`` keyed ``sum_rate``
+    and ``sum_rate_stderr``, over spec.grid. Every scheme must be in ``allowed``."""
     for s in spec.schemes:
         if s not in allowed:
             raise ConfigError("schemes", f"one of {allowed}", s)
@@ -305,9 +304,11 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
             executor.shutdown(cancel_futures=True)
     else:
         parts = [_run_chunk(*t) for t in tasks]
-    stats = _rate_stats if domain == _DOMAIN_SUMRATE else _outage_stats
-    return {scheme: stats([c[scheme] for c in parts], sizes)
-            for scheme in spec.schemes}
+    series = {s: [c[s] for c in parts] for s in spec.schemes}
+    if domain == _DOMAIN_OUTAGE:
+        return {s: _outage_stats(p, sizes) for s, p in series.items()}
+    return {s: dict(zip(("sum_rate", "sum_rate_stderr"), _rate_stats(p, sizes)))
+            for s, p in series.items()}
 
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:

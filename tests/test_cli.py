@@ -138,19 +138,33 @@ def test_failed_write_leaves_no_file(tmp_path, small_config, capsys,
     assert list(out.iterdir()) == []
 
 
-def test_outputs_take_the_umask_permissions(tmp_path, small_config):
-    # like a file made by open, not the 0600 of the temporary file
-    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
-        out = tmp_path / f"run{umask:o}"
-        old = os.umask(umask)
+def test_outputs_take_the_umask_permissions(tmp_path, small_config,
+                                            monkeypatch):
+    # like a file made by open, not the 0600 of the temporary file; the
+    # kernel applies the umask, so the writer never reads or sets the
+    # process-wide one, and a run where os.umask raises writes the same
+    set_umask = os.umask
+
+    def no_umask(mask):
+        raise AssertionError("the writer calls os.umask")
+
+    for umask, mode, guarded in ((0o022, 0o644, False), (0o077, 0o600, False),
+                                 (0o077, 0o600, True)):
+        out = tmp_path / f"run{umask:o}{'-guarded' if guarded else ''}"
+        old = set_umask(umask)
         try:
-            rc = main(["outage", "--config", small_config, "--grid", "1",
-                       "--trials", "10", "--out", str(out)])
+            with monkeypatch.context() as patch:
+                if guarded:
+                    patch.setattr(os, "umask", no_umask)
+                rc = main(["outage", "--config", small_config, "--grid", "1",
+                           "--trials", "10", "--out", str(out)])
         finally:
-            os.umask(old)
+            set_umask(old)
         assert rc == 0
         for name in ("outage.csv", "outage_manifest.json"):
             assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "outage.csv", "outage_manifest.json"]
 
 
 def test_outage_manifest(tmp_path, small_config):
@@ -335,7 +349,10 @@ def test_exit_code_non_finite_gain(tmp_path, capsys, user):
     *(pytest.param(f, BAD_INIS[f].encode(), id=f) for f in sorted(BAD_INIS)),
     # a Latin-1 byte is no UTF-8, so the file is no INI the parser reads
     pytest.param("config", b"[channel]\nshape_m = 1.0 # caf\xe9\n",
-                 id="config-latin1")])
+                 id="config-latin1"),
+    # an empty [DEFAULT] is an unknown section too
+    pytest.param("DEFAULT", b"[DEFAULT]\n[channel]\nbs_antennas = 4\n",
+                 id="DEFAULT-empty")])
 def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field,
                                                   text):
     # the scenario validates itself, so print-config and validate reject

@@ -252,8 +252,10 @@ def test_validate_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_validate_passes_on_every_scenario(scenario, capsys):
-    # at the benchmark's 5 SE: at the default 3 SE about 3% of seeds raise
-    # a false alarm somewhere among a scenario's 8 or 10 checks
-    assert main(["validate", "--config", os.path.join(GOLDEN, f"{scenario}.ini"),
-                 "--tolerance-se", "5"]) == 0
-    assert "validation passed" in capsys.readouterr().out
+    # at the default seed and tolerance (5 SE); at 3 SE about 3% of seeds
+    # raise a false alarm somewhere among a scenario's 8 or 10 checks, and
+    # m0.5 is one of them: its baseline far mean is 3.25 SE off
+    assert main(["validate", "--config",
+                 os.path.join(GOLDEN, f"{scenario}.ini")]) == 0
+    out = capsys.readouterr().out
+    assert "(tolerance 5 std errors)" in out and "validation passed" in out

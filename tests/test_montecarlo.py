@@ -82,7 +82,8 @@ def _reference_gains(cfg, rng, link="thz"):
 def _link_gains(cfg, rng, n, scheme="fixed"):
     """(2, n) kernel gains of the link serving the scheme alone, drawn under
     its own law."""
-    ((shape_m, [(link, _)]),) = _plan(cfg, (scheme,))
+    ((shape_m, links),) = _plan(cfg, (scheme,)).items()
+    (link,) = links
     return _chunk_gains(shape_m, cfg, [link], rng, n)[0]
 
 
@@ -305,6 +306,17 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     assert sum(drawn) == streams * per_trial * n
 
 
+def test_plan_groups_links_by_shape_thz_first():
+    # the THz link's schemes keep their order, and the baseline link comes
+    # after them, in the THz group where both have m = 1
+    schemes = ("baseline", "fair", "fixed")
+    assert _plan(SMALL.replace(shape_m=3.0), schemes) == {
+        3.0: {"thz": ["fair", "fixed"]}, 1.0: {"baseline": ["baseline"]}}
+    plan = _plan(SMALL, schemes)
+    assert list(plan) == [1.0] and list(plan[1.0]) == ["thz", "baseline"]
+    assert _plan(SMALL, ("fair",)) == {1.0: {"thz": ["fair"]}}
+
+
 @pytest.mark.parametrize("domain, calls", [(1, 3), (2, 2)],
                          ids=["outage", "sumrate"])
 def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
@@ -352,20 +364,19 @@ def test_rate_stats_merge_matches_two_pass_variance():
     sizes = [1024, 1024, 512]
     rates = 7.0 + 1e-3 * rng.exponential(size=sum(sizes))
     chunks = np.split(rates, np.cumsum(sizes)[:-1])
-    stats = _rate_stats([_moments(c) for c in chunks], sizes)
+    mean, stderr = _rate_stats([_moments(c) for c in chunks], sizes)
     t = sum(sizes)
-    assert_allclose(stats["sum_rate"], math.fsum(rates) / t, rtol=1e-15)
-    assert_allclose(stats["sum_rate_stderr"] ** 2 * t, np.var(rates),
-                    rtol=1e-12)
+    assert_allclose(mean, math.fsum(rates) / t, rtol=1e-15)
+    assert_allclose(stderr ** 2 * t, np.var(rates), rtol=1e-12)
     # equal rates merge to exactly 0
-    flat = _rate_stats([_moments(np.full(k, 0.1)) for k in sizes], sizes)
-    assert flat["sum_rate_stderr"] == 0.0
+    _, flat = _rate_stats([_moments(np.full(k, 0.1)) for k in sizes], sizes)
+    assert flat == 0.0
     # a stack of rate rows, one per grid point, merges row by row
     rows = _rate_stats([_moments(np.stack([c, c[::-1]])) for c in chunks], sizes)
     for i, row in enumerate((chunks, [c[::-1] for c in chunks])):
         one = _rate_stats([_moments(c) for c in row], sizes)
-        assert rows["sum_rate"][i] == one["sum_rate"]
-        assert rows["sum_rate_stderr"][i] == one["sum_rate_stderr"]
+        assert rows[0][i] == one[0]
+        assert rows[1][i] == one[1]
 
 
 def test_sweeps_check_scheme_names(tmp_path, capsys):
@@ -394,8 +405,7 @@ def test_baseline_link_reads_no_thz_field():
                         nlos_delays=(), ris_elements=0, shape_m=3.0)
     d = np.stack([baseline_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
     for c in (cfg, other):
-        ((shape_m, [(link, _)]),) = _plan(c, ("baseline",))
-        assert (shape_m, link) == (1.0, "baseline")
+        assert _plan(c, ("baseline",)) == {1.0: {"baseline": ["baseline"]}}
         dd, cross, gg = _deterministic_parts(c, "baseline")
         assert np.array_equal(dd, d.real ** 2 + d.imag ** 2)
         assert not np.any(cross) and not np.any(gg)
