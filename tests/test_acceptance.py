@@ -232,7 +232,7 @@ def test_criterion_5_special_functions():
     assert worst_ks < 0.002
 
 
-def test_criterion_6_worker_count_determinism(tmp_path):
+def test_criterion_6_worker_count_determinism(tmp_path, pool_starts):
     ini = tmp_path / "small.ini"
     ini.write_text("[channel]\nbs_antennas = 4\nuser_antennas = 4\n"
                    "ris_elements = 16\n", encoding="utf-8")
@@ -248,6 +248,8 @@ def test_criterion_6_worker_count_determinism(tmp_path):
 
     out_bytes = [run("outage", "0.5:1.5:1", w, f"o{w}") for w in (1, 2, 3)]
     sum_bytes = [run("sumrate", "10", w, f"s{w}") for w in (1, 2)]
+    # three chunks, one a worker: every run above 1 worker forked a pool
+    assert pool_starts == [2, 3, 2]
     ok = (out_bytes[0] == out_bytes[1] == out_bytes[2]
           and sum_bytes[0] == sum_bytes[1])
     _report(6, ok, f"outage CSV identical across workers 1/2/3: "

@@ -81,7 +81,7 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_process_pool():
     # the pool's modules cost about 25 ms of start-up, so only a sweep
-    # with more than one worker imports them
+    # that runs a pool imports them
     assert _modules_after_import(("multiprocessing",
                                   "concurrent.futures.process")) == "[]"
 
@@ -181,9 +181,10 @@ def test_outage_manifest(tmp_path, small_config):
     assert "timestamp" in manifest and "version" in manifest
 
 
-def test_manifest_does_not_depend_on_the_worker_count(tmp_path, small_config):
-    # two chunks, so two workers run a pool; the run record, like the CSV,
-    # is the same at any worker count but for its timestamp
+def test_manifest_does_not_depend_on_the_worker_count(tmp_path, small_config,
+                                                      pool_starts):
+    # two chunks, one a worker, so two workers run a pool; the run record,
+    # like the CSV, is the same at any worker count but for its timestamp
     manifests = []
     for workers in ("1", "2"):
         out = str(tmp_path / workers)
@@ -193,6 +194,7 @@ def test_manifest_does_not_depend_on_the_worker_count(tmp_path, small_config):
             encoding="utf-8"))
         del manifest["timestamp"]
         manifests.append(manifest)
+    assert pool_starts == [2]
     assert manifests[0] == manifests[1]
 
 
@@ -354,10 +356,10 @@ def test_exit_code_non_finite_gain(tmp_path, capsys, user):
     pytest.param("DEFAULT", b"[DEFAULT]\n[channel]\nbs_antennas = 4\n",
                  id="DEFAULT-empty")])
 def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field,
-                                                  text):
+                                                  text, pool_starts):
     # the scenario validates itself, so print-config and validate reject
     # what the sweeps reject, and a sweep rejects it before it forks a
-    # pool: two chunks would give two workers two tasks
+    # pool: at one chunk a worker, two chunks would give two workers
     path = tmp_path / "bad.ini"
     path.write_bytes(text)
     ini = str(path)
@@ -371,6 +373,7 @@ def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field,
         err = capsys.readouterr().err
         assert f"config error: config field '{field}'" in err, argv
         assert "Traceback" not in err
+    assert pool_starts == []
     assert not (tmp_path / "outage").exists()
     assert not (tmp_path / "sumrate").exists()
 
@@ -379,7 +382,9 @@ def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys)
     # every pool worker exits as it starts, which breaks the pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
-    # two chunks give two tasks, so the sweep still uses the pool
+    # at one chunk a worker, two chunks give two tasks, so the sweep uses
+    # the pool
+    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
     rc = main(["outage", "--config", small_config, "--grid", "1:2:1",
                "--trials", "1100", "--workers", "2",
                "--out", str(tmp_path / "run")])

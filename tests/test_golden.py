@@ -9,7 +9,11 @@ Each scenario in ``tests/golden/<name>.ini`` has an ``outage.csv`` and a
     thznoma sumrate --config tests/golden/<name>.ini \\
         --trials 2560 --seed 12345 --workers 2 --out tests/golden/<name>
 
-on the default grids. 2560 trials are two full chunks and a partial one.
+on the default grids. 2560 trials are two full chunks and a partial one,
+too few for a pool (each worker must get ``montecarlo.POOL_CHUNKS``
+chunks), so ``--workers 2`` runs them in the parent; the CSVs are the
+same at any worker count, and ``test_cli_reproduces_golden_csv`` lowers
+``POOL_CHUNKS`` to 1 so that its 2-worker sweeps run a real pool.
 The scenarios cover Nakagami m in {0.5, 1, 3} with the 200-element
 surface, m = 1 without the surface, m = 1 without fading and m = 1 with
 the surface's zero phase profile (the one that raises the mean SNR).
@@ -76,12 +80,14 @@ RUNS = {
 
 @pytest.mark.parametrize("command", sorted(RUNS))
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_cli_reproduces_golden_csv(tmp_path, scenario, command):
+def test_cli_reproduces_golden_csv(tmp_path, scenario, command, pool_starts):
+    # at one chunk a worker, the 2-worker sweep forks a pool
     out = tmp_path / "out"
     rc = main([command, "--config", os.path.join(GOLDEN, f"{scenario}.ini"),
                "--trials", "2560", "--seed", "12345", "--out", str(out)]
               + RUNS[command])
     assert rc == 0
+    assert pool_starts == ([2] if command == "sumrate" else [])
     with open(out / f"{command}.csv", "rb") as fh:
         got = fh.read()
     with open(os.path.join(GOLDEN, scenario, f"{command}.csv"), "rb") as fh:

@@ -222,11 +222,12 @@ def test_integer_target_rate_gives_the_float_rows():
         assert np.array_equal(got[key], vals), key
 
 
-def test_sweep_results_identical_across_worker_counts():
+def test_sweep_results_identical_across_worker_counts(pool_starts):
     spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), seed=9,
                      trials=2100)
     serial = run_outage_sweep(spec, SMALL)
     parallel = run_outage_sweep(dataclasses.replace(spec, workers=3), SMALL)
+    assert pool_starts == [3]
     for scheme in spec.schemes:
         for key, vals in serial[scheme].items():
             assert np.array_equal(vals, parallel[scheme][key]), (scheme, key)
@@ -446,7 +447,8 @@ def test_mean_snr_of_the_default_surface():
 
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     # a task is one chunk of the whole grid; a pool forks every worker up
-    # front, so one chunk runs without a pool and two get two workers
+    # front and gives each at least POOL_CHUNKS tasks, so a run with fewer
+    # than twice that many uses no pool and workers is an upper bound
     sizes = []
     chunksizes = []
 
@@ -461,16 +463,26 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    for trials in (10, CHUNK + 1):
+    def pools(trials):
+        before = len(sizes)
         run_outage_sweep(SweepSpec(grid=(1.0, 2.0), schemes=("fair",), seed=1,
                                    trials=trials, workers=3), SMALL)
-    assert sizes == [2]
-    assert chunksizes == [1]
+        return sizes[before:]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    per_worker = montecarlo.POOL_CHUNKS
+    assert pools((2 * per_worker - 1) * CHUNK) == []
+    assert pools(2 * per_worker * CHUNK) == [2]
+    assert pools(3 * per_worker * CHUNK) == [3]
+    # at one task a worker, one chunk runs without a pool and two get two
+    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
+    assert pools(10) == []
+    assert pools(CHUNK + 1) == [2]
+    assert chunksizes == [1, 1, 1]
 
 
-def test_pooled_parent_builds_no_channel(monkeypatch):
+def test_pooled_parent_builds_no_channel(monkeypatch, pool_starts):
     # the workers build every link's channel; a parent that built one would
     # grow the pooled run's peak memory (the surface's phases load
     # numpy.random). Calls are counted in this process only: the forked
@@ -487,6 +499,7 @@ def test_pooled_parent_builds_no_channel(monkeypatch):
     spec = SweepSpec(grid=(0.0, 30.0), schemes=SUMRATE_SCHEMES, seed=4,
                      trials=CHUNK + 10)
     pooled = run_sumrate_sweep(dataclasses.replace(spec, workers=2), SMALL)
+    assert pool_starts == [2]
     assert calls == []
     # the count does see an in-process build, and the pool ran the sweep
     alone = run_sumrate_sweep(spec, SMALL)
@@ -497,7 +510,9 @@ def test_pooled_parent_builds_no_channel(monkeypatch):
 
 
 def test_dead_pool_is_a_value_error(monkeypatch):
-    # the sweep reports its own pool's failure, chained from the pool's error
+    # the sweep reports its own pool's failure, chained from the pool's error;
+    # at one chunk a worker, two chunks fork a pool
+    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
     spec = SweepSpec(grid=(1.0,), schemes=("fair",), seed=1,
