@@ -28,10 +28,10 @@ from .allocation import FAIR, allocate
 from .config import (FAR, NEAR, ConfigError, ScenarioConfig, parse_config,
                      render_config)
 from .ergodic import closed_form_capacity
-from .montecarlo import (CHUNK, OUTAGE_SCHEMES, POOL_CHUNKS, SUMRATE_SCHEMES,
-                         SweepSpec, _chunk_gains, _deterministic_parts,
-                         _gain_moments, _moments, _plan, _rate_stats,
-                         run_outage_sweep, run_sumrate_sweep)
+from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
+                         _chunk_gains, _deterministic_parts, _gain_moments,
+                         _moments, _plan, _rate_stats, run_outage_sweep,
+                         run_sumrate_sweep)
 from .noma import capacity, sinr
 
 _DEFAULT_SEED = 12345
@@ -238,9 +238,8 @@ def _add_flags(p, command: str):
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
                    help="Monte Carlo trials per grid point (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="most worker processes (default %(default)s); a pool "
-                   f"runs only when each worker gets {POOL_CHUNKS} chunks of "
-                   f"{CHUNK} trials")
+                   help="most worker processes (default %(default)s); a sweep "
+                   "with too little work for a pool runs in one process")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--grid", default=_OUTAGE_GRID if command == "outage"
                    else _SUMRATE_GRID, help="start:stop:step (default %(default)s)")

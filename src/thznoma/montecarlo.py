@@ -25,9 +25,10 @@ Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the seed by (domain, 0, chunk) key, so results
 are identical for any worker count and workers only decide which chunks
 run where. A sweep forks a pool only when every worker gets at least
-POOL_CHUNKS chunks: ``workers`` is an upper bound, and a sweep with
-fewer chunks runs them all in the parent, channels included. With a
-pool the workers build the channels, the parent none, and a dead pool
+POOL_EVALS of work, a chunk counting DRAW_EVALS for its draws plus one
+per grid point and scheme: ``workers`` is an upper bound, and a sweep
+with less work runs every chunk in the parent, channels included. With
+a pool the workers build the channels, the parent none, and a dead pool
 is the sweep's ValueError. A chunk's channels are formed in blocks of
 BLOCK trials. A sweep gives the same bits for any worker count, rerun
 and CPU dispatch path:
@@ -58,7 +59,9 @@ from .noma import capacity, outage_indicators, sinr
 CHUNK = 1024  # trials per RNG stream; fixed, never derived from worker count
 BLOCK = 32    # trials whose channels are formed at once; temporaries stay in cache
 SLAB = 64     # grid points a scheme is evaluated on at once; bounds peak memory
-POOL_CHUNKS = 16  # fewest chunks a pool worker is given; below, starting it costs more
+# work is counted in evaluations, one scheme at one grid point over a chunk
+DRAW_EVALS = 72   # what a chunk's draws count as
+POOL_EVALS = 768  # the least work a pool worker is given
 
 _DOMAIN_OUTAGE = 1
 _DOMAIN_SUMRATE = 2
@@ -292,9 +295,10 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
     sizes = _chunk_sizes(spec.trials)
     tasks = [(points[0], spec.schemes, target, power, spec.seed, domain,
               ci, n) for ci, n in enumerate(sizes)]
-    # a pool forks all its workers up front, and starting it costs about as
-    # much as eight chunks' work: each worker must get POOL_CHUNKS, twice that
-    workers = min(spec.workers, len(tasks) // POOL_CHUNKS)
+    # a pool forks all its workers up front, so never more than there are
+    # tasks, and each worker must get POOL_EVALS to repay starting it
+    work = len(tasks) * (DRAW_EVALS + len(points) * len(spec.schemes))
+    workers = min(spec.workers, len(tasks), work // POOL_EVALS)
     if workers > 1:
         # imported here: the pool's modules cost about 25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor

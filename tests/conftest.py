@@ -10,9 +10,9 @@ from thznoma import montecarlo
 @pytest.fixture()
 def pool_starts(monkeypatch):
     """The max_workers of every process pool a sweep starts, in order.
-    POOL_CHUNKS is lowered to 1, so a sweep forks a real pool from two
+    POOL_EVALS is lowered to 1, so a sweep forks a real pool from two
     chunks on and a small run takes the pooled path."""
-    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
+    monkeypatch.setattr(montecarlo, "POOL_EVALS", 1)
     starts = []
     real = concurrent.futures.ProcessPoolExecutor
 

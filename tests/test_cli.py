@@ -359,7 +359,7 @@ def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field,
                                                   text, pool_starts):
     # the scenario validates itself, so print-config and validate reject
     # what the sweeps reject, and a sweep rejects it before it forks a
-    # pool: at one chunk a worker, two chunks would give two workers
+    # pool: when any work repays one, two chunks would give two workers
     path = tmp_path / "bad.ini"
     path.write_bytes(text)
     ini = str(path)
@@ -382,9 +382,9 @@ def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys)
     # every pool worker exits as it starts, which breaks the pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
-    # at one chunk a worker, two chunks give two tasks, so the sweep uses
-    # the pool
-    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
+    # when any work repays a pool, two chunks give two tasks, so the sweep
+    # uses the pool
+    monkeypatch.setattr(montecarlo, "POOL_EVALS", 1)
     rc = main(["outage", "--config", small_config, "--grid", "1:2:1",
                "--trials", "1100", "--workers", "2",
                "--out", str(tmp_path / "run")])

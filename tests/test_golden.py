@@ -10,10 +10,11 @@ Each scenario in ``tests/golden/<name>.ini`` has an ``outage.csv`` and a
         --trials 2560 --seed 12345 --workers 2 --out tests/golden/<name>
 
 on the default grids. 2560 trials are two full chunks and a partial one,
-too few for a pool (each worker must get ``montecarlo.POOL_CHUNKS``
-chunks), so ``--workers 2`` runs them in the parent; the CSVs are the
-same at any worker count, and ``test_cli_reproduces_golden_csv`` lowers
-``POOL_CHUNKS`` to 1 so that its 2-worker sweeps run a real pool.
+too little work for a pool (each worker must get
+``montecarlo.POOL_EVALS``), so ``--workers 2`` runs them in the parent;
+the CSVs are the same at any worker count, and
+``test_cli_reproduces_golden_csv`` lowers ``POOL_EVALS`` to 1 so that its
+2-worker sweeps run a real pool.
 The scenarios cover Nakagami m in {0.5, 1, 3} with the 200-element
 surface, m = 1 without the surface, m = 1 without fading and m = 1 with
 the surface's zero phase profile (the one that raises the mean SNR).

@@ -447,8 +447,8 @@ def test_mean_snr_of_the_default_surface():
 
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     # a task is one chunk of the whole grid; a pool forks every worker up
-    # front and gives each at least POOL_CHUNKS tasks, so a run with fewer
-    # than twice that many uses no pool and workers is an upper bound
+    # front and gives each at least POOL_EVALS of work, a chunk counting
+    # DRAW_EVALS plus one per point and scheme, so workers is an upper bound
     sizes = []
     chunksizes = []
 
@@ -463,23 +463,29 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    def pools(trials):
+    def pools(trials, grid=(1.0, 2.0)):
         before = len(sizes)
-        run_outage_sweep(SweepSpec(grid=(1.0, 2.0), schemes=("fair",), seed=1,
+        run_outage_sweep(SweepSpec(grid=grid, schemes=("fair",), seed=1,
                                    trials=trials, workers=3), SMALL)
         return sizes[before:]
 
+    def chunks_for(workers):
+        # the fewest chunks of the two-point, one-scheme grid with that work
+        return -(-workers * montecarlo.POOL_EVALS // (montecarlo.DRAW_EVALS + 2))
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    per_worker = montecarlo.POOL_CHUNKS
-    assert pools((2 * per_worker - 1) * CHUNK) == []
-    assert pools(2 * per_worker * CHUNK) == [2]
-    assert pools(3 * per_worker * CHUNK) == [3]
-    # at one task a worker, one chunk runs without a pool and two get two
-    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
+    assert pools((chunks_for(2) - 1) * CHUNK) == []
+    assert pools(chunks_for(2) * CHUNK) == [2]
+    assert pools(chunks_for(3) * CHUNK) == [3]
+    # on a grid of POOL_EVALS points two chunks are work for two workers
+    wide = tuple(1.0 + i / 256 for i in range(montecarlo.POOL_EVALS))
+    assert pools(CHUNK + 1, wide) == [2]
+    # when any work repays a pool, one chunk runs without one and two get two
+    monkeypatch.setattr(montecarlo, "POOL_EVALS", 1)
     assert pools(10) == []
     assert pools(CHUNK + 1) == [2]
-    assert chunksizes == [1, 1, 1]
+    assert chunksizes == [1, 1, 1, 1]
 
 
 def test_pooled_parent_builds_no_channel(monkeypatch, pool_starts):
@@ -511,8 +517,8 @@ def test_pooled_parent_builds_no_channel(monkeypatch, pool_starts):
 
 def test_dead_pool_is_a_value_error(monkeypatch):
     # the sweep reports its own pool's failure, chained from the pool's error;
-    # at one chunk a worker, two chunks fork a pool
-    monkeypatch.setattr(montecarlo, "POOL_CHUNKS", 1)
+    # when any work repays a pool, two chunks fork one
+    monkeypatch.setattr(montecarlo, "POOL_EVALS", 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor, initializer=os._exit, initargs=(1,)))
     spec = SweepSpec(grid=(1.0,), schemes=("fair",), seed=1,
