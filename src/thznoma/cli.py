@@ -138,13 +138,11 @@ def _cmd_sweep(args) -> int:
 def _check(label: str, estimate: float, exact: float, stderr: float,
            scale: float, tol: float) -> bool:
     """Print one estimate against its exact value; True if it is within
-    tol std errors. Where the stderr is 0 it must equal the exact value to
-    rounding, 1e-12 of scale."""
-    if stderr > 0:
-        margin = abs(estimate - exact) / stderr
-        ok, how = margin <= tol, f"{margin:.2f} SE"
-    else:
-        ok, how = abs(estimate - exact) <= 1e-12 * scale, "no spread"
+    tol std errors of it or, whatever its stderr, equals it to rounding,
+    1e-12 of scale. The stderr picks the printed margin alone."""
+    diff = abs(estimate - exact)
+    ok = diff <= tol * stderr or diff <= 1e-12 * scale
+    how = f"{diff / stderr:.2f} SE" if stderr > 0 else "no spread"
     print(f"  {label}: {estimate:.6g} exact {exact:.6g} ({how}) "
           f"{'ok' if ok else 'FAIL'}")
     return ok
@@ -227,19 +225,17 @@ def _add_flags(p, command: str):
         return
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                    help="RNG seed (default %(default)s)")
+    # validate ignores it: perfbench/run.py passes it to every workload
+    p.add_argument("--workers", type=int, default=1,
+                   help="most worker processes (default %(default)s); validate, "
+                   "and a sweep with too little work for a pool, run in one process")
     if command == "validate":
-        # accepted and ignored: perfbench/run.py passes it to every workload
-        p.add_argument("--workers", type=int, default=1,
-                       help="ignored: validate runs in one process")
         p.add_argument("--tolerance-se", type=float, default=5.0,
                        help="bound on each check's margin in std errors "
                        "(default %(default)s; up to 10 checks per run)")
         return
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
                    help="Monte Carlo trials per grid point (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="most worker processes (default %(default)s); a sweep "
-                   "with too little work for a pool runs in one process")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--grid", default=_OUTAGE_GRID if command == "outage"
                    else _SUMRATE_GRID, help="start:stop:step (default %(default)s)")

@@ -19,9 +19,12 @@ def sinr(gain, alpha, residual, tx_power_w, noise_power_w: float):
     share of the messages still undecoded at this receiver. Far message at
     the far user: sinr(g_m, a_m, a_n); the same message at the near user
     (the SIC stage): sinr(g_n, a_m, a_n); the near user's own message
-    after SIC: sinr(g_n, a_n, 0.0).
+    after SIC: sinr(g_n, a_n, 0.0). One that is not finite raises ValueError.
     """
-    return tx_power_w * alpha * gain / (tx_power_w * gain * residual + noise_power_w)
+    z = tx_power_w * alpha * gain / (tx_power_w * gain * residual + noise_power_w)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("every SINR must be finite")
+    return z
 
 
 def capacity(sinr):

@@ -332,7 +332,8 @@ def test_exit_code_noise_underflow(tmp_path, capsys):
 
 # 1e-160 m squares to a subnormal, not to 0, so the config takes it; the
 # aligned antennas' entry amplitude is then about 3e155 and its square
-# overflows: the channel warns on the way to a non-finite gain
+# overflows: the channel warns on the way to a non-finite gain, which
+# validate, faded or not, stops on before it checks anything
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("user", ["far", "near"])
 def test_exit_code_non_finite_gain(tmp_path, capsys, user):
@@ -345,6 +346,33 @@ def test_exit_code_non_finite_gain(tmp_path, capsys, user):
         assert rc == 2
         assert "channel gains must be finite" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
+    for fading in ("true", "false"):
+        ini.write_text(f"[channel]\nbs_user_distance_{user} = 1e-160\n"
+                       f"fading_enabled = {fading}\n", encoding="utf-8")
+        assert main(["validate", "--config", str(ini)]) == 2, fading
+        out, err = capsys.readouterr()
+        assert "channel gains must be finite" in err
+        assert "FAIL" not in out
+        assert "spectrum" not in out + err
+
+
+# 1e-153 m keeps both gains finite, but the near user's SINR overflows at
+# 100 dBm: it is inf, and at the SIC stage at 200 dBm inf / inf
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, extra, flags", [
+    ("sumrate", "", ["--schemes", "fixed,fair,improved-fair", "--grid", "100"]),
+    ("outage", "[montecarlo]\ntx_power_dbm = 200\n",
+     ["--schemes", "fixed", "--grid", "3"])], ids=["sumrate", "outage"])
+def test_exit_code_sinr_overflow(tmp_path, capsys, command, extra, flags):
+    ini = tmp_path / "close.ini"
+    ini.write_text("[channel]\nbs_user_distance_near = 1e-153\n" + extra,
+                   encoding="utf-8")
+    out = tmp_path / command
+    rc = main([command, "--config", str(ini), "--trials", "200",
+               "--out", str(out), *flags])
+    assert rc == 2
+    assert "SINR must be finite" in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize("field, text", [
@@ -444,7 +472,7 @@ def _ignore_m(shape_m, rng, size):
 
 
 @pytest.mark.parametrize("phases", ["random", "zero"])
-@pytest.mark.parametrize("shape_m", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("shape_m", [0.5, 1.5, 3.0, 1e8])
 def test_validate_catches_a_sampler_that_ignores_m(tmp_path, monkeypatch, capsys,
                                                     shape_m, phases):
     path = tmp_path / "scenario.ini"
@@ -455,6 +483,16 @@ def test_validate_catches_a_sampler_that_ignores_m(tmp_path, monkeypatch, capsys
     # the THz link's gain law is what fails
     assert any(line.startswith(f"  thz m {shape_m:g} ") and line.endswith(" FAIL")
                for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("shape_m", [1e8, 1e12, 1e300])
+def test_validate_passes_at_any_accepted_m(tmp_path, capsys, shape_m):
+    # exact moments that hold at any m, and a gain whose stderr is below its
+    # rounding still compared to rounding
+    path = tmp_path / "scenario.ini"
+    path.write_text(f"[channel]\nshape_m = {shape_m!r}\n", encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "validation passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("ini", [

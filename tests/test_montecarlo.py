@@ -574,19 +574,43 @@ def test_baseline_link_is_far_weaker_than_composite():
     assert thz > 100.0 * ref
 
 
-@pytest.mark.parametrize("shape_m", [0.5, 1.0, 1.5, 3.0])
-def test_gain_moments_of_one_entry_links(monkeypatch, shape_m):
-    # a far gain E (|D|^2 = 0, c = 1) and a near gain E^2 + E (both 1):
-    # their means and variances hold mu_1 and mu_3, here from scipy
+def _one_entry_links(monkeypatch):
+    # the far gain E (|D|^2 = 0, c = 1), of mean mu_1 and variance 1 - mu_1^2,
+    # and the near gain E^2 + E (|D|^2 = c = 1)
     parts = (np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]), np.zeros(2))
     monkeypatch.setattr(montecarlo, "_deterministic_parts",
                         lambda cfg, link: parts)
+
+
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 1.5, 3.0])
+def test_gain_moments_of_one_entry_links(monkeypatch, shape_m):
+    # their means and variances hold mu_1 and mu_3, here from scipy
+    _one_entry_links(monkeypatch)
     mean, var = _gain_moments(ScenarioConfig(), "thz", shape_m)
     mu = [stats.nakagami(shape_m).moment(k) for k in range(5)]
     assert_allclose(mean, [mu[1], 1.0 + mu[1]], rtol=1e-13)
     assert_allclose(var, [1.0 - mu[1] ** 2,
                           mu[4] + 2.0 * mu[3] + mu[2] - (1.0 + mu[1]) ** 2],
                     rtol=1e-12)
+
+
+def test_gain_moments_branches_meet_at_the_switch(monkeypatch):
+    # ln mu_1 comes from lgamma below m = 30 and from its series from 30 up
+    _one_entry_links(monkeypatch)
+    below = _gain_moments(ScenarioConfig(), "thz", math.nextafter(30.0, 0.0))
+    at = _gain_moments(ScenarioConfig(), "thz", 30.0)
+    assert_allclose(at, below, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape_m", [1e4, 1e8, 1e12, 1e100, 1e300])
+def test_gain_moments_hold_at_large_m(monkeypatch, shape_m):
+    # 1 - mu_1^2 = 1/(4m) - 1/(32m^2) + ...: where lgamma's difference would
+    # cancel, Var E = 1 - mu_1^2 still tends to 1/(4m)
+    _one_entry_links(monkeypatch)
+    mean, var = _gain_moments(ScenarioConfig(), "thz", shape_m)
+    assert_allclose(4.0 * shape_m * var[FAR], 1.0, rtol=1.0 / shape_m + 1e-14)
+    assert_allclose(mean[FAR], 1.0 - 1.0 / (8.0 * shape_m),
+                    rtol=(1.0 / shape_m) ** 2 + 1e-15)
 
 
 @pytest.mark.parametrize("shape_m", [0.5, 1.0, 1.5, 3.0])

@@ -62,6 +62,15 @@ def test_near_sinr_linear_in_gain():
                     2.0, rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sinr_that_is_not_finite_raises():
+    # an overflowing signal, and an overflowing signal over overflowing
+    # interference, are no SINR
+    for residual in (0.0, A_NEAR):
+        with pytest.raises(ValueError, match="SINR must be finite"):
+            sinr(np.array([1.0, 1e308]), A_FAR, residual, 10.0, S2)
+
+
 def test_capacity():
     assert capacity(3.0) == 2.0
     assert capacity(0.0) == 0.0
