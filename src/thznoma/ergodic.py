@@ -54,11 +54,11 @@ def closed_form_capacity(w, signal_w: float, interference_w: float,
                          noise_power_w: float, shape_m: float = 1.0) -> float:
     """Ergodic capacity (bits/s/Hz) of SINR signal X / (interference X + noise).
 
-    X = sum_i w_i Y_i over the spectrum w, a 1-D array of finite values
-    >= 0, Y_i iid Gamma(shape_m, 1/shape_m); shape_m = 1 is X = ||h||^2,
-    h ~ CN(0, R), for R with eigenvalues w. Powers must be finite, signal
-    and interference >= 0, noise > 0; the shape finite and > 0. The
-    integrand is >= 0, and so is the result.
+    X = sum_i w_i Y_i over the spectrum w, a 1-D array of values >= 0,
+    Y_i iid Gamma(shape_m, 1/shape_m); shape_m = 1 is X = ||h||^2, h ~
+    CN(0, R), for R with eigenvalues w. Powers must be finite, signal and
+    interference >= 0, noise > 0; the shape finite and > 0; and w, scaled
+    by the SINR's powers, finite in the integrand. The result is >= 0.
     """
     if not (0 <= signal_w < math.inf and 0 <= interference_w < math.inf
             and 0 < noise_power_w < math.inf):
@@ -67,8 +67,10 @@ def closed_form_capacity(w, signal_w: float, interference_w: float,
     if not 0 < shape_m < math.inf:
         raise ValueError("shape_m must be finite and > 0")
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or not np.all((w >= 0) & (w < math.inf)):
-        raise ValueError("spectrum must be a 1-D array of finite values >= 0")
-    a = (signal_w + interference_w) / noise_power_w * w
-    b = interference_w / noise_power_w * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (signal_w + interference_w) / noise_power_w * w
+        b = interference_w / noise_power_w * w
+        top = np.max(a, initial=0.0) / shape_m * math.exp(_U_HI)  # largest s a / m
+    if w.ndim != 1 or not (np.all(w >= 0) and top < math.inf):
+        raise ValueError("spectrum must be 1-D, >= 0 and finite scaled by the powers")
     return _log_moment_gap(a, b, shape_m) / math.log(2.0)

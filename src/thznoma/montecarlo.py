@@ -1,25 +1,25 @@
 """Monte Carlo outage and sum-rate sweeps.
 
 A sweep runs a SweepSpec (grid, schemes, seed, trial and worker counts)
-over a ScenarioConfig, the link. Every grid point is a ScenarioConfig:
-the sweep's scenario with one field replaced, the target rate R_m = R_n
-for ``outage`` and the transmit power for ``sumrate``, validated like
-any scenario. Neither swept field enters the channel, so the grid is an
-array axis of the kernel. A link is a channel builder and an envelope
-law: ``"thz"`` is the direct THz channel plus the surface's, Nakagami-m
-faded, and ``"baseline"`` the free-space reference channel, Rayleigh
-faded. A task holds the scheme names, the first point's scenario and
-two (P, 1) columns, every point's target rate and transmit power. A
-chunk groups the links its schemes need by Nakagami shape m, the one
-thing that tells two links' envelope laws apart (``_plan``: {m: {link:
-[scheme, ...]}}), draws each group's gains once and evaluates each
-scheme over all P points (common random numbers), giving a (P, k) array
-with a row per point. It takes the grid in slabs of at most SLAB points,
-so its temporaries are (SLAB, n) however long the grid is. Each point's
-estimate is still its own marginal one, while differences between points
-and between schemes are paired. Every link's stream has the chunk's key,
-so where the baseline's m equals the THz link's (the default m = 1) it
-shares the THz link's draw.
+over a ScenarioConfig, the link. Every grid point is a ScenarioConfig: the
+sweep's scenario with one field replaced, the target rate R_m = R_n for
+``outage`` and the transmit power for ``sumrate``, validated like any
+scenario. Neither swept field enters the channel, so the grid is an array
+axis of the kernel. A link is a channel builder and an envelope law:
+``"thz"`` is the direct THz channel plus the surface's, Nakagami-m faded,
+``"baseline"`` the free-space reference channel, Rayleigh faded, and
+``validate``'s ``"direct"`` the THz link without its surface. A task holds
+the scheme names, the first point's scenario and two (P, 1) columns, every
+point's target rate and transmit power. A chunk groups the links its
+schemes need by Nakagami shape m, the one thing that tells two links'
+envelope laws apart (``_plan``: {m: {link: [scheme, ...]}}), draws each
+group's gains once and evaluates each scheme over all P points (common
+random numbers), giving a (P, k) array with a row per point. It takes the
+grid in slabs of at most SLAB points, so its temporaries are (SLAB, n)
+however long the grid is. Each point's estimate is still its own marginal
+one, while differences between points and between schemes are paired.
+Every link's stream has the chunk's key, so where the baseline's m equals
+the THz link's (the default m = 1) it shares the THz link's draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the seed by (domain, 0, chunk) key, so results
@@ -101,8 +101,8 @@ def _deterministic_parts(cfg: ScenarioConfig, link: str) -> tuple:
     """Read-only (|D|^2, c, ||G||^2) per user, c = 2 Re(conj(G)∘D), of the
     link's fading-free direct (D) and surface (G) matrices, cached per
     scenario and link. With envelopes E a user's gain is ||E∘D + G||^2 =
-    E^2·|D|^2 + E·c + ||G||^2. The baseline link has no surface: G = 0."""
-    build = direct_channel_matrix if link == "thz" else baseline_channel_matrix
+    E^2·|D|^2 + E·c + ||G||^2. Only "thz" has a surface; "direct" is its D."""
+    build = baseline_channel_matrix if link == "baseline" else direct_channel_matrix
     d = np.stack([build(cfg, u).ravel() for u in (FAR, NEAR)])
     g = (np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
          if link == "thz" else np.zeros_like(d))

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import gc
 import importlib.util
 import json
 import os
@@ -15,7 +16,8 @@ import pytest
 
 from thznoma import cli, montecarlo
 from thznoma.cli import _parse_grid, _parse_schemes, main
-from thznoma.config import ConfigError, ScenarioConfig, parse_config
+from thznoma.config import (ConfigError, ScenarioConfig, parse_config,
+                            render_config)
 
 SMALL_INI = """\
 [channel]
@@ -508,6 +510,61 @@ def test_validate_passes_degenerate_links(tmp_path, capsys, ini):
         ini = str(path)
     assert main(["validate", "--config", ini, "--tolerance-se", "5"]) == 0
     assert "(no spread) ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ini, draws", [
+    (None, 1),  # thz, baseline and the rate chain's direct link share m = 1
+    ("m3.ini", 2),  # thz and direct at m = 3, baseline at m = 1
+    ("m1-no-fading.ini", 1),  # no rate chain without fading
+])
+def test_validate_draws_once_per_shape(monkeypatch, capsys, ini, draws):
+    calls = []
+
+    def counting(shape_m, cfg, links, rng, n):
+        calls.append((shape_m, list(links)))
+        return montecarlo._chunk_gains(shape_m, cfg, links, rng, n)
+
+    monkeypatch.setattr(cli, "_chunk_gains", counting)
+    config = [] if ini is None else [
+        "--config", os.path.join(os.path.dirname(__file__), "golden", ini)]
+    assert main(["validate"] + config) == 0
+    assert len(calls) == draws, calls
+    # the gain law prints no line for the direct link
+    assert "direct" not in capsys.readouterr().out
+
+
+def test_process_entry_freezes_the_heap_after_main(monkeypatch, capsys):
+    events = []
+    real_main = cli.main
+
+    def recording_main(argv=None):
+        code = real_main(argv)
+        events.append("main")
+        return code
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["thznoma", "print-config"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert events == ["main", "freeze"]
+    assert capsys.readouterr().out == render_config(parse_config())
+
+
+def test_main_freezes_nothing(capsys):
+    # a frozen heap would keep a leaked file's cycle alive in a test process
+    before = gc.get_freeze_count()
+    assert main(["print-config"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_prints_the_config():
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    out = subprocess.run([sys.executable, "-m", "thznoma.cli", "print-config"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == render_config(parse_config())
 
 
 def test_benchmark_command_lines_run(tmp_path, monkeypatch):

@@ -85,6 +85,19 @@ def test_covariance_validation():
             closed_form_capacity(w, 1.0, 0.0, 1.0)
 
 
+def test_spectrum_that_overflows_when_scaled_is_a_value_error():
+    # finite inputs whose SNR-scaled spectrum, or its integrand, leaves the
+    # float range: a ValueError and no overflow warning
+    for link in ((np.array([1e300]), 1e10, 0.0, 1e-10),
+                 (np.array([1e307]), 1.0, 0.0, 1.0),
+                 (np.zeros(2), 1e300, 0.0, 1e-300),
+                 (np.ones(1), 1.0, 0.0, 1.0, 1e-320)):
+        with pytest.raises(ValueError, match="spectrum"):
+            closed_form_capacity(*link)
+    # near the limit it still integrates: about log2 of the SNR
+    assert 990 < closed_form_capacity(np.array([1e300]), 1.0, 0.0, 1.0) < 1000
+
+
 def test_link_power_validation():
     for powers in ((-1.0, 0.0, 1.0), (1.0, -0.1, 1.0), (1.0, 0.0, 0.0),
                    (math.inf, 0.0, 1.0), (1.0, 0.0, math.nan)):

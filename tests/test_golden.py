@@ -46,9 +46,9 @@ closed form as well, and its outage rows against exact bounds.
 
 ``tests/golden/validate/seed7.txt`` holds the output of ``thznoma
 validate --tolerance-se 5 --seed 7`` on the default scenario: the gain
-law of both links and the no-surface rate chain, each drawn through the
-sweep's sampler, and the power-allocation conformance check, whose 2000
-requests are drawn next from the same stream.
+law of both links, drawn through the sweep's sampler, the no-surface rate
+chain on the THz link's envelopes, and the power-allocation conformance
+check, whose 2000 requests are drawn next from the same stream.
 """
 
 import glob

@@ -307,6 +307,19 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     assert sum(drawn) == streams * per_trial * n
 
 
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 3.0])
+def test_direct_link_is_the_thz_link_without_its_surface(shape_m):
+    # drawn beside "thz", the direct link gives bit for bit the gains that
+    # the surface-free scenario's "thz" link gets from the same stream
+    cfg = ScenarioConfig(shape_m=shape_m)
+    n = BLOCK + 5
+    _, direct = _chunk_gains(shape_m, cfg, ["thz", "direct"],
+                             np.random.default_rng(11), n)
+    (bare,) = _chunk_gains(shape_m, cfg.replace(ris_elements=0), ["thz"],
+                           np.random.default_rng(11), n)
+    assert np.array_equal(direct, bare)
+
+
 def test_plan_groups_links_by_shape_thz_first():
     # the THz link's schemes keep their order, and the baseline link comes
     # after them, in the THz group where both have m = 1
