@@ -31,7 +31,7 @@ from .config import (FAR, NEAR, ConfigError, ScenarioConfig, parse_config,
 from .ergodic import closed_form_capacity
 from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
                          _chunk_gains, _deterministic_parts, _gain_moments,
-                         _moments, _plan, _rate_stats, run_outage_sweep,
+                         _merge, _moments, _plan, run_outage_sweep,
                          run_sumrate_sweep)
 from .noma import capacity, sinr
 
@@ -175,8 +175,8 @@ def _cmd_validate(args) -> int:
                 continue
             mean, var = _gain_moments(cfg, link, shape_m)
             # the sweep's (mean, stderr) per user; a constant sample has stderr 0
-            g_mean, _ = _rate_stats([_moments(g)], [n])
-            sq_mean, sq_se = _rate_stats([_moments((g - mean[:, None]) ** 2)], [n])
+            record = {"g": _moments(g), "sq": _moments((g - mean[:, None]) ** 2)}
+            (g_mean, _), (sq_mean, sq_se) = _merge([record], [n]).values()
             for user, name in ((FAR, "far"), (NEAR, "near")):
                 label = f"{link} m {shape_m:g} {name}"
                 failures += not _check(f"{label} mean", g_mean[user], mean[user],
@@ -191,8 +191,8 @@ def _cmd_validate(args) -> int:
         w = _deterministic_parts(cfg, "direct")[0]
         for user, name, signal, residual in ((FAR, "far", a, 1.0 - a),
                                              (NEAR, "near", 1.0 - a, 0.0)):
-            rate, se = _rate_stats(
-                [_moments(capacity(sinr(direct[user], signal, residual, p, s2)))], [n])
+            rate, se = _merge([{name: _moments(capacity(
+                sinr(direct[user], signal, residual, p, s2)))}], [n])[name]
             exact = closed_form_capacity(w[user], signal * p, residual * p, s2,
                                          cfg.shape_m)
             failures += not _check(f"{name} rate", rate, exact, se, exact, tol)

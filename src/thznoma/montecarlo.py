@@ -14,12 +14,12 @@ point's target rate and transmit power. A chunk groups the links its
 schemes need by Nakagami shape m, the one thing that tells two links'
 envelope laws apart (``_plan``: {m: {link: [scheme, ...]}}), draws each
 group's gains once and evaluates each scheme over all P points (common
-random numbers), giving a (P, k) array with a row per point. It takes the
-grid in slabs of at most SLAB points, so its temporaries are (SLAB, n)
-however long the grid is. Each point's estimate is still its own marginal
-one, while differences between points and between schemes are paired.
-Every link's stream has the chunk's key, so where the baseline's m equals
-the THz link's (the default m = 1) it shares the THz link's draw.
+random numbers), giving a record {(scheme, key): counts or ``_moments``}
+with a row per point, taking the grid in slabs of at most SLAB points so
+its temporaries are (SLAB, n) however long the grid is. Each point's
+estimate is its own marginal one; differences between points and schemes
+are paired. Every link's stream has the chunk's key, so where the
+baseline's m equals the THz link's (the default m = 1) it shares that draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the seed by (domain, 0, chunk) key, so results
@@ -38,7 +38,7 @@ and CPU dispatch path:
   user's (M, N) envelopes, then the near user's, would;
 - a chunk's sums accumulate in trial order (np.add.accumulate, not
   pairwise np.sum) and chunks merge in chunk order, wherever they ran;
-- no estimate cancels (``_rate_stats``), so the last-ulp differences of a
+- no estimate cancels (``_merge``), so the last-ulp differences of a
   gain or a log2 between dispatch paths stay below the CSV's 12 digits.
 """
 
@@ -102,6 +102,9 @@ def _deterministic_parts(cfg: ScenarioConfig, link: str) -> tuple:
     link's fading-free direct (D) and surface (G) matrices, cached per
     scenario and link. With envelopes E a user's gain is ||E∘D + G||^2 =
     E^2·|D|^2 + E·c + ||G||^2. Only "thz" has a surface; "direct" is its D."""
+    if link == "direct":  # "thz"'s |D|^2 with zero c and ||G||^2, all read-only
+        dd = _deterministic_parts(cfg, "thz")[0]
+        return dd, np.broadcast_to(0.0, dd.shape), np.broadcast_to(0.0, 2)
     build = baseline_channel_matrix if link == "baseline" else direct_channel_matrix
     d = np.stack([build(cfg, u).ravel() for u in (FAR, NEAR)])
     g = (np.stack([ris_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
@@ -195,11 +198,11 @@ def _moments(rate: np.ndarray) -> np.ndarray:
 
 def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
                  g_near: np.ndarray, cfg: ScenarioConfig, target: np.ndarray,
-                 power: np.ndarray) -> np.ndarray:
-    """One scheme's sums over a chunk, a row per grid point: (P, 2) counts
-    (near, far) of outage events for ``outage``, (P, 3) ``_moments`` of the
-    sum rate for ``sumrate``. The (n,) gains broadcast against the (P, 1)
-    columns ``target`` (R = R_m = R_n) and ``power`` (W).
+                 power: np.ndarray) -> dict:
+    """One scheme's record over a chunk, a row per grid point: (P,) integer
+    outage counts ``near_outage`` and ``far_outage`` for ``outage``, (P, 3)
+    ``_moments`` ``sum_rate`` for ``sumrate``. The (n,) gains broadcast
+    against the (P, 1) columns ``target`` (R = R_m = R_n) and ``power`` (W).
 
     Power is allocated per the scheme from the far user's instantaneous
     gain. On the feasible fair branch the far capacity is R_m identically
@@ -217,10 +220,11 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
                      capacity(sinr(g_far, a_far, a_near, power, s2)))
     c_near = capacity(sinr(g_near, a_near, 0.0, power, s2))
     if domain == _DOMAIN_SUMRATE:
-        return _moments(c_far + c_near)
+        return {"sum_rate": _moments(c_far + c_near)}
     c_cross = capacity(sinr(g_near, a_far, a_near, power, s2))
     events = outage_indicators(c_cross, c_near, c_far, target, a_far)
-    return np.stack([np.count_nonzero(e, axis=-1) for e in events], axis=-1)
+    return {key: np.count_nonzero(e, axis=-1)
+            for key, e in zip(("near_outage", "far_outage"), events)}
 
 
 def _plan(cfg: ScenarioConfig, schemes: tuple) -> dict:
@@ -238,7 +242,8 @@ def _plan(cfg: ScenarioConfig, schemes: tuple) -> dict:
 def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
                power: np.ndarray, seed: int, domain: int, chunk: int,
                n: int) -> dict:
-    """{scheme: ``_scheme_sums``}, a (P, k) array with a row per point.
+    """The chunk's record {(scheme, key): array}: each scheme's
+    ``_scheme_sums``, with a row per point.
 
     ``cfg`` is the first point's scenario; ``target`` and ``power`` are
     every point's (P, 1) columns. Each shape group of ``_plan`` opens the
@@ -252,47 +257,43 @@ def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
         for served, g in zip(links.values(), gains):
             g_far, g_near = np.sort(g, axis=0)
             for scheme in served:
-                sums[scheme] = np.concatenate([
-                    _scheme_sums(domain, scheme, g_far, g_near, cfg,
-                                 target[i:i + SLAB], power[i:i + SLAB])
-                    for i in range(0, len(target), SLAB)])
+                slabs = [_scheme_sums(domain, scheme, g_far, g_near, cfg,
+                                      target[i:i + SLAB], power[i:i + SLAB])
+                         for i in range(0, len(target), SLAB)]
+                for key in slabs[0]:
+                    sums[scheme, key] = np.concatenate([s[key] for s in slabs])
     return sums
 
 
-def _outage_stats(parts: list, sizes: list) -> dict:
-    """Near and far outage estimates, arrays over the grid, from the
-    chunks' (P, 2) counts."""
-    t = sum(sizes)
-    p_near, p_far = sum(parts).T / t
-    return {
-        "near_outage": p_near,
-        "near_outage_stderr": np.sqrt(p_near * (1.0 - p_near) / t),
-        "far_outage": p_far,
-        "far_outage_stderr": np.sqrt(p_far * (1.0 - p_far) / t),
-    }
-
-
-def _rate_stats(parts: list, sizes: list) -> tuple:
-    """(mean, stderr) of the rates, arrays over the grid (over the leading
-    axes of the chunks' ``_moments``): the chunks' (P, 3) moments merged in
-    chunk order by the pairwise update of Chan, Golub and LeVeque (Am.
-    Stat., 1983), one running mean and sum of squared deviations. Nothing
-    cancels, and equal rates give exactly 0."""
-    t = 0
-    mean = m2 = 0.0
-    for n, part in zip(sizes, parts):
-        x0, dev, devsq = part.T
-        delta = x0 + dev / n - mean
-        mean += delta * (n / (t + n))
-        m2 += devsq - dev * dev / n + delta * delta * (t * n / (t + n))
-        t += n
-    return mean, np.sqrt(np.maximum(m2, 0.0) / t / t)
+def _merge(parts: list, sizes: list) -> dict:
+    """{key: (mean, stderr)}, arrays over the key's leading axes, of the
+    chunks' records of sizes trials, each key merged in chunk order by kind.
+    Integer counts add, to a share p of the t trials with stderr sqrt(p (1 -
+    p) / t). ``_moments`` merge by the pairwise update of Chan, Golub and
+    LeVeque (Am. Stat., 1983), one running mean and sum of squared
+    deviations: nothing cancels, and equal values give exactly 0."""
+    merged = {}
+    for key in parts[0]:
+        series = [part[key] for part in parts]
+        if np.issubdtype(series[0].dtype, np.integer):
+            p = sum(series) / sum(sizes)
+            merged[key] = p, np.sqrt(p * (1.0 - p) / sum(sizes))
+            continue
+        t = mean = m2 = 0
+        for n, part in zip(sizes, series):
+            x0, dev, devsq = np.moveaxis(part, -1, 0)
+            delta = x0 + dev / n - mean
+            mean += delta * (n / (t + n))
+            m2 += devsq - dev * dev / n + delta * delta * (t * n / (t + n))
+            t += n
+        merged[key] = mean, np.sqrt(np.maximum(m2, 0.0) / t / t)
+    return merged
 
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
                swept: str, allowed: tuple) -> dict:
-    """Per scheme, ``_outage_stats``, or ``_rate_stats`` keyed ``sum_rate``
-    and ``sum_rate_stderr``, over spec.grid. Every scheme must be in ``allowed``."""
+    """{scheme: {key: mean, key_stderr: stderr}} over spec.grid, for every
+    key of the chunks' records, by ``_merge``. Schemes must be in ``allowed``."""
     for s in spec.schemes:
         if s not in allowed:
             raise ConfigError("schemes", f"one of {allowed}", s)
@@ -320,11 +321,10 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
             executor.shutdown(cancel_futures=True)
     else:
         parts = [_run_chunk(*t) for t in tasks]
-    series = {s: [c[s] for c in parts] for s in spec.schemes}
-    if domain == _DOMAIN_OUTAGE:
-        return {s: _outage_stats(p, sizes) for s, p in series.items()}
-    return {s: dict(zip(("sum_rate", "sum_rate_stderr"), _rate_stats(p, sizes)))
-            for s, p in series.items()}
+    series = {s: {} for s in spec.schemes}
+    for (scheme, key), (mean, stderr) in _merge(parts, sizes).items():
+        series[scheme].update({key: mean, f"{key}_stderr": stderr})
+    return series
 
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:

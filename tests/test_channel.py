@@ -304,7 +304,7 @@ def test_ris_global_phase_magnitude_invariance():
 
 def test_cached_channel_parts_are_read_only():
     cfg = ScenarioConfig()
-    for link in ("thz", "baseline"):
+    for link in ("thz", "baseline", "direct"):
         for part in _deterministic_parts(cfg, link):
             with pytest.raises(ValueError):
                 part[0] = 0

@@ -16,8 +16,8 @@ import pytest
 
 from thznoma import cli, montecarlo
 from thznoma.cli import _parse_grid, _parse_schemes, main
-from thznoma.config import (ConfigError, ScenarioConfig, parse_config,
-                            render_config)
+from thznoma.config import (FAR, NEAR, ConfigError, ScenarioConfig,
+                            parse_config, render_config)
 
 SMALL_INI = """\
 [channel]
@@ -531,6 +531,22 @@ def test_validate_draws_once_per_shape(monkeypatch, capsys, ini, draws):
     assert len(calls) == draws, calls
     # the gain law prints no line for the direct link
     assert "direct" not in capsys.readouterr().out
+
+
+def test_validate_builds_the_direct_matrices_once(monkeypatch, capsys):
+    # the rate chain's "direct" link reads the "thz" link's |D|^2, so the
+    # direct matrix is built once per user
+    calls = []
+
+    def counting(cfg, user, _real=montecarlo.direct_channel_matrix):
+        calls.append(user)
+        return _real(cfg, user)
+
+    monkeypatch.setattr(montecarlo, "direct_channel_matrix", counting)
+    montecarlo._deterministic_parts.cache_clear()
+    assert main(["validate", "--seed", "7"]) == 0
+    assert "validation passed" in capsys.readouterr().out
+    assert sorted(calls) == [FAR, NEAR]
 
 
 def test_process_entry_freezes_the_heap_after_main(monkeypatch, capsys):

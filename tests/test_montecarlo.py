@@ -19,15 +19,15 @@ from thznoma.channel import (baseline_channel_matrix, direct_channel_matrix,
 from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SUMRATE_SCHEMES, SweepSpec,
                                 _chunk_gains, _chunk_rng, _chunk_sizes,
-                                _deterministic_parts, _gain_moments, _moments,
-                                _plan,
-                                _rate_stats, _run_chunk, run_outage_sweep,
+                                _deterministic_parts, _gain_moments, _merge,
+                                _moments, _plan, _run_chunk, run_outage_sweep,
                                 run_sumrate_sweep)
 from thznoma.noma import capacity
 
 from exact import _reference_trial, channel_gain, fixed_sum_rate_closed_form
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
+OUTAGE_KEYS = ("near_outage", "far_outage")
 
 
 def test_chunk_layout_is_frozen():
@@ -88,8 +88,9 @@ def _link_gains(cfg, rng, n, scheme="fixed"):
 
 
 def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
-    """A chunk's {scheme: (P, k) sums} at P target rates (one or a sequence)
-    and cfg's power: outage counts, or with domain=2 rate moments."""
+    """A chunk's record {(scheme, key): array} at P target rates (one or a
+    sequence) and cfg's power: (P,) outage counts ``near_outage`` and
+    ``far_outage``, or with domain=2 (P, 3) ``sum_rate`` moments."""
     target = np.array(targets, dtype=float).reshape(-1, 1)
     power = np.full_like(target, cfg.tx_power_w)
     return _run_chunk(cfg, schemes, target, power, seed, domain, chunk, n)
@@ -100,11 +101,11 @@ def test_trial_without_fading_is_deterministic():
     schemes = ("fixed", "fair", "improved-fair")
     t1 = _chunk(cfg, schemes, (0.5, 2.0), seed=1)
     t2 = _chunk(cfg, schemes, (0.5, 2.0), seed=999)
-    assert list(t1) == list(t2) == list(schemes)
-    for scheme in schemes:
-        assert t1[scheme].shape == (2, 2)
-        assert np.array_equal(t1[scheme], t2[scheme])
-        assert set(t1[scheme].ravel().tolist()) <= {0, 8}
+    assert list(t1) == list(t2) == [(s, k) for s in schemes for k in OUTAGE_KEYS]
+    for key, counts in t1.items():
+        assert counts.shape == (2,)
+        assert np.array_equal(counts, t2[key])
+        assert set(counts.tolist()) <= {0, 8}
 
 
 def test_trial_matches_manual_noma_chain():
@@ -122,9 +123,10 @@ def test_trial_matches_manual_noma_chain():
         # the paper's SINRs, written out in the reference, not noma.sinr
         near, far, rate, *_ = _reference_trial(cfg, scheme, target,
                                                (g_far, g_near))
-        assert got[scheme].tolist() == [[n * near, n * far]]
+        assert [got[scheme, k].tolist() for k in OUTAGE_KEYS] == [[n * near],
+                                                                 [n * far]]
         # every trial has the same rate, so its deviations are exactly 0
-        x0, dev, devsq = moments[scheme][0]
+        x0, dev, devsq = moments[scheme, "sum_rate"][0]
         assert_allclose(x0, rate, rtol=1e-12)
         assert dev == devsq == 0.0
 
@@ -146,9 +148,9 @@ def test_trial_replays_the_documented_draw_order():
 
 def test_vanishing_power_fails_both_users():
     cfg = SMALL.replace(tx_power_dbm=-300.0)
-    near, far = _chunk(cfg, ("fair",), 0.5, seed=2)["fair"][0]
-    assert near == far == 8
-    x0, dev, _ = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair"][0]
+    got = _chunk(cfg, ("fair",), 0.5, seed=2)
+    assert got["fair", "near_outage"][0] == got["fair", "far_outage"][0] == 8
+    x0, dev, _ = _chunk(cfg, ("fair",), 0.5, seed=2, domain=2)["fair", "sum_rate"][0]
     assert x0 + dev / 8 < 1e-12
 
 
@@ -158,8 +160,8 @@ def test_fair_far_outage_is_the_infeasibility_event():
     cfg = SMALL
     outages = 0
     for chunk in range(200):
-        _, far = _chunk(cfg, ("fair",), 0.25, seed=17, chunk=chunk,
-                        n=1)["fair"][0]
+        far = _chunk(cfg, ("fair",), 0.25, seed=17, chunk=chunk,
+                     n=1)["fair", "far_outage"][0]
         gains = _reference_gains(cfg, _chunk_rng(17, 1, chunk))
         *_, feasible = _reference_trial(cfg, "fair", 0.25, gains)
         assert far == (not feasible)
@@ -175,8 +177,9 @@ def test_improved_never_worse_for_near_user():
     for chunk in range(300):
         got = _chunk(cfg, ("fair", "improved-fair"), 0.25, seed=1000,
                      chunk=chunk, n=1)
-        assert got["improved-fair"][0, 0] <= got["fair"][0, 0]
-        better += got["improved-fair"][0, 0] < got["fair"][0, 0]
+        improved, fair = (got[s, "near_outage"][0] for s in ("improved-fair", "fair"))
+        assert improved <= fair
+        better += improved < fair
     assert better > 0
 
 
@@ -222,11 +225,16 @@ def test_integer_target_rate_gives_the_float_rows():
         assert np.array_equal(got[key], vals), key
 
 
-def test_sweep_results_identical_across_worker_counts(pool_starts):
-    spec = SweepSpec(grid=(1.0, 4.0), schemes=("fixed", "fair"), seed=9,
-                     trials=2100)
-    serial = run_outage_sweep(spec, SMALL)
-    parallel = run_outage_sweep(dataclasses.replace(spec, workers=3), SMALL)
+@pytest.mark.parametrize("run, schemes, grid", [
+    (run_outage_sweep, ("fixed", "fair"), (1.0, 4.0)),
+    (run_sumrate_sweep, ("fixed", "fair", "baseline"), (0.0, 30.0)),
+], ids=["outage", "sumrate"])
+def test_sweep_results_identical_across_worker_counts(pool_starts, run, schemes,
+                                                      grid):
+    # counts and moments alike merge in chunk order, wherever a chunk ran
+    spec = SweepSpec(grid=grid, schemes=schemes, seed=9, trials=2100)
+    serial = run(spec, SMALL)
+    parallel = run(dataclasses.replace(spec, workers=3), SMALL)
     assert pool_starts == [3]
     for scheme in spec.schemes:
         for key, vals in serial[scheme].items():
@@ -260,10 +268,13 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
     power = np.array([[point.tx_power_w] for point in points])
     counts = _run_chunk(cfg, schemes, target, power, 55, 1, 3, n)
     moments = _run_chunk(cfg, schemes, target, power, 55, 2, 3, n)
-    assert list(counts) == list(moments) == list(schemes)
+    assert list(counts) == [(s, k) for s in schemes for k in OUTAGE_KEYS]
+    assert list(moments) == [(s, "sum_rate") for s in schemes]
     for scheme in schemes:
-        assert counts[scheme].shape == (len(points), 2)
-        assert moments[scheme].shape == (len(points), 3)
+        for key in OUTAGE_KEYS:
+            assert counts[scheme, key].shape == (len(points),)
+            assert counts[scheme, key].dtype.kind == "i"
+        assert moments[scheme, "sum_rate"].shape == (len(points), 3)
         for i, point in enumerate(points):
             link = "baseline" if scheme == "baseline" else "thz"
             rng = _chunk_rng(55, 1, 3)
@@ -274,7 +285,8 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
                     _reference_gains(point, rng, link))
                 near += n_out
                 far += f_out
-            assert counts[scheme][i].tolist() == [near, far], (scheme, i)
+            assert [counts[scheme, k][i] for k in OUTAGE_KEYS] == [near, far], (
+                scheme, i)
             gains = _link_gains(point, _chunk_rng(55, 2, 3), n, scheme)
             rates = [_reference_trial(point, scheme, point.target_rate, g)[2]
                      for g in gains.T.tolist()]
@@ -282,8 +294,8 @@ def test_run_chunk_reduction_matches_trial_loop(cfg):
             for rate in rates:
                 dev += rate - rates[0]
                 devsq += (rate - rates[0]) * (rate - rates[0])
-            assert moments[scheme][i].tolist() == [rates[0], dev, devsq], (
-                scheme, i)
+            assert moments[scheme, "sum_rate"][i].tolist() == [rates[0], dev,
+                                                               devsq], (scheme, i)
 
 
 @pytest.mark.parametrize("shape_m, streams", [(1.0, 1), (3.0, 2)])
@@ -348,7 +360,8 @@ def test_chunk_evaluates_only_what_its_command_writes(monkeypatch, domain,
     n = BLOCK + 12
     got = _chunk(SMALL, ("fixed", "fair"), (0.5, 1.0, 2.0), n=n, domain=domain)
     assert sizes == [3 * n] * (2 * calls)
-    assert [v.shape for v in got.values()] == [(3, 2 if domain == 1 else 3)] * 2
+    want = [(3,)] * 4 if domain == 1 else [(3, 3)] * 2
+    assert [v.shape for v in got.values()] == want
 
 
 def _chunk_peak_bytes(points):
@@ -371,26 +384,48 @@ def test_chunk_memory_does_not_grow_with_the_grid():
     assert _chunk_peak_bytes(1000) < 1.5 * _chunk_peak_bytes(SLAB)
 
 
-def test_rate_stats_merge_matches_two_pass_variance():
+def _merged(chunks, sizes):
+    """(mean, stderr) of one moment key split over chunks of sizes."""
+    return _merge([{"rate": _moments(c)} for c in chunks], sizes)["rate"]
+
+
+def test_merge_matches_two_pass_variance_and_exact_counts():
     # the merged moments of chunks of 1024, 1024 and 512 rates give np.var
     # of all of them; with this offset sumsq/t - mean^2 is off by 2e-8
     rng = np.random.default_rng(4)
     sizes = [1024, 1024, 512]
-    rates = 7.0 + 1e-3 * rng.exponential(size=sum(sizes))
-    chunks = np.split(rates, np.cumsum(sizes)[:-1])
-    mean, stderr = _rate_stats([_moments(c) for c in chunks], sizes)
     t = sum(sizes)
+    rates = 7.0 + 1e-3 * rng.exponential(size=t)
+    chunks = np.split(rates, np.cumsum(sizes)[:-1])
+    mean, stderr = _merged(chunks, sizes)
     assert_allclose(mean, math.fsum(rates) / t, rtol=1e-15)
     assert_allclose(stderr ** 2 * t, np.var(rates), rtol=1e-12)
     # equal rates merge to exactly 0
-    _, flat = _rate_stats([_moments(np.full(k, 0.1)) for k in sizes], sizes)
+    _, flat = _merged([np.full(k, 0.1) for k in sizes], sizes)
     assert flat == 0.0
     # a stack of rate rows, one per grid point, merges row by row
-    rows = _rate_stats([_moments(np.stack([c, c[::-1]])) for c in chunks], sizes)
+    rows = _merged([np.stack([c, c[::-1]]) for c in chunks], sizes)
     for i, row in enumerate((chunks, [c[::-1] for c in chunks])):
-        one = _rate_stats([_moments(c) for c in row], sizes)
+        one = _merged(row, sizes)
         assert rows[0][i] == one[0]
         assert rows[1][i] == one[1]
+    # integer counts add: a share and its binomial stderr, exactly; a point
+    # that never or always has the event has stderr exactly 0
+    events = rng.random((4, t)) < np.array([[0.01], [0.5], [0.0], [1.0]])
+    counts = [np.count_nonzero(e, axis=-1)
+              for e in np.split(events, np.cumsum(sizes)[:-1], axis=-1)]
+    share, share_se = _merge([{"count": c} for c in counts], sizes)["count"]
+    want = np.count_nonzero(events, axis=-1) / t
+    assert np.array_equal(share, want)
+    assert np.array_equal(share_se, np.sqrt(want * (1.0 - want) / t))
+    assert share[2] == share_se[2] == share_se[3] == 0.0 and share[3] == 1.0
+    # a record with a count key and a moment key merges each as it would alone
+    mixed = _merge([{"count": c, "rate": _moments(r)}
+                    for c, r in zip(counts, chunks)], sizes)
+    assert list(mixed) == ["count", "rate"]
+    for key, alone in (("count", (share, share_se)), ("rate", (mean, stderr))):
+        for got, want in zip(mixed[key], alone):
+            assert np.array_equal(got, want), key
 
 
 def test_sweeps_check_scheme_names(tmp_path, capsys):
