@@ -14,10 +14,14 @@ power a, interference b and noise n, Hamdi's lemma (IEEE Trans. Commun.,
 
 In u = ln s the integrand is analytic in the strip |Im u| < pi at any
 m > 0 and decays at both ends, so the trapezoid rule with a fixed step
-converges geometrically. `_log_moment_gap` does that integral. At
-dimension 1 and m = 1, with signal 1, no interference and noise x, it is
-e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1): the exponential integral is the
-closed form at dimension 1.
+converges geometrically. `_log_moment_gap` does that integral over the
+spectrum's distinct entries, each weighted by its count, so its cost and
+its (nodes x distinct) temporaries scale with the distinct entries, not
+the dimension. Equal-spaced, centred ULAs make |D_j|^2 depend on the
+antenna offset alone: the default 16 x 16 link has 16 distinct entries
+of 256. At dimension 1 and m = 1, with signal 1, no interference and
+noise x, it is e^x E1(x) = E[ln(1 + Y / x)], Y ~ Exp(1): the exponential
+integral is the closed form at dimension 1.
 """
 
 from __future__ import annotations
@@ -33,19 +37,20 @@ _U_LO = -40.0
 _U_HI = 4.0
 
 
-def _log_moment_gap(a: np.ndarray, b: np.ndarray, m: float) -> float:
+def _log_moment_gap(a: np.ndarray, b: np.ndarray, counts: np.ndarray,
+                    m: float) -> float:
     """E[ln(1 + X_a)] - E[ln(1 + X_b)] in nats.
 
-    X_c = sum_i c_i Y_i, Y_i iid Gamma(m, 1/m), for a nonnegative spectrum
-    c. M_b - M_a = -M_b expm1(ln M_a - ln M_b) keeps its relative precision
-    as s -> 0. The integrand is below float resolution at both ends, so the
-    end weights are left at 1.
+    X_c = sum_i c_i Y_i, Y_i iid Gamma(m, 1/m), for a spectrum c >= 0 of
+    distinct entries, entry i counts[i] times. M_b - M_a = -M_b expm1(ln
+    M_a - ln M_b) keeps its relative precision as s -> 0. The integrand is
+    below float resolution at both ends, so the end weights are left at 1.
     """
     top = max(float(np.max(a, initial=0.0)), float(np.max(b, initial=0.0)))
     lo = _U_LO - math.log(max(top, 1.0))
     s = np.exp(_U_HI - _STEP * np.arange(math.ceil((_U_HI - lo) / _STEP) + 1))
-    log_ma = -m * np.log1p(np.multiply.outer(s, a / m)).sum(axis=1)
-    log_mb = -m * np.log1p(np.multiply.outer(s, b / m)).sum(axis=1)
+    log_ma = -m * (np.log1p(np.multiply.outer(s, a / m)) * counts).sum(axis=1)
+    log_mb = -m * (np.log1p(np.multiply.outer(s, b / m)) * counts).sum(axis=1)
     values = -np.exp(log_mb - s) * np.expm1(log_ma - log_mb)
     return math.fsum(values) * _STEP
 
@@ -67,10 +72,12 @@ def closed_form_capacity(w, signal_w: float, interference_w: float,
     if not 0 < shape_m < math.inf:
         raise ValueError("shape_m must be finite and > 0")
     w = np.asarray(w, dtype=float)
+    flat = w.ndim == 1
+    w, counts = np.unique(w, return_counts=True)  # a link's |D|^2 repeats
     with np.errstate(over="ignore", invalid="ignore"):
         a = (signal_w + interference_w) / noise_power_w * w
         b = interference_w / noise_power_w * w
         top = np.max(a, initial=0.0) / shape_m * math.exp(_U_HI)  # largest s a / m
-    if w.ndim != 1 or not (np.all(w >= 0) and top < math.inf):
+    if not (flat and np.all(w >= 0) and top < math.inf):
         raise ValueError("spectrum must be 1-D, >= 0 and finite scaled by the powers")
-    return _log_moment_gap(a, b, shape_m) / math.log(2.0)
+    return _log_moment_gap(a, b, counts, shape_m) / math.log(2.0)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -547,6 +548,22 @@ def test_validate_builds_the_direct_matrices_once(monkeypatch, capsys):
     assert main(["validate", "--seed", "7"]) == 0
     assert "validation passed" in capsys.readouterr().out
     assert sorted(calls) == [FAR, NEAR]
+
+
+def test_validate_peak_memory(capsys):
+    # the closed form's temporaries are (nodes x distinct entries), and the
+    # link's |D|^2 has 16 distinct entries per user of 256
+    argv = ["validate", "--tolerance-se", "5", "--seed", "7"]
+    assert main(argv) == 0  # first-call allocations are not counted
+    montecarlo._deterministic_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "validation passed" in capsys.readouterr().out
+    assert peak < 1.5e6
 
 
 def test_process_entry_freezes_the_heap_after_main(monkeypatch, capsys):

@@ -2,7 +2,9 @@
 and the exponential integral, Erlang log moments and repeated spectra the
 closed form reduces to."""
 
+import glob
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,9 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
 from thznoma import noma
+from thznoma.config import FAR, NEAR, parse_config
 from thznoma.ergodic import closed_form_capacity
+from thznoma.montecarlo import _deterministic_parts
 
 from exact import (_mgf_gap_quadrature, e1_scaled, ergodic_capacity_mc_oracle,
                    exp_integral_e1, random_psd)
@@ -276,3 +280,64 @@ def test_oracle_seeded_reproducibility():
     m1 = ergodic_capacity_mc_oracle(*link, 5000, np.random.default_rng(42))
     m2 = ergodic_capacity_mc_oracle(*link, 5000, np.random.default_rng(42))
     assert m1 == m2
+
+
+GOLDEN_INIS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden",
+                                            "*.ini")))
+
+
+def _link_powers(cfg, user):
+    # the rate chain's (signal, interference, noise) of validate
+    a, p = cfg.fixed_alpha_far, cfg.tx_power_w
+    signal, residual = (a, 1.0 - a) if user == FAR else (1.0 - a, 0.0)
+    return signal * p, residual * p, cfg.noise_power_w
+
+
+def test_link_spectrum_integrates_over_its_distinct_entries():
+    # the default link's 256 |D|^2 entries take 16 values, so the integral
+    # holds (nodes x 16) temporaries
+    cfg = parse_config(None)
+    w = _deterministic_parts(cfg, "thz")[0][FAR]
+    assert (w.size, np.unique(w).size) == (256, 16)
+    powers = _link_powers(cfg, FAR)
+    closed_form_capacity(w, *powers)  # first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        closed_form_capacity(w, *powers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+def test_entry_order_does_not_change_the_capacity():
+    rng = np.random.default_rng(21)
+    distinct = rng.uniform(0.1, 3.0, 40)
+    near = _deterministic_parts(parse_config(None), "thz")[0][NEAR]
+    repeated = near / near.mean()  # 256 entries, 16 distinct, of mean 1
+    for w in (distinct, repeated):
+        for powers in ((1.0, 0.3, 0.5), (4.0, 0.0, 2.0)):
+            want = closed_form_capacity(w, *powers, 0.5)
+            got = closed_form_capacity(rng.permutation(w), *powers, 0.5)
+            assert got == want
+    # each entry three times, grouped or interleaved
+    assert (closed_form_capacity(np.repeat(distinct, 3), 1.0, 0.3, 0.5, 2.0)
+            == closed_form_capacity(np.tile(distinct, 3), 1.0, 0.3, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("ini", [None] + GOLDEN_INIS,
+                         ids=["default"] + [os.path.basename(p)[:-4]
+                                            for p in GOLDEN_INIS])
+def test_link_capacity_matches_the_entrywise_quadrature(ini, shape_m):
+    # adaptive quadrature of the MGF gap over all M N entries, repeats kept
+    cfg = parse_config(ini)
+    dd = _deterministic_parts(cfg, "thz")[0]
+    for user in (FAR, NEAR):
+        signal, interference, noise = _link_powers(cfg, user)
+        a = (signal + interference) / noise * dd[user]
+        b = interference / noise * dd[user]
+        assert_allclose(closed_form_capacity(dd[user], signal, interference,
+                                             noise, shape_m),
+                        _mgf_gap_quadrature(a, b, shape_m) / math.log(2.0),
+                        rtol=1e-12, atol=0)
