@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
+import importlib.util
 import math
 import os
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -40,6 +39,9 @@ _DEFAULT_TRIALS = 100000
 _OUTAGE_GRID = "0.5:6:0.5"
 _SUMRATE_GRID = "0:30:6"
 _VALIDATE_TRIALS = 4096
+# hashlib's fallbacks for OpenSSL; Python 3.12 merged _sha256 and _sha512
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2", *(
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
 
 
 def _parse_grid(text: str) -> tuple:
@@ -90,6 +92,9 @@ def _write_atomic(path: str, data: str):
 
 def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig,
                     spec: SweepSpec, outputs: list):
+    # imported here: validate and print-config write no manifest
+    import json
+    from datetime import datetime, timezone
     manifest = {
         "command": command,
         "config": cfg.as_dict(),
@@ -278,7 +283,14 @@ def main(argv=None) -> int:
 
 def run():
     """The process entry of ``thznoma`` and ``python -m thznoma.cli``: main,
-    then a frozen heap, which the collections at exit skip; main freezes nothing."""
+    then a frozen heap, which the collections at exit skip; main freezes nothing.
+
+    Before main it keeps OpenSSL's libcrypto (3.6 MB) out of the process:
+    numpy.random imports hashlib only for OS-entropy seeds, which no command
+    draws. Without _hashlib, hashlib builds every hash from its builtin
+    modules, so run() blocks it only where all of them exist."""
+    if all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
+        sys.modules.setdefault("_hashlib", None)
     code = main()
     gc.freeze()
     sys.exit(code)

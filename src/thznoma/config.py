@@ -17,7 +17,6 @@ The scenario is the link: a run's trial and worker counts are a SweepSpec's.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -219,13 +218,13 @@ _SECTION_FIELDS = {
 }
 
 
-def _coerce(name: str, kind: str, raw: str):
+def _coerce(name: str, kind: str, raw: str, booleans: dict):
     raw = raw.strip()
     try:
         if kind == "str":
             return raw
         if kind == "bool":
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+            return booleans[raw.lower()]
         if kind == "tuple":
             if not raw:
                 return ()
@@ -246,6 +245,9 @@ def parse_config(path: str | None = None) -> ScenarioConfig:
     """
     values: dict = {}
     if path is not None:
+        # imported here: a run of the default scenario reads no INI file
+        import configparser
+
         # no header names the default section "", so [DEFAULT] is a section
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                            interpolation=None, default_section="")
@@ -263,7 +265,8 @@ def parse_config(path: str | None = None) -> ScenarioConfig:
             for key, raw in parser.items(section):
                 if key not in allowed:
                     raise ConfigError(key, f"a key of section [{section}]", key)
-                values[key] = _coerce(key, allowed[key], raw)
+                values[key] = _coerce(key, allowed[key], raw,
+                                       parser.BOOLEAN_STATES)
     return ScenarioConfig(**values)
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands: grids, CSV layout, manifests, exit codes, determinism."""
 
+import ast
 import concurrent.futures
 import functools
 import gc
@@ -64,17 +65,25 @@ def small_config(tmp_path):
     return str(path)
 
 
-def _modules_after_import(packages: tuple) -> str:
+def _modules_after_import(packages: tuple, argv: list = None) -> str:
     """The loaded modules of ``packages`` (and their submodules) after
-    ``import thznoma.cli`` in a fresh interpreter, as a printed list."""
+    ``import thznoma.cli`` in a fresh interpreter, as a printed list; with
+    ``argv``, after ``python -m thznoma.cli *argv`` instead, through ``run()``."""
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    report = ("print(sorted(m for m in sys.modules for p in "
+              f"{packages!r} if sys.modules[m] is not None "
+              "and (m == p or m.startswith(p + '.'))))")
+    code = f"import sys, thznoma.cli; {report}"
+    if argv is not None:
+        code = (f"import atexit, runpy, sys; atexit.register(lambda: {report}); "
+                f"sys.argv = ['thznoma', *{argv!r}]; "
+                "runpy.run_module('thznoma.cli', run_name='__main__', alter_sys=True)")
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, thznoma.cli; print(sorted("
-         f"m for m in sys.modules for p in {packages!r} "
-         "if m == p or m.startswith(p + '.')))"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         check=True, timeout=60)
-    return out.stdout.strip()
+    assert out.stderr == ""
+    return out.stdout.splitlines()[-1]
 
 
 def test_import_loads_no_scipy():
@@ -87,6 +96,49 @@ def test_import_loads_no_process_pool():
     # that runs a pool imports them
     assert _modules_after_import(("multiprocessing",
                                   "concurrent.futures.process")) == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    # 16 chunks of 72 + 12 * 3 evaluations: a 2-worker pool, whose
+    # multiprocessing imports hmac
+    (["outage", "--trials", "16384", "--workers", "2"], ["json"]),
+    (["sumrate", "--trials", "64"], ["json"]),
+    (["validate", "--seed", "7"], []),
+    (["print-config"], []),
+    (["print-config", "--config", "SMALL"], ["configparser"]),
+])
+def test_process_loads_only_what_its_command_runs(tmp_path, argv, loaded):
+    # OpenSSL's libcrypto is 3.6 MB of RSS that no command uses
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI, encoding="utf-8")
+    argv = [str(ini) if a == "SMALL" else a for a in argv]
+    if argv[0] in ("outage", "sumrate"):
+        argv += ["--out", str(tmp_path)]
+    found = ast.literal_eval(_modules_after_import(
+        ("_hashlib", "configparser", "json"), argv))
+    assert sorted({m.split(".")[0] for m in found}) == loaded
+
+
+def test_hashlib_keeps_openssl_without_a_builtin_hash(tmp_path):
+    # one missing fallback and hashlib would log an error per hash it
+    # could not build: run() then leaves _hashlib alone, and the output
+    # is the same
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    argv = ["sumrate", "--trials", "64", "--seed", "5"]
+    code = ("import atexit, sys; sys.modules['_md5'] = None; "
+            "atexit.register(lambda: print(sys.modules.get('_hashlib') is not None)); "
+            "from thznoma import cli; sys.argv = ['thznoma', *sys.argv[1:]]; cli.run()")
+    runs = []
+    for prefix in ([sys.executable, "-c", code], [sys.executable, "-m", "thznoma.cli"]):
+        out_dir = tmp_path / str(len(runs))
+        out = subprocess.run(prefix + argv + ["--out", str(out_dir)],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        runs.append((out, (out_dir / "sumrate.csv").read_bytes()))
+    (guarded, csv), (_, reference) = runs
+    assert (guarded.returncode, guarded.stderr) == (0, "")
+    assert guarded.stdout.splitlines()[-1] == "True"
+    assert csv == reference
 
 
 def test_parse_grid():
@@ -571,17 +623,21 @@ def test_process_entry_freezes_the_heap_after_main(monkeypatch, capsys):
     real_main = cli.main
 
     def recording_main(argv=None):
-        code = real_main(argv)
-        events.append("main")
-        return code
+        events.append(("main", sys.modules.get("_hashlib", False) is None))
+        return real_main(argv)
 
+    # run() meets no _hashlib entry, loaded or not, and monkeypatch
+    # restores the entry for later tests
+    monkeypatch.setitem(sys.modules, "_hashlib", None)
+    monkeypatch.delitem(sys.modules, "_hashlib")
     monkeypatch.setattr(cli, "main", recording_main)
     monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
     monkeypatch.setattr(sys, "argv", ["thznoma", "print-config"])
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 0
-    assert events == ["main", "freeze"]
+    # the block is in place when main starts, and the freeze follows main
+    assert events == [("main", True), "freeze"]
     assert capsys.readouterr().out == render_config(parse_config())
 
 
