@@ -30,7 +30,7 @@ from .config import (FAR, NEAR, ConfigError, ScenarioConfig, parse_config,
 from .ergodic import closed_form_capacity
 from .montecarlo import (OUTAGE_SCHEMES, SUMRATE_SCHEMES, SweepSpec,
                          _chunk_gains, _deterministic_parts, _gain_moments,
-                         _merge, _moments, _plan, run_outage_sweep,
+                         _merge, _plan, _reduce, run_outage_sweep,
                          run_sumrate_sweep)
 from .noma import capacity, sinr
 
@@ -123,14 +123,13 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(grid=_parse_grid(args.grid), schemes=schemes,
                      seed=args.seed, trials=args.trials,
                      workers=args.workers)
-    series = sweep(spec, cfg)
+    record = sweep(spec, cfg)
     lines = [header]
     for i, value in enumerate(spec.grid):
         for scheme in spec.schemes:
-            s = series[scheme]
             for label, key in columns:
-                lines.append(",".join([_fmt(value), scheme, *label, _fmt(s[key][i]),
-                                       _fmt(s[f"{key}_stderr"][i])]))
+                lines.append(",".join([_fmt(value), scheme, *label,
+                                       *(_fmt(v[i]) for v in record[scheme, key])]))
     name = f"{args.command}.csv"
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, name)
@@ -179,9 +178,9 @@ def _cmd_validate(args) -> int:
                 direct = g
                 continue
             mean, var = _gain_moments(cfg, link, shape_m)
-            # the sweep's (mean, stderr) per user; a constant sample has stderr 0
-            record = {"g": _moments(g), "sq": _moments((g - mean[:, None]) ** 2)}
-            (g_mean, _), (sq_mean, sq_se) = _merge([record], [n]).values()
+            # the sweep's (mean, stderr) of g and (g - E[g])^2; a constant has stderr 0
+            (g_mean, sq_mean), (_, sq_se) = _merge([{"law": _reduce(np.stack(
+                [g, (g - mean[:, None]) ** 2]))}], [n])["law"]
             for user, name in ((FAR, "far"), (NEAR, "near")):
                 label = f"{link} m {shape_m:g} {name}"
                 failures += not _check(f"{label} mean", g_mean[user], mean[user],
@@ -194,13 +193,14 @@ def _cmd_validate(args) -> int:
         print("  (blind to the envelope law: a gain's M*N like terms average "
               "it out; the gain law sees it)")
         w = _deterministic_parts(cfg, "direct")[0]
-        for user, name, signal, residual in ((FAR, "far", a, 1.0 - a),
-                                             (NEAR, "near", 1.0 - a, 0.0)):
-            rate, se = _merge([{name: _moments(capacity(
-                sinr(direct[user], signal, residual, p, s2)))}], [n])[name]
-            exact = closed_form_capacity(w[user], signal * p, residual * p, s2,
-                                         cfg.shape_m)
-            failures += not _check(f"{name} rate", rate, exact, se, exact, tol)
+        # (2, 1) columns in user order: far share a over 1 - a, near 1 - a alone
+        signal, residual = np.array([[[a], [1.0 - a]], [[1.0 - a], [0.0]]])
+        rate, se = _merge([{"rate": _reduce(capacity(
+            sinr(direct, signal, residual, p, s2)))}], [n])["rate"]
+        for user, name in ((FAR, "far"), (NEAR, "near")):
+            exact = closed_form_capacity(w[user], signal[user, 0] * p,
+                                         residual[user, 0] * p, s2, cfg.shape_m)
+            failures += not _check(f"{name} rate", rate[user], exact, se[user], exact, tol)
     else:
         print("  skipped: the closed form models a faded link")
 

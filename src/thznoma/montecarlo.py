@@ -1,7 +1,7 @@
 """Monte Carlo outage and sum-rate sweeps.
 
-A sweep runs a SweepSpec (grid, schemes, seed, trial and worker counts)
-over a ScenarioConfig, the link. Every grid point is a ScenarioConfig: the
+A sweep runs a SweepSpec (grid, schemes, seed, trial and worker counts) over
+a ScenarioConfig, the link. Every grid point is a ScenarioConfig: the
 sweep's scenario with one field replaced, the target rate R_m = R_n for
 ``outage`` and the transmit power for ``sumrate``, validated like any
 scenario. Neither swept field enters the channel, so the grid is an array
@@ -10,15 +10,16 @@ axis of the kernel. A link is a channel builder and an envelope law:
 ``"baseline"`` the free-space reference channel, Rayleigh faded, and
 ``validate``'s ``"direct"`` the THz link without its surface. A task holds
 the scheme names, the first point's scenario and two (P, 1) columns, every
-point's target rate and transmit power. A chunk groups the links its
-schemes need by Nakagami shape m, the one thing that tells two links'
-envelope laws apart (``_plan``: {m: {link: [scheme, ...]}}), draws each
-group's gains once and evaluates each scheme over all P points (common
-random numbers), giving a record {(scheme, key): counts or ``_moments``}
-with a row per point, taking the grid in slabs of at most SLAB points so
-its temporaries are (SLAB, n) however long the grid is. Each point's
-estimate is its own marginal one; differences between points and schemes
-are paired. Every link's stream has the chunk's key, so where the
+point's target rate and transmit power. A chunk groups the links its schemes
+need by Nakagami shape m, the one thing that tells two links' envelope laws
+apart (``_plan``: {m: {link: [scheme, ...]}}), draws each group's gains once
+and evaluates each scheme over all P points (common random numbers), taking
+the grid in slabs of at most SLAB points so its temporaries are (SLAB, n)
+however long the grid is. ``_reduce`` turns each scheme's per-trial outcomes
+into the chunk's record {(scheme, key): count or moments}, ``_merge`` the
+chunks' records into the sweep's {(scheme, key): (mean, stderr)}. Each
+point's estimate is its own marginal one; differences between points and
+schemes are paired. Every link's stream has the chunk's key, so where the
 baseline's m equals the THz link's (the default m = 1) it shares that draw.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
@@ -186,23 +187,26 @@ def _chunk_gains(shape_m: float, cfg: ScenarioConfig, links,
     return gains
 
 
-def _moments(rate: np.ndarray) -> np.ndarray:
-    """(..., 3) moments (x0, S, Q) of rates along the last axis, each sum in
-    trial order: S and Q sum x - x0 and (x - x0)^2 about the first rate x0.
-    The shift keeps an unfaded sweep's stderr exactly 0."""
-    x0 = rate[..., :1]
-    dev = rate - x0
+def _reduce(outcome: np.ndarray) -> np.ndarray:
+    """An outcome's record entry over its last (trial) axis, by dtype as
+    ``_merge`` merges it: an event's count, or a float's (..., 3) moments,
+    its first value x0 and the trial-order sums of x - x0 and (x - x0)^2;
+    the shift keeps an unfaded sweep's stderr exactly 0."""
+    if outcome.dtype == bool:
+        return np.count_nonzero(outcome, axis=-1)
+    x0 = outcome[..., :1]
+    dev = outcome - x0
     return np.stack([x0[..., 0], np.add.accumulate(dev, axis=-1)[..., -1],
                      np.add.accumulate(dev * dev, axis=-1)[..., -1]], axis=-1)
 
 
-def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
-                 g_near: np.ndarray, cfg: ScenarioConfig, target: np.ndarray,
-                 power: np.ndarray) -> dict:
-    """One scheme's record over a chunk, a row per grid point: (P,) integer
-    outage counts ``near_outage`` and ``far_outage`` for ``outage``, (P, 3)
-    ``_moments`` ``sum_rate`` for ``sumrate``. The (n,) gains broadcast
-    against the (P, 1) columns ``target`` (R = R_m = R_n) and ``power`` (W).
+def _scheme_outcomes(domain: int, scheme: str, g_far: np.ndarray,
+                     g_near: np.ndarray, cfg: ScenarioConfig,
+                     target: np.ndarray, power: np.ndarray) -> dict:
+    """One scheme's per-trial outcomes over a chunk, (P, n) arrays: events
+    ``near_outage`` and ``far_outage`` for ``outage``, float ``sum_rate``
+    for ``sumrate``. The (n,) gains broadcast against the (P, 1) columns
+    ``target`` (R = R_m = R_n) and ``power`` (W).
 
     Power is allocated per the scheme from the far user's instantaneous
     gain. On the feasible fair branch the far capacity is R_m identically
@@ -220,11 +224,10 @@ def _scheme_sums(domain: int, scheme: str, g_far: np.ndarray,
                      capacity(sinr(g_far, a_far, a_near, power, s2)))
     c_near = capacity(sinr(g_near, a_near, 0.0, power, s2))
     if domain == _DOMAIN_SUMRATE:
-        return {"sum_rate": _moments(c_far + c_near)}
+        return {"sum_rate": c_far + c_near}
     c_cross = capacity(sinr(g_near, a_far, a_near, power, s2))
-    events = outage_indicators(c_cross, c_near, c_far, target, a_far)
-    return {key: np.count_nonzero(e, axis=-1)
-            for key, e in zip(("near_outage", "far_outage"), events)}
+    return dict(zip(("near_outage", "far_outage"),
+                    outage_indicators(c_cross, c_near, c_far, target, a_far)))
 
 
 def _plan(cfg: ScenarioConfig, schemes: tuple) -> dict:
@@ -242,36 +245,36 @@ def _plan(cfg: ScenarioConfig, schemes: tuple) -> dict:
 def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
                power: np.ndarray, seed: int, domain: int, chunk: int,
                n: int) -> dict:
-    """The chunk's record {(scheme, key): array}: each scheme's
-    ``_scheme_sums``, with a row per point.
+    """The chunk's record {(scheme, key): ``_reduce``d ``_scheme_outcomes``}.
 
     ``cfg`` is the first point's scenario; ``target`` and ``power`` are
     every point's (P, 1) columns. Each shape group of ``_plan`` opens the
     chunk's stream once. SIC roles go by ascending gain; tied gains are
     equal. Every row is the same elementwise computation, so taking the
-    grid in slabs of SLAB rows changes no bit.
+    grid in slabs of SLAB rows, each reduced before the next, changes no bit.
     """
-    sums = {}
+    record = {}
     for shape_m, links in _plan(cfg, schemes).items():
         gains = _chunk_gains(shape_m, cfg, links, _chunk_rng(seed, domain, chunk), n)
         for served, g in zip(links.values(), gains):
             g_far, g_near = np.sort(g, axis=0)
             for scheme in served:
-                slabs = [_scheme_sums(domain, scheme, g_far, g_near, cfg,
-                                      target[i:i + SLAB], power[i:i + SLAB])
-                         for i in range(0, len(target), SLAB)]
+                slabs = [{key: _reduce(x) for key, x in _scheme_outcomes(
+                    domain, scheme, g_far, g_near, cfg, target[i:i + SLAB],
+                    power[i:i + SLAB]).items()}
+                    for i in range(0, len(target), SLAB)]
                 for key in slabs[0]:
-                    sums[scheme, key] = np.concatenate([s[key] for s in slabs])
-    return sums
+                    record[scheme, key] = np.concatenate([s[key] for s in slabs])
+    return record
 
 
 def _merge(parts: list, sizes: list) -> dict:
-    """{key: (mean, stderr)}, arrays over the key's leading axes, of the
-    chunks' records of sizes trials, each key merged in chunk order by kind.
-    Integer counts add, to a share p of the t trials with stderr sqrt(p (1 -
-    p) / t). ``_moments`` merge by the pairwise update of Chan, Golub and
-    LeVeque (Am. Stat., 1983), one running mean and sum of squared
-    deviations: nothing cancels, and equal values give exactly 0."""
+    """The merged record {key: (mean, stderr)}, arrays over the key's leading
+    axes, of the chunks' records of sizes trials, each key merged in chunk
+    order by ``_reduce``'s kind. Integer counts add, to a share p of the t
+    trials with stderr sqrt(p (1 - p) / t). Moments merge by the pairwise
+    update of Chan, Golub and LeVeque (Am. Stat., 1983), one running mean and
+    sum of squared deviations: nothing cancels, and equal values give 0."""
     merged = {}
     for key in parts[0]:
         series = [part[key] for part in parts]
@@ -292,8 +295,8 @@ def _merge(parts: list, sizes: list) -> dict:
 
 def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
                swept: str, allowed: tuple) -> dict:
-    """{scheme: {key: mean, key_stderr: stderr}} over spec.grid, for every
-    key of the chunks' records, by ``_merge``. Schemes must be in ``allowed``."""
+    """The chunks' merged record {(scheme, key): (mean, stderr)}, two
+    (P,) arrays over spec.grid, by ``_merge``. Schemes must be in ``allowed``."""
     for s in spec.schemes:
         if s not in allowed:
             raise ConfigError("schemes", f"one of {allowed}", s)
@@ -321,10 +324,7 @@ def _run_sweep(spec: SweepSpec, cfg: ScenarioConfig, domain: int,
             executor.shutdown(cancel_futures=True)
     else:
         parts = [_run_chunk(*t) for t in tasks]
-    series = {s: {} for s in spec.schemes}
-    for (scheme, key), (mean, stderr) in _merge(parts, sizes).items():
-        series[scheme].update({key: mean, f"{key}_stderr": stderr})
-    return series
+    return _merge(parts, sizes)
 
 
 def run_outage_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> dict:

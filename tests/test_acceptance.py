@@ -159,17 +159,15 @@ def test_criterion_3_outage_trends():
     spec = SweepSpec(grid=grid, schemes=("fixed", "fair", "improved-fair"),
                      seed=SEED_SWEEPS, trials=100_000)
     res = run_outage_sweep(spec, cfg)
-    fixed_far = res["fixed"]["far_outage"]
-    fixed_se = res["fixed"]["far_outage_stderr"]
-    fair_far = res["fair"]["far_outage"]
-    fair_se = res["fair"]["far_outage_stderr"]
+    fixed_far, fixed_se = res["fixed", "far_outage"]
+    fair_far, fair_se = res["fair", "far_outage"]
     nondecreasing = bool(np.all(np.diff(fixed_far) >= 0))
     gap_ok = all(
         fixed_far[i] - fair_far[i] >= 3.0 * math.hypot(fixed_se[i], fair_se[i])
         for i, r in enumerate(grid) if r >= 2.0)
     i5 = grid.index(5.0)
-    fair_near = res["fair"]["near_outage"][i5]
-    improved_near = res["improved-fair"]["near_outage"][i5]
+    fair_near = res["fair", "near_outage"][0][i5]
+    improved_near = res["improved-fair", "near_outage"][0][i5]
     margin = (fair_near - improved_near) / fair_near
     elapsed = time.monotonic() - t0
     ok = nondecreasing and gap_ok and 0.10 <= margin <= 0.70 and elapsed < 600.0
@@ -194,11 +192,11 @@ def test_criterion_4_sum_rate_trends():
                      schemes=("fixed", "fair", "improved-fair", "baseline"),
                      seed=SEED_SWEEPS, trials=100_000)
     res = run_sumrate_sweep(spec, cfg)
-    monotone = all(bool(np.all(np.diff(res[s]["sum_rate"]) >= 0))
+    monotone = all(bool(np.all(np.diff(res[s, "sum_rate"][0]) >= 0))
                    for s in spec.schemes)
-    fair30 = res["fair"]["sum_rate"][-1]
-    fixed30 = res["fixed"]["sum_rate"][-1]
-    base30 = res["baseline"]["sum_rate"][-1]
+    fair30 = res["fair", "sum_rate"][0][-1]
+    fixed30 = res["fixed", "sum_rate"][0][-1]
+    base30 = res["baseline", "sum_rate"][0][-1]
     gain_fixed = fair30 / fixed30 - 1.0
     gain_base = fair30 / base30 - 1.0
     elapsed = time.monotonic() - t0

@@ -20,7 +20,7 @@ from thznoma.config import FAR, NEAR, ConfigError, ScenarioConfig
 from thznoma.montecarlo import (BLOCK, CHUNK, SLAB, SUMRATE_SCHEMES, SweepSpec,
                                 _chunk_gains, _chunk_rng, _chunk_sizes,
                                 _deterministic_parts, _gain_moments, _merge,
-                                _moments, _plan, _run_chunk, run_outage_sweep,
+                                _plan, _reduce, _run_chunk, run_outage_sweep,
                                 run_sumrate_sweep)
 from thznoma.noma import capacity
 
@@ -28,6 +28,14 @@ from exact import _reference_trial, channel_gain, fixed_sum_rate_closed_form
 
 SMALL = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=16)
 OUTAGE_KEYS = ("near_outage", "far_outage")
+
+
+def _assert_same_record(got, want):
+    """Two sweeps' merged records hold the same entries, bit for bit."""
+    assert list(got) == list(want)
+    for key, entry in want.items():
+        for a, b in zip(got[key], entry):
+            assert np.array_equal(a, b), key
 
 
 def test_chunk_layout_is_frozen():
@@ -186,43 +194,59 @@ def test_improved_never_worse_for_near_user():
 def test_outage_sweep_shapes_and_ranges():
     spec = SweepSpec(grid=(0.5, 2.0, 6.0), schemes=("fixed", "fair"), seed=5,
                      trials=600)
-    series = run_outage_sweep(spec, SMALL)
-    assert set(series) == {"fixed", "fair"}
-    for scheme in spec.schemes:
-        s = series[scheme]
-        assert list(s) == ["near_outage", "near_outage_stderr", "far_outage",
-                           "far_outage_stderr"]
-        for key in ("near_outage", "far_outage"):
-            p = s[key]
-            assert p.shape == (3,)
-            assert np.all((p >= 0) & (p <= 1))
-            se = s[key + "_stderr"]
-            assert_allclose(se, np.sqrt(p * (1 - p) / 600), rtol=1e-12)
-            assert np.all(se <= 0.5 / math.sqrt(600) + 1e-15)
+    record = run_outage_sweep(spec, SMALL)
+    assert list(record) == [(s, k) for s in spec.schemes for k in OUTAGE_KEYS]
+    for p, se in record.values():
+        assert p.shape == (3,)
+        assert np.all((p >= 0) & (p <= 1))
+        assert_allclose(se, np.sqrt(p * (1 - p) / 600), rtol=1e-12)
+        assert np.all(se <= 0.5 / math.sqrt(600) + 1e-15)
 
 
 def test_sumrate_sweep_monotone_in_power():
     spec = SweepSpec(grid=(0.0, 15.0, 30.0), schemes=("fixed", "baseline"),
                      seed=6, trials=400)
-    series = run_sumrate_sweep(spec, SMALL)
-    for scheme in spec.schemes:
-        assert list(series[scheme]) == ["sum_rate", "sum_rate_stderr"]
-        rates = series[scheme]["sum_rate"]
+    record = run_sumrate_sweep(spec, SMALL)
+    assert list(record) == [(s, "sum_rate") for s in spec.schemes]
+    for rates, _ in record.values():
         assert rates.shape == (3,)
         assert np.all(np.diff(rates) > 0)
     # THz+RIS link beats the free-space reference at equal power
-    assert np.all(series["fixed"]["sum_rate"] > series["baseline"]["sum_rate"])
+    assert np.all(record["fixed", "sum_rate"][0] > record["baseline", "sum_rate"][0])
+
+
+@pytest.mark.parametrize("command, run, grid, schemes", [
+    ("outage", run_outage_sweep, "0.5:3:1.25", ("fixed", "fair", "improved-fair")),
+    ("sumrate", run_sumrate_sweep, "0:30:15", SUMRATE_SCHEMES),
+], ids=["outage", "sumrate"])
+def test_sweep_returns_the_merged_record(tmp_path, command, run, grid, schemes):
+    # the record holds exactly the (scheme, key) entries the command's CSV
+    # writes, each a (mean, stderr) pair of (P,) arrays that it prints
+    spec = SweepSpec(grid=cli._parse_grid(grid), schemes=schemes, seed=4,
+                     trials=300)
+    record = run(spec, ScenarioConfig())
+    assert cli.main([command, "--grid", grid, "--schemes", ",".join(schemes),
+                     "--seed", "4", "--trials", "300", "--out", str(tmp_path)]) == 0
+    written = {}
+    for row in (tmp_path / f"{command}.csv").read_text().splitlines()[1:]:
+        _, scheme, *user, mean, stderr = row.split(",")
+        key = f"{user[0]}_outage" if user else "sum_rate"
+        written.setdefault((scheme, key), []).append([mean, stderr])
+    assert sorted(record) == sorted(written)
+    for key, entry in record.items():
+        assert len(entry) == 2
+        assert [v.shape for v in entry] == [(len(spec.grid),)] * 2
+        assert written[key] == [[cli._fmt(m), cli._fmt(s)] for m, s in zip(*entry)]
 
 
 def test_integer_target_rate_gives_the_float_rows():
     # a scenario built in Python may carry an int rate; the far rate the
     # fair scheme pins must not turn the capacities into integers
     spec = SweepSpec(grid=(30.0,), schemes=("fair",), seed=1, trials=500)
-    got = run_sumrate_sweep(spec, SMALL.replace(target_rate=1))["fair"]
-    want = run_sumrate_sweep(spec, SMALL.replace(target_rate=1.0))["fair"]
-    assert want["sum_rate"][0] > 0.0
-    for key, vals in want.items():
-        assert np.array_equal(got[key], vals), key
+    got = run_sumrate_sweep(spec, SMALL.replace(target_rate=1))
+    want = run_sumrate_sweep(spec, SMALL.replace(target_rate=1.0))
+    assert want["fair", "sum_rate"][0][0] > 0.0
+    _assert_same_record(got, want)
 
 
 @pytest.mark.parametrize("run, schemes, grid", [
@@ -236,17 +260,12 @@ def test_sweep_results_identical_across_worker_counts(pool_starts, run, schemes,
     serial = run(spec, SMALL)
     parallel = run(dataclasses.replace(spec, workers=3), SMALL)
     assert pool_starts == [3]
-    for scheme in spec.schemes:
-        for key, vals in serial[scheme].items():
-            assert np.array_equal(vals, parallel[scheme][key]), (scheme, key)
+    _assert_same_record(parallel, serial)
 
 
 def test_rerun_is_bit_identical():
     spec = SweepSpec(grid=(2.0,), schemes=("fair",), seed=77, trials=700)
-    r1 = run_outage_sweep(spec, SMALL)
-    r2 = run_outage_sweep(spec, SMALL)
-    for key, vals in r1["fair"].items():
-        assert np.array_equal(vals, r2["fair"][key])
+    _assert_same_record(run_outage_sweep(spec, SMALL), run_outage_sweep(spec, SMALL))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -384,9 +403,38 @@ def test_chunk_memory_does_not_grow_with_the_grid():
     assert _chunk_peak_bytes(1000) < 1.5 * _chunk_peak_bytes(SLAB)
 
 
+def _parent_moments(rate):
+    """The (x0, S, Q) moments as a chunk formed them before ``_reduce``:
+    the first rate and the trial-order sums of the deviations from it and
+    of their squares."""
+    x0 = rate[..., :1]
+    dev = rate - x0
+    return np.stack([x0[..., 0], np.add.accumulate(dev, axis=-1)[..., -1],
+                     np.add.accumulate(dev * dev, axis=-1)[..., -1]], axis=-1)
+
+
+def test_reduce_counts_events_and_keeps_the_moments():
+    # one reducer for every outcome, split by dtype as _merge splits: an
+    # event gives its integer count, a float the moments, bit for bit
+    rng = np.random.default_rng(8)
+    events = rng.random((4, 1000)) < np.array([[0.0], [0.3], [0.9], [1.0]])
+    counts = _reduce(events)
+    assert counts.dtype.kind == "i"
+    assert np.array_equal(counts, np.count_nonzero(events, axis=-1))
+    assert counts[0] == 0 and counts[3] == 1000
+    for rates in (7.0 + 1e-3 * rng.exponential(size=1000),
+                  rng.standard_normal((3, 2, 777)), np.full((2, 5), 0.1)):
+        got = _reduce(rates)
+        assert got.dtype == rates.dtype
+        assert got.shape == rates.shape[:-1] + (3,)
+        assert np.array_equal(got, _parent_moments(rates))
+    # a constant outcome deviates by exactly 0
+    assert not np.any(_reduce(np.full((2, 5), 0.1))[..., 1:])
+
+
 def _merged(chunks, sizes):
     """(mean, stderr) of one moment key split over chunks of sizes."""
-    return _merge([{"rate": _moments(c)} for c in chunks], sizes)["rate"]
+    return _merge([{"rate": _reduce(c)} for c in chunks], sizes)["rate"]
 
 
 def test_merge_matches_two_pass_variance_and_exact_counts():
@@ -420,7 +468,7 @@ def test_merge_matches_two_pass_variance_and_exact_counts():
     assert np.array_equal(share_se, np.sqrt(want * (1.0 - want) / t))
     assert share[2] == share_se[2] == share_se[3] == 0.0 and share[3] == 1.0
     # a record with a count key and a moment key merges each as it would alone
-    mixed = _merge([{"count": c, "rate": _moments(r)}
+    mixed = _merge([{"count": c, "rate": _reduce(r)}
                     for c, r in zip(counts, chunks)], sizes)
     assert list(mixed) == ["count", "rate"]
     for key, alone in (("count", (share, share_se)), ("rate", (mean, stderr))):
@@ -558,9 +606,7 @@ def test_pooled_parent_builds_no_channel(monkeypatch, pool_starts):
     # the count does see an in-process build, and the pool ran the sweep
     alone = run_sumrate_sweep(spec, SMALL)
     assert calls
-    for scheme in spec.schemes:
-        for key, vals in alone[scheme].items():
-            assert np.array_equal(pooled[scheme][key], vals), (scheme, key)
+    _assert_same_record(pooled, alone)
 
 
 def test_dead_pool_is_a_value_error(monkeypatch):
@@ -595,10 +641,10 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
         value = grid[i]
         one = run(SweepSpec(grid=(value,), schemes=schemes, seed=3,
                             trials=CHUNK + 100), SMALL)
-        for scheme in schemes:
-            for key, vals in one[scheme].items():
-                assert vals.tolist() == [full[scheme][key][i]], (
-                    value, scheme, key)
+        assert list(one) == list(full)
+        for key, entry in one.items():
+            for vals, full_vals in zip(entry, full[key]):
+                assert vals.tolist() == [full_vals[i]], (value, key)
 
 
 @pytest.mark.parametrize("shape_m", [0.5, 3.0], ids=["m0.5", "m3"])
@@ -607,10 +653,10 @@ def test_no_surface_sweep_fixed_sum_rate_matches_closed_form(shape_m):
     # roles never swap; every row lies within 4 SE of the exact value
     cfg = ScenarioConfig(ris_elements=0, shape_m=shape_m)
     grid = (0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
-    out = run_sumrate_sweep(
+    rates, ses = run_sumrate_sweep(
         SweepSpec(grid=grid, schemes=("fixed",), seed=1, trials=4096),
-        cfg)["fixed"]
-    for dbm, rate, se in zip(grid, out["sum_rate"], out["sum_rate_stderr"]):
+        cfg)["fixed", "sum_rate"]
+    for dbm, rate, se in zip(grid, rates, ses):
         exact = fixed_sum_rate_closed_form(cfg.replace(tx_power_dbm=dbm))
         assert abs(rate - exact) <= 4.0 * se, dbm
 
