@@ -169,24 +169,22 @@ def _cmd_validate(args) -> int:
 
     print(f"gain law: {n} draws of each link through the sweep's sampler "
           f"(tolerance {tol:g} std errors)")
-    plan = _plan(cfg, SUMRATE_SCHEMES)
-    if cfg.fading_enabled:  # the rate chain's link, drawn with the THz link
-        plan[cfg.shape_m]["direct"] = []
-    for shape_m, links in plan.items():
-        for link, g in zip(links, _chunk_gains(shape_m, cfg, links, rng, n)):
-            if link == "direct":
-                direct = g
-                continue
-            mean, var = _gain_moments(cfg, link, shape_m)
-            # the sweep's (mean, stderr) of g and (g - E[g])^2; a constant has stderr 0
-            (g_mean, sq_mean), (_, sq_se) = _merge([{"law": _reduce(np.stack(
-                [g, (g - mean[:, None]) ** 2]))}], [n])["law"]
-            for user, name in ((FAR, "far"), (NEAR, "near")):
-                label = f"{link} m {shape_m:g} {name}"
-                failures += not _check(f"{label} mean", g_mean[user], mean[user],
-                                       math.sqrt(var[user] / n), mean[user], tol)
-                failures += not _check(f"{label} variance", sq_mean[user],
-                                       var[user], sq_se[user], mean[user] ** 2, tol)
+    laws = dict.fromkeys(_plan(cfg, SUMRATE_SCHEMES).values())
+    # the rate chain's link, drawn with the THz link
+    rate_link = [(cfg.shape_m, "direct")] if cfg.fading_enabled else []
+    gains = _chunk_gains(cfg, [*laws, *rate_link], lambda: rng, n)
+    for shape_m, link in laws:
+        g = gains[link]
+        mean, var = _gain_moments(cfg, link, shape_m)
+        # the sweep's (mean, stderr) of g and (g - E[g])^2; a constant has stderr 0
+        (g_mean, sq_mean), (_, sq_se) = _merge([{"law": _reduce(np.stack(
+            [g, (g - mean[:, None]) ** 2]))}], [n])["law"]
+        for user, name in ((FAR, "far"), (NEAR, "near")):
+            label = f"{link} m {shape_m:g} {name}"
+            failures += not _check(f"{label} mean", g_mean[user], mean[user],
+                                   math.sqrt(var[user] / n), mean[user], tol)
+            failures += not _check(f"{label} variance", sq_mean[user],
+                                   var[user], sq_se[user], mean[user] ** 2, tol)
 
     print("rate chain: fixed allocation without the surface vs the closed form")
     if cfg.fading_enabled:
@@ -196,7 +194,7 @@ def _cmd_validate(args) -> int:
         # (2, 1) columns in user order: far share a over 1 - a, near 1 - a alone
         signal, residual = np.array([[[a], [1.0 - a]], [[1.0 - a], [0.0]]])
         rate, se = _merge([{"rate": _reduce(capacity(
-            sinr(direct, signal, residual, p, s2)))}], [n])["rate"]
+            sinr(gains["direct"], signal, residual, p, s2)))}], [n])["rate"]
         for user, name in ((FAR, "far"), (NEAR, "near")):
             exact = closed_form_capacity(w[user], signal[user, 0] * p,
                                          residual[user, 0] * p, s2, cfg.shape_m)

@@ -57,10 +57,10 @@ _FINITE = ("a finite value", _number)
 _ABOVE_ZERO = ("a finite value > 0", lambda v: _number(v) and v > 0)
 _NOT_NEGATIVE = ("a finite value >= 0", lambda v: _number(v) and v >= 0)
 _SHARE = ("a value in [0, 1]", lambda v: _number(v) and 0 <= v <= 1)
-# the channel squares each link distance; below about 1.6e-162 m the
-# square underflows to 0 and puts aligned antennas 0 m apart
-_DISTANCE = ("a finite value > 0 whose square is > 0",
-             lambda v: _number(v) and v > 0 and v * v > 0)
+# the channel squares each link distance: below about 1.6e-162 m the square
+# underflows to 0 (aligned antennas 0 m apart), above about 1.34e154 m it overflows
+_DISTANCE = ("a finite value > 0 whose square is finite and > 0",
+             lambda v: _number(v) and v > 0 and 0 < float(v) * v < math.inf)
 
 
 def _declare(section: str, default, check: tuple):

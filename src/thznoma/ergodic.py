@@ -37,6 +37,11 @@ _U_LO = -40.0
 _U_HI = 4.0
 
 
+def _log_mgf(s: np.ndarray, w: np.ndarray, counts: np.ndarray, m: float):
+    """ln M(s) = -m sum_i counts_i ln(1 + s w_i / m) of X_w, at each node s."""
+    return -m * (np.log1p(np.multiply.outer(s, w / m)) * counts).sum(axis=1)
+
+
 def _log_moment_gap(a: np.ndarray, b: np.ndarray, counts: np.ndarray,
                     m: float) -> float:
     """E[ln(1 + X_a)] - E[ln(1 + X_b)] in nats.
@@ -49,8 +54,7 @@ def _log_moment_gap(a: np.ndarray, b: np.ndarray, counts: np.ndarray,
     top = max(float(np.max(a, initial=0.0)), float(np.max(b, initial=0.0)))
     lo = _U_LO - math.log(max(top, 1.0))
     s = np.exp(_U_HI - _STEP * np.arange(math.ceil((_U_HI - lo) / _STEP) + 1))
-    log_ma = -m * (np.log1p(np.multiply.outer(s, a / m)) * counts).sum(axis=1)
-    log_mb = -m * (np.log1p(np.multiply.outer(s, b / m)) * counts).sum(axis=1)
+    log_ma, log_mb = _log_mgf(s, a, counts, m), _log_mgf(s, b, counts, m)
     values = -np.exp(log_mb - s) * np.expm1(log_ma - log_mb)
     return math.fsum(values) * _STEP
 

@@ -10,17 +10,19 @@ axis of the kernel. A link is a channel builder and an envelope law:
 ``"baseline"`` the free-space reference channel, Rayleigh faded, and
 ``validate``'s ``"direct"`` the THz link without its surface. A task holds
 the scheme names, the first point's scenario and two (P, 1) columns, every
-point's target rate and transmit power. A chunk groups the links its schemes
-need by Nakagami shape m, the one thing that tells two links' envelope laws
-apart (``_plan``: {m: {link: [scheme, ...]}}), draws each group's gains once
-and evaluates each scheme over all P points (common random numbers), taking
-the grid in slabs of at most SLAB points so its temporaries are (SLAB, n)
-however long the grid is. ``_reduce`` turns each scheme's per-trial outcomes
-into the chunk's record {(scheme, key): count or moments}, ``_merge`` the
-chunks' records into the sweep's {(scheme, key): (mean, stderr)}. Each
-point's estimate is its own marginal one; differences between points and
-schemes are paired. Every link's stream has the chunk's key, so where the
-baseline's m equals the THz link's (the default m = 1) it shares that draw.
+point's target rate and transmit power. ``_plan`` maps each scheme to its
+link and the link's Nakagami shape m, {scheme: (m, link)}; m is the one
+thing that tells two links' envelope laws apart. A chunk draws first, every
+link once with ``_chunk_gains``, then evaluates each scheme over all P
+points (common random numbers), in slabs of at most SLAB points so its
+temporaries are (SLAB, n) however long the grid is. ``_reduce`` turns each
+scheme's per-trial outcomes into the chunk's record {(scheme, key): count
+or moments}, ``_merge`` the chunks' records into the sweep's {(scheme,
+key): (mean, stderr)}. Each point's estimate is its own marginal one;
+differences between points and schemes are paired. Each m's draw opens the
+chunk's stream afresh: where the baseline's m equals the THz link's (the
+default m = 1) the two links share one draw, and no scheme's rows depend
+on which other schemes run.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream spawned from the seed by (domain, 0, chunk) key, so results
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -158,31 +160,32 @@ def _chunk_rng(seed: int, domain: int, chunk: int):
     return np.random.default_rng(ss)
 
 
-def _chunk_gains(shape_m: float, cfg: ScenarioConfig, links,
-                 rng: np.random.Generator, n: int) -> np.ndarray:
-    """(len(links), 2, n) squared Frobenius gains of n trials of cfg's named
-    links (a list of names, or a ``_plan`` group), rows in user order.
+def _chunk_gains(cfg: ScenarioConfig, links, rng, n: int) -> dict:
+    """{link: (2, n) squared Frobenius gains} of n trials of cfg's links,
+    rows in user order, for distinct (m, link) pairs, in their order.
 
-    The links share the Nakagami shape m, and cfg sets fading and the M*N
-    envelopes per user, so one draw serves them all. Each trial draws the
+    Links of one Nakagami shape m share one draw, from a fresh ``rng()``;
+    cfg sets fading and the M*N envelopes per user. Each trial draws the
     far user's envelopes, then the near user's; a block of trials takes
     its draws with one call and forms each user's gains with two
     matrix-vector products. Without fading every envelope is 1.0. A gain
     that is not finite raises ValueError, in the sweeps and in validate.
     """
     fading, size = cfg.fading_enabled, cfg.user_antennas * cfg.bs_antennas
-    parts = [_deterministic_parts(cfg, link) for link in links]
-    gains = np.empty((len(links), 2, n))
-    for start in range(0, n, BLOCK):
-        b = min(BLOCK, n - start)
-        env = (sample_nakagami(shape_m, rng, (b, 2, size)) if fading
-               else np.ones((b, 2, size))).transpose(1, 0, 2)
-        sq = env * env
-        for out, (dd, c, gg) in zip(gains, parts):
-            out[:, start:start + b] = ((sq @ dd[:, :, None])[..., 0]
-                                       + (env @ c[:, :, None])[..., 0]
-                                       + gg[:, None])
-    if not np.all(np.isfinite(gains)):
+    gains = {link: np.empty((2, n)) for _, link in links}
+    for shape_m in dict.fromkeys(m for m, _ in links):
+        names, stream = [link for m, link in links if m == shape_m], rng()
+        parts = [_deterministic_parts(cfg, link) for link in names]
+        for start in range(0, n, BLOCK):
+            b = min(BLOCK, n - start)
+            env = (sample_nakagami(shape_m, stream, (b, 2, size)) if fading
+                   else np.ones((b, 2, size))).transpose(1, 0, 2)
+            sq = env * env
+            for link, (dd, c, gg) in zip(names, parts):
+                gains[link][:, start:start + b] = ((sq @ dd[:, :, None])[..., 0]
+                                                   + (env @ c[:, :, None])[..., 0]
+                                                   + gg[:, None])
+    if not all(np.all(np.isfinite(g)) for g in gains.values()):
         raise ValueError("both users' channel gains must be finite")
     return gains
 
@@ -231,41 +234,36 @@ def _scheme_outcomes(domain: int, scheme: str, g_far: np.ndarray,
 
 
 def _plan(cfg: ScenarioConfig, schemes: tuple) -> dict:
-    """The links the schemes need, grouped by Nakagami shape, ``"thz"``
-    first: {m: {link: [scheme, ...]}}. ``"thz"`` has cfg's m,
-    ``"baseline"`` is Rayleigh faded (m = 1). Every link's stream has the
-    chunk's key, so the links of one m share one draw."""
-    plan = {}
-    for s in sorted(schemes, key="baseline".__eq__):
-        m, link = (1.0, "baseline") if s == "baseline" else (cfg.shape_m, "thz")
-        plan.setdefault(m, {}).setdefault(link, []).append(s)
-    return plan
+    """{scheme: (m, link)}, the link serving each scheme and its Nakagami
+    shape: ``"baseline"`` is Rayleigh faded (m = 1), every other scheme is
+    on ``"thz"`` at cfg's m."""
+    return {s: (1.0, "baseline") if s == "baseline" else (cfg.shape_m, "thz")
+            for s in schemes}
 
 
 def _run_chunk(cfg: ScenarioConfig, schemes: tuple, target: np.ndarray,
                power: np.ndarray, seed: int, domain: int, chunk: int,
                n: int) -> dict:
-    """The chunk's record {(scheme, key): ``_reduce``d ``_scheme_outcomes``}.
+    """The chunk's record {(scheme, key): ``_reduce``d ``_scheme_outcomes``}
+    in scheme order. ``cfg`` is the first point's scenario; ``target`` and
+    ``power`` are every point's (P, 1) columns.
 
-    ``cfg`` is the first point's scenario; ``target`` and ``power`` are
-    every point's (P, 1) columns. Each shape group of ``_plan`` opens the
-    chunk's stream once. SIC roles go by ascending gain; tied gains are
-    equal. Every row is the same elementwise computation, so taking the
-    grid in slabs of SLAB rows, each reduced before the next, changes no bit.
+    Draw every link once, each m opening the chunk's stream afresh; sort
+    each link's gains into SIC roles, ascending (the far user's first; tied
+    gains are equal); run every scheme on each slab of at most SLAB points,
+    reduced before the next. Rows are elementwise, so slabs change no bit.
     """
-    record = {}
-    for shape_m, links in _plan(cfg, schemes).items():
-        gains = _chunk_gains(shape_m, cfg, links, _chunk_rng(seed, domain, chunk), n)
-        for served, g in zip(links.values(), gains):
-            g_far, g_near = np.sort(g, axis=0)
-            for scheme in served:
-                slabs = [{key: _reduce(x) for key, x in _scheme_outcomes(
-                    domain, scheme, g_far, g_near, cfg, target[i:i + SLAB],
-                    power[i:i + SLAB]).items()}
-                    for i in range(0, len(target), SLAB)]
-                for key in slabs[0]:
-                    record[scheme, key] = np.concatenate([s[key] for s in slabs])
-    return record
+    plan = _plan(cfg, schemes)
+    gains = _chunk_gains(cfg, dict.fromkeys(plan.values()),
+                         partial(_chunk_rng, seed, domain, chunk), n)
+    roles = {link: np.sort(g, axis=0) for link, g in gains.items()}
+    slabs = [{(scheme, key): _reduce(x)
+              for scheme, (_, link) in plan.items()
+              for key, x in _scheme_outcomes(domain, scheme, *roles[link], cfg,
+                                             target[i:i + SLAB],
+                                             power[i:i + SLAB]).items()}
+             for i in range(0, len(target), SLAB)]
+    return {key: np.concatenate([s[key] for s in slabs]) for key in slabs[0]}
 
 
 def _merge(parts: list, sizes: list) -> dict:

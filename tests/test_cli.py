@@ -461,6 +461,28 @@ def test_every_command_rejects_the_same_scenarios(tmp_path, capsys, field,
     assert not (tmp_path / "sumrate").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "outage", "sumrate"])
+@pytest.mark.parametrize("value", ["1.35e154", "1e300", "1.7e308"])
+@pytest.mark.parametrize("field", [
+    "bs_user_distance_far", "bs_user_distance_near", "ris_user_distance_far",
+    "ris_user_distance_near", "bs_ris_distance"])
+def test_distance_whose_square_overflows_is_a_config_error(
+        tmp_path, capsys, command, value, field):
+    # the channel squares each distance; a square past the float range is
+    # the scenario's error, named on one line, not an arithmetic traceback
+    path = tmp_path / "far.ini"
+    path.write_text(f"[channel]\n{field} = {value}\n", encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    if command != "validate":
+        argv += ["--trials", "8", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"config error: config field '{field}': expected a finite value > 0 "
+        f"whose square is finite and > 0, got {float(value)!r}"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_code_dead_pool_worker(tmp_path, small_config, monkeypatch, capsys):
     # every pool worker exits as it starts, which breaks the pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
@@ -573,9 +595,11 @@ def test_validate_passes_degenerate_links(tmp_path, capsys, ini):
 def test_validate_draws_once_per_shape(monkeypatch, capsys, ini, draws):
     calls = []
 
-    def counting(shape_m, cfg, links, rng, n):
-        calls.append((shape_m, list(links)))
-        return montecarlo._chunk_gains(shape_m, cfg, links, rng, n)
+    def counting(cfg, links, rng, n):
+        def opened():
+            calls.append(list(links))
+            return rng()
+        return montecarlo._chunk_gains(cfg, links, opened, n)
 
     monkeypatch.setattr(cli, "_chunk_gains", counting)
     config = [] if ini is None else [

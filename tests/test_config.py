@@ -56,6 +56,9 @@ def test_noise_figure_sets_the_noise_power():
     ("noise_figure_db", -5000),     # 10 ** -510 underflows noise_power_w to 0
     ("ris_user_distance_far", 1e-200),  # a distance whose square underflows to 0
     ("bs_ris_distance", 1e-163),
+    ("bs_ris_distance", 1.35e154),  # a distance whose square overflows
+    # an int squares as a float would
+    pytest.param("bs_user_distance_near", 10 ** 200, id="bs_user_distance_near-int"),
     # a value of the wrong type is named like one out of range
     ("fading_enabled", "false"),
     ("fading_enabled", None),

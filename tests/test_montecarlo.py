@@ -89,10 +89,9 @@ def _reference_gains(cfg, rng, link="thz"):
 
 def _link_gains(cfg, rng, n, scheme="fixed"):
     """(2, n) kernel gains of the link serving the scheme alone, drawn under
-    its own law."""
-    ((shape_m, links),) = _plan(cfg, (scheme,)).items()
-    (link,) = links
-    return _chunk_gains(shape_m, cfg, [link], rng, n)[0]
+    its own law from the stream rng."""
+    shape_m, link = _plan(cfg, (scheme,))[scheme]
+    return _chunk_gains(cfg, [(shape_m, link)], lambda: rng, n)[link]
 
 
 def _chunk(cfg, schemes, targets, seed=0, chunk=0, n=8, domain=1):
@@ -332,7 +331,7 @@ def test_one_draw_per_envelope_law(monkeypatch, shape_m, streams):
     monkeypatch.setattr(montecarlo, "sample_nakagami", counting)
     cfg = SMALL.replace(shape_m=shape_m)
     n = BLOCK + 12
-    assert len(_plan(cfg, ("fixed", "baseline"))) == streams
+    assert len({m for m, _ in _plan(cfg, ("fixed", "baseline")).values()}) == streams
     _chunk(cfg, ("fixed", "baseline"), (0.5, 1.0, 2.0), n=n)
     per_trial = 2 * cfg.user_antennas * cfg.bs_antennas
     assert sum(drawn) == streams * per_trial * n
@@ -344,22 +343,23 @@ def test_direct_link_is_the_thz_link_without_its_surface(shape_m):
     # the surface-free scenario's "thz" link gets from the same stream
     cfg = ScenarioConfig(shape_m=shape_m)
     n = BLOCK + 5
-    _, direct = _chunk_gains(shape_m, cfg, ["thz", "direct"],
-                             np.random.default_rng(11), n)
-    (bare,) = _chunk_gains(shape_m, cfg.replace(ris_elements=0), ["thz"],
-                           np.random.default_rng(11), n)
-    assert np.array_equal(direct, bare)
+    gains = _chunk_gains(cfg, [(shape_m, "thz"), (shape_m, "direct")],
+                         lambda: np.random.default_rng(11), n)
+    bare = _chunk_gains(cfg.replace(ris_elements=0), [(shape_m, "thz")],
+                        lambda: np.random.default_rng(11), n)
+    assert list(gains) == ["thz", "direct"]
+    assert np.array_equal(gains["direct"], bare["thz"])
 
 
-def test_plan_groups_links_by_shape_thz_first():
-    # the THz link's schemes keep their order, and the baseline link comes
-    # after them, in the THz group where both have m = 1
+def test_plan_maps_each_scheme_to_its_link_in_scheme_order():
+    # the baseline link is Rayleigh faded at any m; the others are on the
+    # THz link at the scenario's m. The plan keeps the schemes' order
     schemes = ("baseline", "fair", "fixed")
-    assert _plan(SMALL.replace(shape_m=3.0), schemes) == {
-        3.0: {"thz": ["fair", "fixed"]}, 1.0: {"baseline": ["baseline"]}}
-    plan = _plan(SMALL, schemes)
-    assert list(plan) == [1.0] and list(plan[1.0]) == ["thz", "baseline"]
-    assert _plan(SMALL, ("fair",)) == {1.0: {"thz": ["fair"]}}
+    plan = _plan(SMALL.replace(shape_m=3.0), schemes)
+    assert plan == {"baseline": (1.0, "baseline"), "fair": (3.0, "thz"),
+                    "fixed": (3.0, "thz")}
+    assert list(plan) == list(schemes)
+    assert _plan(SMALL, ("fair",)) == {"fair": (1.0, "thz")}
 
 
 @pytest.mark.parametrize("domain, calls", [(1, 3), (2, 2)],
@@ -502,7 +502,7 @@ def test_baseline_link_reads_no_thz_field():
                         nlos_delays=(), ris_elements=0, shape_m=3.0)
     d = np.stack([baseline_channel_matrix(cfg, u).ravel() for u in (FAR, NEAR)])
     for c in (cfg, other):
-        assert _plan(c, ("baseline",)) == {1.0: {"baseline": ["baseline"]}}
+        assert _plan(c, ("baseline",)) == {"baseline": (1.0, "baseline")}
         dd, cross, gg = _deterministic_parts(c, "baseline")
         assert np.array_equal(dd, d.real ** 2 + d.imag ** 2)
         assert not np.any(cross) and not np.any(gg)
@@ -645,6 +645,29 @@ def test_point_row_does_not_depend_on_the_rest_of_the_grid(run, schemes, grid,
         for key, entry in one.items():
             for vals, full_vals in zip(entry, full[key]):
                 assert vals.tolist() == [full_vals[i]], (value, key)
+
+
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 3.0], ids=["m0.5", "m1", "m3"])
+@pytest.mark.parametrize("run, schemes, grid", [
+    (run_outage_sweep, ("fixed", "fair", "improved-fair"), (0.5, 2.0)),
+    (run_sumrate_sweep, ("fixed", "fair", "improved-fair", "baseline"),
+     (0.0, 30.0)),
+], ids=["outage", "sumrate"])
+def test_scheme_rows_do_not_depend_on_the_other_schemes(run, schemes, grid,
+                                                        shape_m):
+    # every shape group opens the chunk's stream afresh, so a scheme run
+    # alone gives bit for bit its rows of a run beside all the others,
+    # whether or not its link shares a draw with another link
+    cfg = ScenarioConfig(bs_antennas=4, user_antennas=4, ris_elements=8,
+                         shape_m=shape_m)
+    spec = SweepSpec(grid=grid, schemes=schemes, seed=9, trials=CHUNK + 76)
+    full = run(spec, cfg)
+    for scheme in schemes:
+        alone = run(dataclasses.replace(spec, schemes=(scheme,)), cfg)
+        assert list(alone) == [key for key in full if key[0] == scheme]
+        for key, entry in alone.items():
+            for vals, full_vals in zip(entry, full[key]):
+                assert np.array_equal(vals, full_vals), (scheme, key)
 
 
 @pytest.mark.parametrize("shape_m", [0.5, 3.0], ids=["m0.5", "m3"])
